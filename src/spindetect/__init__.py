@@ -21,7 +21,7 @@ from .bath import (DirectionalCoupling, DirectionalSpectrum3D, GeneralBath,
                    modified_frequencies, rate_map_3d, scaled_ensemble)
 from .conditional import (ComplexPotential, ConditionalTrajectory, TwoChannelTrajectory,
                           adiabaticity_ratio, build_conditional_potential,
-                          detection_density, one_channel_limit_potential,
+                          norm_balance, one_channel_limit_potential,
                           propagate_conditional, propagate_two_channel)
 from .config import load_preset, preset_names, resolve_config
 from .discrete import (DiscreteDetectionSeries, InteriorEigenbasis, ScatteringSolution,
@@ -45,7 +45,7 @@ __all__ = [
     "decay_rate_and_shift", "markov_summary", "modified_frequencies",
     "rate_map_3d", "scaled_ensemble",
     "ComplexPotential", "ConditionalTrajectory", "TwoChannelTrajectory",
-    "adiabaticity_ratio", "build_conditional_potential", "detection_density",
+    "adiabaticity_ratio", "build_conditional_potential", "norm_balance",
     "one_channel_limit_potential", "propagate_conditional", "propagate_two_channel",
     "load_preset", "preset_names", "resolve_config",
     "DiscreteDetectionSeries", "InteriorEigenbasis", "ScatteringSolution",

@@ -174,37 +174,43 @@ def compare_curves(times_a: np.ndarray, curve_a: np.ndarray,
                            linf_relative=rel_inf, l2_relative=rel_2)
 
 
+def mass_fractions(field: np.ndarray, grid, region: tuple[float, float],
+                   no_detection_prob: np.ndarray) -> dict[str, float]:
+    """The one mass ledger of a conditional run (trajectory.mass_split and
+    mass_accounting): the final field's mass left of, right of and inside
+    region, and P0(0) - P0(end), over P0(0).  Plain sums h * sum |psi|^2,
+    the inner product of P0, so the four total 1 to roundoff.
+    """
+    lo, hi = float(region[0]), float(region[1])
+    x = grid.points()
+    dens = np.abs(field) ** 2
+    left = x < lo
+    right = x > hi
+    inside = ~(left | right)
+    h = grid.spacing
+    norm0 = float(no_detection_prob[0])
+    return {
+        "reflected": float(np.sum(dens[left]) * h) / norm0,
+        "transmitted_undetected": float(np.sum(dens[right]) * h) / norm0,
+        "residual_in_region": float(np.sum(dens[inside]) * h) / norm0,
+        "detected": float(no_detection_prob[0] - no_detection_prob[-1]) / norm0,
+    }
+
+
 def mass_accounting(trajectory, region: tuple[float, float] | None = None,
                     residual_warn: float = 1e-3) -> dict[str, float]:
     """Where did the launched packet end up: reflected (left of the sensitive
     region), transmitted without detection (right of it), still inside it,
-    or detected.  Computed from the final field of a conditional run; the
-    four fractions sum to 1 up to the recorded survival probability.
+    or detected: mass_fractions of a conditional run, optionally against
+    another region; a ledger not summing to 1 is a NumericsError.
 
     A residual inside the region above residual_warn means the run stopped
     before the packet cleared the detector; a warning string is appended to
     the trajectory's warning list in that case.
     """
-    if region is None:
-        region = trajectory.region
-    lo, hi = float(region[0]), float(region[1])
-    grid = trajectory.grid
-    x = grid.points()
-    dens = np.abs(trajectory.final_field) ** 2
-    w = np.full(grid.n_points, grid.spacing)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    left = x < lo
-    right = x > hi
-    inside = ~(left | right)
-    norm0 = float(trajectory.no_detection_prob[0])
-    split = {
-        "reflected": float(np.sum(dens[left] * w[left])) / norm0,
-        "transmitted_undetected": float(np.sum(dens[right] * w[right])) / norm0,
-        "residual_in_region": float(np.sum(dens[inside] * w[inside])) / norm0,
-        "detected": float(trajectory.no_detection_prob[0]
-                          - trajectory.no_detection_prob[-1]) / norm0,
-    }
+    split = mass_fractions(trajectory.final_field, trajectory.grid,
+                           trajectory.region if region is None else region,
+                           trajectory.no_detection_prob)
     total = sum(split.values())
     if abs(total - 1.0) > 1e-6:
         raise NumericsError(f"mass ledger sums to {total!r}, not 1")

@@ -30,6 +30,12 @@ fluorescence analog
 whose strong-damping limit collapses to the single-channel complex
 potential returned by one_channel_limit_potential.
 
+Both propagators share one core (_propagate: validation, units, step loop,
+records, edge mass) and supply only their solver (LAPACK zgttrs for one
+channel, SuperLU on the interleaved pair) and density and norm formulas.
+Norms are plain sums h * sum |psi|^2, as is the mass ledger
+(analysis.mass_fractions); norm_balance checks either trajectory type.
+
 All public inputs and outputs are SI; internally fields and operators are
 rescaled to detector units (see units.UnitSystem) before factoring the
 step matrices.
@@ -45,6 +51,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
+from .analysis import mass_fractions
 from .errors import ConfigurationError, NumericsError
 from .model import Grid1D, Sensitivity
 from .units import HBAR, UnitSystem
@@ -56,7 +63,7 @@ __all__ = [
     "CrankNicolson1D",
     "build_conditional_potential",
     "propagate_conditional",
-    "detection_density",
+    "norm_balance",
     "propagate_two_channel",
     "one_channel_limit_potential",
     "adiabaticity_ratio",
@@ -66,6 +73,9 @@ __all__ = [
 # flagged as contaminated by boundary reflections.
 EDGE_MASS_WARN = 1e-6
 EDGE_CELLS = 5
+# rounding of a per-step survival drop P0(n) - P0(n+1), relative to P0(0):
+# plain sums of up to ~1e5 terms each carry a few ulp
+DRAIN_ROUNDOFF = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -237,26 +247,110 @@ class ConditionalTrajectory:
         write_csv(path, header, cols)
 
 
-def _edge_mass(prob_density: np.ndarray, spacing: float) -> float:
-    return float((prob_density[:EDGE_CELLS].sum() + prob_density[-EDGE_CELLS:].sum()) * spacing)
+def _edge_mass(y: np.ndarray, channels: int, spacing: float) -> float:
+    """Mass within EDGE_CELLS of either grid end, summed over the channels."""
+    k = EDGE_CELLS * channels
+    return float((np.sum(np.abs(y[:k]) ** 2) + np.sum(np.abs(y[-k:]) ** 2)) * spacing)
 
 
-def _mass_split(psi: np.ndarray, grid: Grid1D, region: tuple[float, float],
-                detected: float) -> dict[str, float]:
-    x = grid.points()
-    dens = np.abs(psi) ** 2
-    lo, hi = region
-    left = x < lo
-    right = x > hi
-    inside = ~(left | right)
-    # plain-sum weights: the three pieces then total exactly the recorded norm
-    h = grid.spacing
-    return {
-        "reflected": float(np.sum(dens[left]) * h),
-        "transmitted_undetected": float(np.sum(dens[right]) * h),
-        "residual_in_region": float(np.sum(dens[inside]) * h),
-        "detected": detected,
-    }
+@dataclass
+class _Run:
+    """The core's record, in SI: norms[0] is the survival probability, further
+    rows follow the model's norm formula; snapshots are (channel, index, x)."""
+
+    times: np.ndarray
+    norms: np.ndarray
+    density_times: np.ndarray
+    density: np.ndarray
+    snapshot_times: np.ndarray
+    snapshots: np.ndarray
+    final: list[np.ndarray]
+    warnings: list[str]
+
+
+def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
+               mass: float, vmax: float, frequency_scales, reference_frequency,
+               snapshots: int, kinetic_safety: float, solver) -> _Run:
+    """Shared core of the conditional propagators; checks every input first.
+
+    The channel fields (SI) are interleaved into one state y, channel c at
+    y[c::len(fields)].  vmax (joules) meets the phase bound; positive
+    frequency_scales (1/s) may raise the default reference frequency.
+    solver(h_int, dt_int, omega) returns (step, density, norms): the next
+    state, the midpoint detection density (1/s), and a tuple of norms led
+    by the survival probability.  Edge mass above EDGE_MASS_WARN warns.
+    """
+    n = grid.n_points
+    if any(np.shape(f) != (n,) for f in fields):
+        raise ConfigurationError("initial field shape does not match the grid")
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not t1 > t0:
+        raise ConfigurationError("t_span must be increasing")
+    if dt <= 0.0:
+        raise ConfigurationError("dt must be positive")
+    if mass <= 0.0:
+        raise ConfigurationError("mass must be positive")
+    if vmax > 0.0 and dt * vmax / HBAR >= 0.1:
+        raise ConfigurationError(
+            f"dt*|V|max/hbar = {dt * vmax / HBAR:.3g} >= 0.1: reduce dt")
+    kinetic_scale = 2.0 * mass * grid.spacing ** 2 / HBAR * np.pi
+    if dt >= kinetic_safety * kinetic_scale:
+        raise ConfigurationError(
+            f"dt = {dt:.3g} s exceeds {kinetic_safety:g} x the grid kinetic time "
+            f"{kinetic_scale:.3g} s; reduce dt or relax kinetic_safety")
+    n_steps = int(round((t1 - t0) / dt))
+    if abs(t0 + n_steps * dt - t1) > 1e-9 * max(abs(t1), dt):
+        raise ConfigurationError("t_span length must be an integer number of dt steps")
+    if n_steps < 1:
+        raise ConfigurationError("t_span shorter than one step")
+
+    if reference_frequency is None:
+        # the grid-scale frequency makes the internal spacing exactly 1
+        reference_frequency = max([s for s in frequency_scales if s > 0.0]
+                                  + [HBAR / (mass * grid.spacing ** 2)])
+    units = UnitSystem(reference_frequency=reference_frequency, mass=mass)
+    h_int = grid.spacing / units.length_unit
+    step, density, norms = solver(h_int, dt * reference_frequency, reference_frequency)
+    # internal field: y_int = y_SI * sqrt(L0) keeps ||.||^2 dimensionless
+    scale = np.sqrt(units.length_unit)
+    channels = len(fields)
+    y = np.stack(fields, axis=1).reshape(-1).astype(complex) * scale
+    first = norms(y)
+    if not first[0] > 0.0:
+        raise ConfigurationError("initial field has zero norm")
+
+    times = t0 + dt * np.arange(n_steps + 1)
+    recorded = np.empty((len(first), n_steps + 1))
+    recorded[:, 0] = first
+    w1 = np.empty(n_steps)
+    n_snap = max(2, min(snapshots, n_steps + 1))
+    snap_idx = np.unique(np.round(np.linspace(0, n_steps, n_snap)).astype(int))
+    snaps = np.empty((channels, snap_idx.size, n), dtype=complex)
+    snaps[:, 0] = y.reshape(n, channels).T
+    snap_pos = 1
+    edge_max = 0.0
+    for k in range(1, n_steps + 1):
+        y_next = step(y)
+        w1[k - 1] = density(y, y_next)
+        y = y_next
+        recorded[:, k] = norms(y)
+        if snap_pos < snap_idx.size and k == snap_idx[snap_pos]:
+            snaps[:, snap_pos] = y.reshape(n, channels).T
+            snap_pos += 1
+        if k % 32 == 0 or k == n_steps:
+            edge_max = max(edge_max, _edge_mass(y, channels, h_int))
+
+    warn_list = []
+    if edge_max > EDGE_MASS_WARN:
+        msg = (f"edge mass reached {edge_max:.3e} (> {EDGE_MASS_WARN:g}); "
+               "boundary reflections may contaminate the run")
+        warn_list.append(msg)
+        warnings.warn(msg, stacklevel=3)
+    snaps /= scale
+    return _Run(times=times, norms=recorded, density_times=times[:-1] + 0.5 * dt,
+                density=w1, snapshot_times=times[snap_idx], snapshots=snaps,
+                final=[y[c::channels] / scale for c in range(channels)],
+                warnings=warn_list)
 
 
 def propagate_conditional(psi0: np.ndarray, potential: ComplexPotential,
@@ -269,124 +363,67 @@ def propagate_conditional(psi0: np.ndarray, potential: ComplexPotential,
     every step boundary and the detection density at every step midpoint.
 
     Preconditions enforced as configuration errors: dt must resolve the
-    potential phase (dt |V|_max / hbar < 0.1) and must not exceed
+    potential phase (dt |V|_max / hbar < 0.1), must not exceed
     kinetic_safety * (2 m dx^2 / hbar) * pi, a blunt guard against grossly
-    unresolved kinetic phases.  Mass accumulating within EDGE_CELLS of
-    either grid end above 1e-6 is reported as a warning on the trajectory,
-    not an error.
+    unresolved kinetic phases, and must divide t_span into whole steps.
+    Mass accumulating within EDGE_CELLS of either grid end above 1e-6 is
+    reported as a warning on the trajectory, not an error.
     """
     grid = potential.grid
-    if psi0.shape != (grid.n_points,):
-        raise ConfigurationError("initial field shape does not match the grid")
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise ConfigurationError("t_span must be increasing")
-    if dt <= 0.0:
-        raise ConfigurationError("dt must be positive")
-    if mass <= 0.0:
-        raise ConfigurationError("mass must be positive")
-    vmax = potential.max_magnitude
-    if vmax > 0.0 and dt * vmax / HBAR >= 0.1:
-        raise ConfigurationError(
-            f"dt*|V|max/hbar = {dt * vmax / HBAR:.3g} >= 0.1: reduce dt")
-    kinetic_scale = 2.0 * mass * grid.spacing ** 2 / HBAR * np.pi
-    if dt >= kinetic_safety * kinetic_scale:
-        raise ConfigurationError(
-            f"dt = {dt:.3g} s exceeds {kinetic_safety:g} x the grid kinetic time "
-            f"{kinetic_scale:.3g} s; reduce dt or relax kinetic_safety")
 
-    if reference_frequency is None:
-        # grid-scale frequency: makes the internal spacing exactly 1
-        reference_frequency = HBAR / (mass * grid.spacing ** 2)
-    units = UnitSystem(reference_frequency=reference_frequency, mass=mass)
-    h_int = grid.spacing / units.length_unit
-    dt_int = dt * reference_frequency
-    v_int = potential.values / (HBAR * reference_frequency)
+    def solver(h_int, dt_int, omega):
+        stepper = CrankNicolson1D(grid.n_points, h_int, potential.values / (HBAR * omega),
+                                  dt_int)
+        decay_w = potential.decay_profile * h_int
+        return (stepper.step,
+                lambda y, y_next: np.sum(decay_w * np.abs(0.5 * (y + y_next)) ** 2),
+                lambda y: (np.sum(np.abs(y) ** 2) * h_int,))
 
-    n_steps = int(round((t1 - t0) / dt))
-    if abs(t0 + n_steps * dt - t1) > 1e-9 * max(abs(t1), dt):
-        raise ConfigurationError("t_span length must be an integer number of dt steps")
-    if n_steps < 1:
-        raise ConfigurationError("t_span shorter than one step")
-
-    stepper = CrankNicolson1D(grid.n_points, h_int, v_int, dt_int)
-    # internal field: psi_int = psi_SI * sqrt(L0) keeps ||.||^2 dimensionless
-    scale = np.sqrt(units.length_unit)
-    psi = psi0.astype(complex) * scale
-
-    times = t0 + dt * np.arange(n_steps + 1)
-    p0 = np.empty(n_steps + 1)
-    w1 = np.empty(n_steps)
-    # plain l2 sums: the Cayley step contracts this norm, so P0 is monotone
-    # to roundoff, and the midpoint-state density balances its drain exactly
-    decay_w = potential.decay_profile * h_int
-    p0[0] = np.sum(np.abs(psi) ** 2) * h_int
-
-    n_snap = max(2, min(snapshots, n_steps + 1))
-    snap_idx = np.unique(np.round(np.linspace(0, n_steps, n_snap)).astype(int))
-    snaps = np.empty((snap_idx.size, grid.n_points), dtype=complex)
-    snap_pos = 0
-    if snap_idx[0] == 0:
-        snaps[0] = psi / scale
-        snap_pos = 1
-    edge_max = 0.0
-    for n in range(1, n_steps + 1):
-        psi_next = stepper.step(psi)
-        mid = 0.5 * (psi + psi_next)
-        w1[n - 1] = np.sum(decay_w * np.abs(mid) ** 2)
-        psi = psi_next
-        p0[n] = np.sum(np.abs(psi) ** 2) * h_int
-        if snap_pos < snap_idx.size and n == snap_idx[snap_pos]:
-            snaps[snap_pos] = psi / scale
-            snap_pos += 1
-        if n % 32 == 0 or n == n_steps:
-            edge_max = max(edge_max, _edge_mass(np.abs(psi) ** 2, h_int))
-
-    warn_list = []
+    run = _propagate((psi0,), grid, t_span, dt, mass=mass, vmax=potential.max_magnitude,
+                     frequency_scales=(), reference_frequency=reference_frequency,
+                     snapshots=snapshots, kinetic_safety=kinetic_safety, solver=solver)
+    p0 = run.norms[0]
     norm0 = float(p0[0])
-    if norm0 <= 0.0:
-        raise ConfigurationError("initial field has zero norm")
+    warn_list = []
     if abs(norm0 - 1.0) > 1e-6:
         warn_list.append(f"initial norm {norm0!r} differs from 1; mass ledger is renormalized")
-    if edge_max > EDGE_MASS_WARN:
-        msg = (f"edge mass reached {edge_max:.3e} (> {EDGE_MASS_WARN:g}); "
-               "boundary reflections may contaminate the run")
-        warn_list.append(msg)
-        warnings.warn(msg, stacklevel=2)
-
-    psi_si = psi / scale
-    detected = float(p0[0] - p0[-1])
-    split = _mass_split(psi_si, grid, potential.region, detected)
-    # the ledger is stated as a fraction of the launched norm
-    split = {k: v / norm0 for k, v in split.items()}
     return ConditionalTrajectory(
-        grid=grid, times=times, no_detection_prob=p0,
-        detection_density_times=times[:-1] + 0.5 * dt, detection_density=w1,
-        snapshot_times=times[snap_idx], snapshots=snaps, final_field=psi_si,
-        region=potential.region, mass_split=split, warnings=warn_list)
+        grid=grid, times=run.times, no_detection_prob=p0,
+        detection_density_times=run.density_times, detection_density=run.density,
+        snapshot_times=run.snapshot_times, snapshots=run.snapshots[0],
+        final_field=run.final[0], region=potential.region,
+        mass_split=mass_fractions(run.final[0], grid, potential.region, p0),
+        warnings=warn_list + run.warnings)
 
 
-def detection_density(trajectory: ConditionalTrajectory, *,
-                      check_tolerance: float = 1e-3) -> np.ndarray:
-    """Return the recorded detection density series after checking it against
-    the survival-probability drain: each midpoint sample must match the
-    per-step difference quotient -[P0(n+1) - P0(n)]/dt to within
-    check_tolerance times the peak density.  The density is computed from
-    the spatial decay-weighted integral and P0 from the field norm, so the
-    agreement is the discrete continuity statement, not a tautology.
+def norm_balance(trajectory, *, check_tolerance: float = 1e-3) -> dict[str, float]:
+    """Check a conditional run (either trajectory type) against the drain
+    identity w1 = -dP0/dt and return its two balance numbers.
+
+    continuity_residual_relative is the largest gap between a midpoint
+    density sample and -[P0(n+1) - P0(n)]/dt, over the peak density (0 when
+    nothing is detected); above check_tolerance it is a NumericsError,
+    unless within DRAIN_ROUNDOFF * P0(0) per step, which two rounded norms
+    cannot resolve.  w1 comes from the decay-weighted field and P0 from the
+    norm, so this is the discrete continuity statement, not a tautology.
+    detection_integral_gap, |sum(w1) dt - (1 - P0(end))|, also carries any
+    launch-norm deficit.
     """
     w1 = trajectory.detection_density
+    p0 = trajectory.no_detection_prob
+    times = trajectory.times
+    # the whole span resolves dt far better than one rounded difference
+    dt = float(times[-1] - times[0]) / (times.size - 1)
+    drain = -np.diff(p0) / dt
     peak = float(np.max(w1))
-    if peak <= 0.0:
-        return w1
-    dt = float(trajectory.times[1] - trajectory.times[0])
-    drain = -np.diff(trajectory.no_detection_prob) / dt
     resid = float(np.max(np.abs(w1 - drain)))
-    if resid > check_tolerance * peak:
+    floor = DRAIN_ROUNDOFF * float(p0[0]) / dt
+    if peak > 0.0 and resid > max(check_tolerance * peak, floor):
         raise NumericsError(
             f"detection density disagrees with -dP0/dt: residual {resid:.3e} "
             f"exceeds {check_tolerance:g} x peak {peak:.3e}")
-    return w1
+    return {"continuity_residual_relative": resid / peak if peak > 0.0 else 0.0,
+            "detection_integral_gap": float(abs(np.sum(w1) * dt - (1.0 - p0[-1])))}
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +454,11 @@ class TwoChannelTrajectory:
         if np.any(np.diff(self.survival_prob) > 1e-10):
             raise NumericsError("combined norm increased between steps")
 
+    @property
+    def no_detection_prob(self) -> np.ndarray:
+        """The combined norm, under the name ConditionalTrajectory uses."""
+        return self.survival_prob
+
     def to_csv(self, path) -> None:
         from .output import write_csv
         p0_mid = 0.5 * (self.survival_prob[:-1] + self.survival_prob[1:])
@@ -425,6 +467,15 @@ class TwoChannelTrajectory:
                          "detection_density_per_s"],
                   [self.detection_density_times, p0_mid, exc_mid,
                    self.detection_density])
+
+
+def _rabi_on(grid: Grid1D, rabi_profile) -> np.ndarray:
+    rabi = np.asarray(rabi_profile, dtype=float)
+    if rabi.shape != (grid.n_points,):
+        raise ConfigurationError("Rabi profile must have one value per grid point")
+    if np.any(rabi < 0.0):
+        raise ConfigurationError("Rabi profile must be nonnegative")
+    return rabi
 
 
 def _two_channel_matrix(n: int, h_int: float, rabi_int: np.ndarray,
@@ -448,107 +499,53 @@ def propagate_two_channel(ground0: np.ndarray, excited0: np.ndarray,
                           rabi_profile: np.ndarray, detuning: float, linewidth: float,
                           grid: Grid1D, t_span: tuple[float, float], dt: float, *,
                           mass: float, reference_frequency: float | None = None,
-                          snapshots: int = 128) -> TwoChannelTrajectory:
+                          snapshots: int = 128, kinetic_safety: float = 64.0
+                          ) -> TwoChannelTrajectory:
     """Propagate the coupled ground/excited fields of the fluorescence model.
 
     The conditional generator is kinetic energy on both channels plus the
     block (hbar/2) [[0, Omega(x)], [Omega(x), -2*detuning - i*linewidth]];
     spontaneous emission drains the excited channel at rate linewidth, and
     the emission density is w1 = linewidth * ||excited||^2, balancing the
-    combined norm loss.
+    combined norm loss.  dt is checked as in propagate_conditional, with
+    |V|max the larger of hbar*Omega/2 and hbar|2*detuning + i*linewidth|/2.
     """
     n = grid.n_points
-    if ground0.shape != (n,) or excited0.shape != (n,):
-        raise ConfigurationError("channel fields must match the grid")
-    rabi = np.asarray(rabi_profile, dtype=float)
-    if rabi.shape != (n,):
-        raise ConfigurationError("Rabi profile must have one value per grid point")
-    if np.any(rabi < 0.0):
-        raise ConfigurationError("Rabi profile must be nonnegative")
+    rabi = _rabi_on(grid, rabi_profile)
     if linewidth < 0.0:
         raise ConfigurationError("linewidth must be nonnegative")
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise ConfigurationError("t_span must be increasing")
-    scales = [np.max(rabi) / 2.0, abs(detuning), linewidth / 2.0]
-    if reference_frequency is None:
-        reference_frequency = max([s for s in scales if s > 0.0]
-                                  + [HBAR / (mass * grid.spacing ** 2)])
-    vmax = HBAR * max(np.max(rabi) / 2.0, 0.5 * abs(-2.0 * detuning - 1j * linewidth))
-    if vmax > 0.0 and dt * vmax / HBAR >= 0.1:
-        raise ConfigurationError(
-            f"dt*|V|max/hbar = {dt * vmax / HBAR:.3g} >= 0.1: reduce dt")
+    excited_diag = 0.5 * (-2.0 * detuning - 1j * linewidth)   # 1/s
+    half_rabi = np.max(rabi) / 2.0
 
-    units = UnitSystem(reference_frequency=reference_frequency, mass=mass)
-    h_int = grid.spacing / units.length_unit
-    dt_int = dt * reference_frequency
-    rabi_int = rabi / reference_frequency
-    exdiag_int = 0.5 * (-2.0 * detuning - 1j * linewidth) / reference_frequency
+    def solver(h_int, dt_int, omega):
+        ham = _two_channel_matrix(n, h_int, rabi / omega, excited_diag / omega)
+        z = 0.5j * dt_int
+        ident = sp.identity(2 * n, dtype=complex, format="csc")
+        backward = (ident - z * ham).tocsr()
+        lu = splu((ident + z * ham).tocsc())
 
-    ham = _two_channel_matrix(n, h_int, rabi_int, exdiag_int)
-    z = 0.5j * dt_int
-    ident = sp.identity(2 * n, dtype=complex, format="csc")
-    forward = (ident + z * ham).tocsc()
-    backward = (ident - z * ham).tocsr()
-    solver = splu(forward)
+        def norms(y):
+            excited = np.sum(np.abs(y[1::2]) ** 2) * h_int
+            return np.sum(np.abs(y[0::2]) ** 2) * h_int + excited, excited
 
-    scale = np.sqrt(units.length_unit)
-    y = np.empty(2 * n, dtype=complex)
-    y[0::2] = ground0 * scale
-    y[1::2] = excited0 * scale
+        return (lambda y: lu.solve(backward @ y),
+                lambda y, y_next: linewidth * np.sum(
+                    np.abs(0.5 * (y[1::2] + y_next[1::2])) ** 2) * h_int,
+                norms)
 
-    n_steps = int(round((t1 - t0) / dt))
-    if n_steps < 1:
-        raise ConfigurationError("t_span shorter than one step")
-    times = t0 + dt * np.arange(n_steps + 1)
-    surv = np.empty(n_steps + 1)
-    exc = np.empty(n_steps + 1)
-    w1 = np.empty(n_steps)
-
-    def record(i, y):
-        # plain l2 sums; see propagate_conditional
-        exc[i] = np.sum(np.abs(y[1::2]) ** 2) * h_int
-        surv[i] = np.sum(np.abs(y[0::2]) ** 2) * h_int + exc[i]
-
-    record(0, y)
-    n_snap = max(2, min(snapshots, n_steps + 1))
-    snap_idx = np.unique(np.round(np.linspace(0, n_steps, n_snap)).astype(int))
-    gsnaps = np.empty((snap_idx.size, n), dtype=complex)
-    esnaps = np.empty((snap_idx.size, n), dtype=complex)
-    snap_pos = 0
-    if snap_idx[0] == 0:
-        gsnaps[0] = y[0::2] / scale
-        esnaps[0] = y[1::2] / scale
-        snap_pos = 1
-    edge_max = 0.0
-    for step in range(1, n_steps + 1):
-        rhs = backward @ y
-        y_next = solver.solve(rhs)
-        mid_e = 0.5 * (y[1::2] + y_next[1::2])
-        w1[step - 1] = linewidth * np.sum(np.abs(mid_e) ** 2) * h_int
-        y = y_next
-        record(step, y)
-        if snap_pos < snap_idx.size and step == snap_idx[snap_pos]:
-            gsnaps[snap_pos] = y[0::2] / scale
-            esnaps[snap_pos] = y[1::2] / scale
-            snap_pos += 1
-        if step % 32 == 0 or step == n_steps:
-            dens = np.abs(y[0::2]) ** 2 + np.abs(y[1::2]) ** 2
-            edge_max = max(edge_max, _edge_mass(dens, h_int))
-
-    warn_list = []
-    if edge_max > EDGE_MASS_WARN:
-        msg = (f"edge mass reached {edge_max:.3e} (> {EDGE_MASS_WARN:g}); "
-               "boundary reflections may contaminate the run")
-        warn_list.append(msg)
-        warnings.warn(msg, stacklevel=2)
+    run = _propagate((ground0, excited0), grid, t_span, dt, mass=mass,
+                     vmax=HBAR * max(half_rabi, abs(excited_diag)),
+                     frequency_scales=(half_rabi, abs(detuning), linewidth / 2.0),
+                     reference_frequency=reference_frequency, snapshots=snapshots,
+                     kinetic_safety=kinetic_safety, solver=solver)
+    survival, excited = run.norms
     return TwoChannelTrajectory(
-        grid=grid, times=times, survival_prob=surv, excited_mass=exc,
-        detection_density_times=times[:-1] + 0.5 * dt, detection_density=w1,
-        snapshot_times=times[snap_idx],
-        ground_snapshots=gsnaps, excited_snapshots=esnaps,
-        final_ground=y[0::2] / scale, final_excited=y[1::2] / scale,
-        warnings=warn_list)
+        grid=grid, times=run.times, survival_prob=survival, excited_mass=excited,
+        detection_density_times=run.density_times, detection_density=run.density,
+        snapshot_times=run.snapshot_times,
+        ground_snapshots=run.snapshots[0], excited_snapshots=run.snapshots[1],
+        final_ground=run.final[0], final_excited=run.final[1],
+        warnings=run.warnings)
 
 
 def one_channel_limit_potential(rabi_profile: np.ndarray, detuning: float,
@@ -566,11 +563,7 @@ def one_channel_limit_potential(rabi_profile: np.ndarray, detuning: float,
     denom = 4.0 * detuning ** 2 + linewidth ** 2
     if denom == 0.0:
         raise ConfigurationError("detuning and linewidth cannot both vanish")
-    rabi = np.asarray(rabi_profile, dtype=float)
-    if rabi.shape != (grid.n_points,):
-        raise ConfigurationError("Rabi profile must have one value per grid point")
-    if np.any(rabi < 0.0):
-        raise ConfigurationError("Rabi profile must be nonnegative")
+    rabi = _rabi_on(grid, rabi_profile)
     om2 = rabi ** 2
     decay = linewidth * om2 / denom
     shift = 2.0 * detuning * om2 / denom

@@ -57,7 +57,6 @@ _DISCRETE_NUMERICS = {
         "x_min_l0": {"type": "number", "exclusiveMaximum": 0.0},
         "x_max_l0": _POS,
         "right_spacing_l0": _POS,
-        "chunk_rows": {"type": "integer", "minimum": 64},
     },
     "required": ["time_start_t0", "time_stop_t0", "time_step_t0",
                  "x_min_l0", "x_max_l0"],
@@ -192,7 +191,7 @@ _TOP_DEFAULTS = {
 # defaults merged only into blocks the user actually wrote, so a resolved
 # config still passes schema validation (required keys stay required)
 _DISCRETE_DEFAULTS = {"k_nodes": 2001, "k_window_sigmas": 8.0,
-                      "right_spacing_l0": 0.02, "chunk_rows": 4096}
+                      "right_spacing_l0": 0.02}
 _CONTINUUM_DEFAULTS = {"grid_spacing_l0": 0.0075, "snapshots": 512,
                        "kinetic_safety": 64.0, "write_fields": False}
 _SWEEP_DEFAULTS = {"run": "continuum"}

@@ -52,6 +52,9 @@ from .packets import GaussianPacketSpec, TabulatedMomentumAmplitude, momentum_am
 from .units import UnitSystem
 
 ROOT_2PI = np.sqrt(2.0 * np.pi)
+# x > 0 rows synthesized per block in no_flip_norm_series (bounds the
+# (rows, k-nodes) work buffers)
+CHUNK_ROWS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +391,7 @@ class ScatteringSynthesis:
 
     # --- survival series ---------------------------------------------
     def no_flip_norm_series(self, times_si: np.ndarray, *, x_min: float,
-                            x_max: float, right_points: int = 20001,
-                            chunk_rows: int = 4096) -> dict:
+                            x_max: float, right_points: int = 20001) -> dict:
         """|no-flip|^2 mass over [x_min, x_max] for each time.
 
         The x < 0 part integrates in closed form (Gram matrix of finite
@@ -429,8 +431,8 @@ class ScatteringSynthesis:
         edge_density = 0.0
         u_step = np.exp(1j * self.q_mu_int * h)   # (nk, N+1)
         buf = None
-        for start in range(0, right_points, chunk_rows):
-            stop = min(start + chunk_rows, right_points)
+        for start in range(0, right_points, CHUNK_ROWS):
+            stop = min(start + CHUNK_ROWS, right_points)
             rows = stop - start
             fields = np.zeros((rows, nt), dtype=complex)
             for mu in range(self.q_mu_int.shape[1]):

@@ -23,7 +23,7 @@ from .analysis import arrival_stats, compare_curves, mass_accounting
 from .bath import RectangularBath, decay_rate_and_shift, markov_summary
 from .conditional import (build_conditional_potential, one_channel_limit_potential,
                           propagate_conditional, propagate_two_channel,
-                          adiabaticity_ratio)
+                          adiabaticity_ratio, norm_balance)
 from .config import get_by_path, resolve_config, set_by_path
 from .discrete import detection_density_discrete
 from .errors import ConfigurationError, SpindetectError
@@ -196,30 +196,41 @@ def _run_discrete(cfg: dict, scene: Scene, out_dir: Path):
     return {"w1_disc": "w1_disc.csv"}, summary, list(series.warnings), series
 
 
-def _run_continuum(cfg: dict, scene: Scene, out_dir: Path):
+def _continuum_setup(cfg: dict, scene: Scene, detector):
+    """Grid, time window, launch packet and the time step divided by the
+    least integer keeping dt |V|max / hbar within PHASE_BUDGET, for the
+    continuum and fluorescence runs.  detector(grid) returns the run's
+    detector on the grid and its |V|max (joules).
+    Returns (grid, t_span, dt, psi0, detector, warnings)."""
     num = cfg["numerics"]["continuum"]
     u = scene.units
     grid = _space_grid(num, u.length_unit)
     times = _time_grid(num, u.time_unit)
     t0, t1 = float(times[0]), float(times[-1])
     dt = num["time_step_t0"] * u.time_unit
-
+    built, vmax = detector(grid)
+    refine = max(1, math.ceil(dt * vmax / (HBAR * PHASE_BUDGET))) if vmax > 0.0 else 1
     warn = []
-    potential = build_conditional_potential(
-        scene.decay_rate, scene.level_shift, scene.geometry.sensitivity, grid,
-        include_shift=cfg["include_shift"])
-    # keep dt below the complex-phase precondition by integer refinement
-    vmax = potential.max_magnitude
-    refine = 1
-    if vmax > 0.0:
-        refine = max(1, math.ceil(dt * vmax / (HBAR * PHASE_BUDGET)))
     if refine > 1:
         warn.append(f"time step refined x{refine} to respect the potential "
                     "phase bound dt|V|/hbar < 0.1")
     psi0 = free_evolved_packet(scene.packet, t0, grid)
+    return grid, (t0, t1), dt / refine, psi0, built, warn
+
+
+def _run_continuum(cfg: dict, scene: Scene, out_dir: Path):
+    num = cfg["numerics"]["continuum"]
+
+    def detector(grid):
+        potential = build_conditional_potential(
+            scene.decay_rate, scene.level_shift, scene.geometry.sensitivity, grid,
+            include_shift=cfg["include_shift"])
+        return potential, potential.max_magnitude
+
+    _, span, dt, psi0, potential, warn = _continuum_setup(cfg, scene, detector)
     traj = propagate_conditional(
-        psi0, potential, (t0, t1), dt / refine, mass=scene.packet.mass,
-        reference_frequency=u.reference_frequency,
+        psi0, potential, span, dt, mass=scene.packet.mass,
+        reference_frequency=scene.units.reference_frequency,
         snapshots=num["snapshots"], kinetic_safety=num["kinetic_safety"])
     traj.to_csv(out_dir / "w1_cont.csv")
     outputs = {"w1_cont": "w1_cont.csv"}
@@ -228,19 +239,9 @@ def _run_continuum(cfg: dict, scene: Scene, out_dir: Path):
         outputs["fields_cont"] = "fields_cont.csv"
     split = mass_accounting(traj)
     stats = arrival_stats(traj.detection_density_times, traj.detection_density)
-    # norm balance, computed in-run: the midpoint density against the
-    # per-step survival drain, and the summed density against 1 - P0(end)
-    w1 = traj.detection_density
-    dt_used = dt / refine
-    drain = -np.diff(traj.no_detection_prob) / dt_used
-    peak = float(np.max(w1)) if w1.size else 0.0
-    resid_rel = float(np.max(np.abs(w1 - drain)) / peak) if peak > 0.0 else 0.0
-    gap = float(abs(np.sum(w1) * dt_used - (1.0 - traj.no_detection_prob[-1])))
     summary = {"continuum": {"mass_split": split, "arrival": stats.as_dict(),
                              "survival_final": traj.final_survival,
-                             "norm_balance": {
-                                 "continuity_residual_relative": resid_rel,
-                                 "detection_integral_gap": gap}}}
+                             "norm_balance": norm_balance(traj)}}
     warn.extend(traj.warnings)
     return outputs, summary, warn, traj
 
@@ -272,37 +273,27 @@ def _run_fluorescence(cfg: dict, scene: Scene, out_dir: Path):
     num = cfg["numerics"]["continuum"]
     fl = cfg["fluorescence"]
     u = scene.units
-    grid = _space_grid(num, u.length_unit)
-    times = _time_grid(num, u.time_unit)
-    t0, t1 = float(times[0]), float(times[-1])
-    dt = num["time_step_t0"] * u.time_unit
-
-    x = grid.points()
     lo = fl["region"]["start_l0"] * u.length_unit
     hi = lo + fl["region"]["width_l0"] * u.length_unit
-    rabi = np.where((x >= lo) & (x <= hi), fl["rabi_per_s"], 0.0)
     detuning, linewidth = fl["detuning_per_s"], fl["linewidth_per_s"]
 
-    warn = []
-    vmax = HBAR * max(np.max(rabi) / 2.0,
-                      0.5 * abs(2.0 * detuning + 1j * linewidth))
-    refine = max(1, math.ceil(dt * vmax / (HBAR * PHASE_BUDGET))) if vmax else 1
-    if refine > 1:
-        warn.append(f"time step refined x{refine} to respect the potential "
-                    "phase bound dt|V|/hbar < 0.1")
-    dt_used = dt / refine
+    def lit_region(grid):
+        x = grid.points()
+        rabi = np.where((x >= lo) & (x <= hi), fl["rabi_per_s"], 0.0)
+        return rabi, HBAR * max(np.max(rabi) / 2.0,
+                                0.5 * abs(2.0 * detuning + 1j * linewidth))
 
-    psi0 = free_evolved_packet(scene.packet, t0, grid)
-    zero = np.zeros_like(psi0)
-    two = propagate_two_channel(psi0, zero, rabi, detuning, linewidth, grid,
-                                (t0, t1), dt_used, mass=scene.packet.mass,
-                                snapshots=num["snapshots"])
+    grid, span, dt, psi0, rabi, warn = _continuum_setup(cfg, scene, lit_region)
+    two = propagate_two_channel(psi0, np.zeros_like(psi0), rabi, detuning, linewidth,
+                                grid, span, dt, mass=scene.packet.mass,
+                                snapshots=num["snapshots"],
+                                kinetic_safety=num["kinetic_safety"])
     two.to_csv(out_dir / "w1_fluor.csv")
 
     potential = one_channel_limit_potential(rabi, detuning, linewidth, grid,
                                             region=(lo, hi))
     traj = propagate_conditional(
-        psi0, potential, (t0, t1), dt_used, mass=scene.packet.mass,
+        psi0, potential, span, dt, mass=scene.packet.mass,
         reference_frequency=u.reference_frequency, snapshots=num["snapshots"],
         kinetic_safety=num["kinetic_safety"])
     traj.to_csv(out_dir / "w1_limit.csv")

@@ -14,8 +14,9 @@ from spindetect import (
     propagate_conditional,
 )
 from spindetect.errors import ConfigurationError, NumericsError
+from spindetect.runner import run_config
 
-from helpers import internal_grid, make_units, slow_packet
+from helpers import internal_grid, make_units, slow_packet, small_continuum_config
 
 
 def test_flat_density_moments():
@@ -180,3 +181,20 @@ def test_mass_accounting_rejects_tampered_field(short_absorbing_run):
             mass_accounting(traj)
     finally:
         traj.final_field[:] = original
+
+
+def test_edge_wall_run_keeps_one_ledger(tmp_path):
+    """A packet still touching the right grid wall at the final time: the
+    run completes with an edge-mass warning, and the manifest's ledger (the
+    one the trajectory keeps) totals 1 to roundoff."""
+    cfg = small_continuum_config()
+    del cfg["bath"]
+    cfg["rates_override"] = {"decay_per_s": 0.0}
+    cfg["numerics"]["continuum"].update(
+        x_min_l0=-80.0, x_max_l0=60.0, grid_spacing_l0=0.1,
+        time_start_t0=-6.0, time_stop_t0=11.0, time_step_t0=0.01)
+    with pytest.warns(UserWarning, match="edge mass"):
+        manifest = run_config(cfg, tmp_path)
+    assert any("edge mass" in w for w in manifest["warnings"])
+    split = manifest["summary"]["continuum"]["mass_split"]
+    assert abs(sum(split.values()) - 1.0) <= 1e-12

@@ -16,7 +16,7 @@ from spindetect import (
     propagate_conditional,
     propagate_two_channel,
 )
-from spindetect.conditional import ConditionalTrajectory, CrankNicolson1D, detection_density
+from spindetect.conditional import ConditionalTrajectory, CrankNicolson1D, norm_balance
 from spindetect.errors import ConfigurationError, NumericsError
 from spindetect.output import read_csv
 
@@ -113,8 +113,8 @@ def test_free_propagation_matches_analytic():
     assert l2_distance(grid, traj.final_field, exact) < 1e-5
     assert traj.final_survival == pytest.approx(1.0, abs=1e-9)
     assert np.all(traj.detection_density == 0.0)
-    # zero-decay run: the checker has nothing to compare and passes through
-    assert detection_density(traj) is traj.detection_density
+    # zero-decay run: the checker has nothing to compare and reports 0
+    assert norm_balance(traj)["continuity_residual_relative"] == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +143,11 @@ def test_drain_identity_is_exact(absorbing_run):
     assert np.max(np.abs(traj.detection_density - drain)) < 1e-12 * peak
     budget = traj.no_detection_prob[0] - traj.no_detection_prob[-1]
     assert np.sum(traj.detection_density) * dt == pytest.approx(budget, abs=1e-13)
-    assert detection_density(traj) is traj.detection_density
+    balance = norm_balance(traj)
+    assert balance["continuity_residual_relative"] < 1e-12
+    # the gap against 1 also carries the launch norm's truncated tail
+    assert balance["detection_integral_gap"] == pytest.approx(
+        1.0 - traj.no_detection_prob[0], abs=1e-13)
 
 
 def test_mass_split_is_consistent(absorbing_run):
@@ -168,9 +172,25 @@ def test_tampered_density_is_caught(absorbing_run):
         idx = int(np.argmax(traj.detection_density))
         traj.detection_density[idx] *= 1.01
         with pytest.raises(NumericsError, match="disagrees"):
-            detection_density(traj)
+            norm_balance(traj)
     finally:
         traj.detection_density[:] = w1
+
+
+def test_roundoff_drain_is_not_an_imbalance(absorbing_run):
+    """A detector too weak to drain more than roundoff per step: the
+    residual is reported, not raised."""
+    packet, grid, _, _ = absorbing_run
+    weak = build_conditional_potential(1e-12 * make_units().reference_frequency, 0.0,
+                                       IntervalSensitivity(20.0 * L0, start=-10.0 * L0),
+                                       grid)
+    traj = propagate_conditional(free_evolved_packet(packet, 0.0, grid), weak,
+                                 (0.0, 0.2 * T0), 0.005 * T0, mass=packet.mass)
+    dt = traj.times[1] - traj.times[0]
+    peak_loss = dt * np.max(traj.detection_density)
+    assert 0.0 < peak_loss < 1e-14
+    resid_loss = norm_balance(traj)["continuity_residual_relative"] * peak_loss
+    assert resid_loss <= 64 * np.finfo(float).eps * traj.no_detection_prob[0]
 
 
 def test_dt_refinement_is_converged(absorbing_run):
@@ -375,6 +395,44 @@ def test_two_channel_validation():
     with pytest.raises(ConfigurationError, match="reduce dt"):
         propagate_two_channel(psi, zeros, good, 0.0, 100.0 * u.reference_frequency,
                               grid, (0.0, 1.0 * T0), 0.05 * T0, mass=packet.mass)
+
+
+def test_two_channel_guards():
+    """The same input checks as test_propagation_guards, through the shared
+    propagation core."""
+    u = make_units()
+    packet = slow_packet()
+    grid = internal_grid(-10.0, 10.0, 0.1)
+    psi0 = free_evolved_packet(packet, 0.0, grid)
+    zeros = np.zeros_like(psi0)
+    dark = np.zeros(grid.n_points)
+    lw = u.reference_frequency
+
+    def run(ground=psi0, linewidth=lw, span=(0.0, 1.0 * T0), dt=0.01 * T0, **kw):
+        return propagate_two_channel(ground, zeros, dark, 0.0, linewidth, grid, span, dt,
+                                     mass=packet.mass, **kw)
+
+    with pytest.raises(ConfigurationError, match="reduce dt"):
+        run(linewidth=1.0e12)
+    with pytest.raises(ConfigurationError, match="kinetic"):
+        run(span=(0.0, 16.0 * T0), dt=8.0 * T0, linewidth=0.0)
+    with pytest.raises(ConfigurationError, match="kinetic"):
+        run(kinetic_safety=1e-3)
+    with pytest.raises(ConfigurationError, match="integer number"):
+        run(dt=0.3 * T0, linewidth=0.0)
+    with pytest.raises(ConfigurationError, match="shape"):
+        run(ground=psi0[:-1])
+    with pytest.raises(ConfigurationError, match="increasing"):
+        run(span=(1.0 * T0, 0.0))
+    with pytest.raises(ConfigurationError, match="positive"):
+        run(dt=0.0)
+    with pytest.raises(ConfigurationError, match="positive"):
+        run(dt=-0.01 * T0)
+    with pytest.raises(ConfigurationError, match="zero norm"):
+        run(ground=zeros, span=(0.0, 0.1 * T0))
+    with pytest.raises(ConfigurationError, match="mass"):
+        propagate_two_channel(psi0, zeros, dark, 0.0, lw, grid, (0.0, 1.0 * T0),
+                              0.01 * T0, mass=0.0)
 
 
 # ---------------------------------------------------------------------------

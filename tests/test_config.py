@@ -45,6 +45,16 @@ def test_unknown_keys_fail_with_path():
         resolve_config(cfg)
 
 
+def test_removed_chunk_rows_knob_is_rejected():
+    # numerics.discrete.chunk_rows was never read; configs that still set it
+    # (manifests written before its removal) fail with its path
+    cfg = small_compare_config()
+    cfg["numerics"]["discrete"]["chunk_rows"] = 4096
+    with pytest.raises(ConfigurationError, match=r"numerics\.discrete.*chunk_rows"):
+        resolve_config(cfg)
+    assert "chunk_rows" not in resolve_config(small_compare_config())["numerics"]["discrete"]
+
+
 def test_nonpositive_width_is_named():
     cfg = rates_config()
     cfg["packet"]["momentum_width_hbar_per_m"] = 0.0
