@@ -179,7 +179,9 @@ def mass_fractions(field: np.ndarray, grid, region: tuple[float, float],
     """The one mass ledger of a conditional run (trajectory.mass_split and
     mass_accounting): the final field's mass left of, right of and inside
     region, and P0(0) - P0(end), over P0(0).  Plain sums h * sum |psi|^2,
-    the inner product of P0, so the four total 1 to roundoff.
+    the inner product of P0, so the four total 1 to roundoff.  A drop below
+    zero is rounding of a run that detects nothing (ConditionalTrajectory
+    rejects a real rise of P0) and is reported as 0.
     """
     lo, hi = float(region[0]), float(region[1])
     x = grid.points()
@@ -193,7 +195,7 @@ def mass_fractions(field: np.ndarray, grid, region: tuple[float, float],
         "reflected": float(np.sum(dens[left]) * h) / norm0,
         "transmitted_undetected": float(np.sum(dens[right]) * h) / norm0,
         "residual_in_region": float(np.sum(dens[inside]) * h) / norm0,
-        "detected": float(no_detection_prob[0] - no_detection_prob[-1]) / norm0,
+        "detected": max(0.0, float(no_detection_prob[0] - no_detection_prob[-1])) / norm0,
     }
 
 

@@ -20,7 +20,12 @@ Im V <= 0 the scheme is contractive at any dt: with B = dt (H_h + H_a)/2
 split into Hermitian and anti-Hermitian discrete parts, the step map is
 (1 + iB)^{-1} (1 - iB) and ||(1 - iB)y||^2 - ||(1 + iB)y||^2 =
 4 Im<y|B y> <= 0.  Equality holds exactly when the field does not overlap
-the decay profile.
+the decay profile.  Since 1 - iB = 2 - (1 + iB), the step is
+
+    psi_{n+1} = 2 (1 + iB)^{-1} psi_n - psi_n,
+
+one solve and no explicit product; the solve output (1 + iB)^{-1} psi_n is
+the step midpoint (psi_n + psi_{n+1})/2, where the density is sampled.
 
 The same stepper, on an interleaved two-channel grid, propagates the
 fluorescence analog
@@ -33,8 +38,10 @@ potential returned by one_channel_limit_potential.
 Both propagators share one core (_propagate: validation, units, step loop,
 records, edge mass) and supply only their solver (LAPACK zgttrs for one
 channel, SuperLU on the interleaved pair) and density and norm formulas.
-Norms are plain sums h * sum |psi|^2, as is the mass ledger
-(analysis.mass_fractions); norm_balance checks either trajectory type.
+Norms are plain (pairwise) sums h * sum |psi|^2, as is the mass ledger
+(analysis.mass_fractions); norm_balance checks either trajectory type.  The
+norms are computed from the field alone, never from the density, so the
+drain identity that norm_balance checks stays a real test.
 
 All public inputs and outputs are SI; internally fields and operators are
 rescaled to detector units (see units.UnitSystem) before factoring the
@@ -154,39 +161,29 @@ class CrankNicolson1D:
     Works in dimensionless detector units: the caller supplies the
     potential as V / (hbar * omega_ref) and the time step as dt * omega_ref;
     the grid spacing must already be in units of the associated length.
-    The factored forward matrix is tridiagonal, solved by LAPACK zgttrs.
+    The forward matrix 1 + iB is tridiagonal, factored by LAPACK zgttrf; a
+    step is the Cayley identity 2 (1 + iB)^{-1} psi - psi, one zgttrs solve
+    whose output is the midpoint (psi + next)/2.
     """
 
     def __init__(self, n_points: int, spacing: float, potential: np.ndarray, dt: float):
         h2 = spacing * spacing
-        # H psi = -(psi'' )/2 + V psi with the 3-point Laplacian
-        diag = 1.0 / h2 + potential.astype(complex)
-        off = -0.5 / h2
         z = 0.5j * dt
-        self._bp_diag = 1.0 + z * diag
-        self._bp_off = z * off
-        self._bm_diag = 1.0 - z * diag
-        self._bm_off = -z * off
-        n = n_points
-        dl = np.full(n - 1, self._bp_off, dtype=complex)
-        du = dl.copy()
-        dlf, df, duf, du2, ipiv, info = lapack.zgttrf(dl, self._bp_diag.copy(), du)
+        # H psi = -(psi'' )/2 + V psi with the 3-point Laplacian
+        diag = 1.0 + z * (1.0 / h2 + potential.astype(complex))
+        dl = np.full(n_points - 1, z * (-0.5 / h2), dtype=complex)
+        dlf, df, duf, du2, ipiv, info = lapack.zgttrf(dl, diag, dl.copy())
         if info != 0:
             raise NumericsError(f"step matrix factorization failed (info={info})")
         self._factors = (dlf, df, duf, du2, ipiv)
 
-    def apply_explicit(self, psi: np.ndarray) -> np.ndarray:
-        out = self._bm_diag * psi
-        out[:-1] += self._bm_off * psi[1:]
-        out[1:] += self._bm_off * psi[:-1]
-        return out
-
     def step(self, psi: np.ndarray) -> np.ndarray:
-        rhs = self.apply_explicit(psi)
         dlf, df, duf, du2, ipiv = self._factors
-        out, info = lapack.zgttrs(dlf, df, duf, du2, ipiv, rhs)
+        out, info = lapack.zgttrs(dlf, df, duf, du2, ipiv, psi)
         if info != 0:
             raise NumericsError(f"tridiagonal solve failed (info={info})")
+        out *= 2.0
+        out -= psi
         return out
 
 
@@ -247,10 +244,15 @@ class ConditionalTrajectory:
         write_csv(path, header, cols)
 
 
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 without the square root of np.abs."""
+    return z.real * z.real + z.imag * z.imag
+
+
 def _edge_mass(y: np.ndarray, channels: int, spacing: float) -> float:
     """Mass within EDGE_CELLS of either grid end, summed over the channels."""
     k = EDGE_CELLS * channels
-    return float((np.sum(np.abs(y[:k]) ** 2) + np.sum(np.abs(y[-k:]) ** 2)) * spacing)
+    return float((np.sum(_abs2(y[:k])) + np.sum(_abs2(y[-k:]))) * spacing)
 
 
 @dataclass
@@ -374,10 +376,13 @@ def propagate_conditional(psi0: np.ndarray, potential: ComplexPotential,
     def solver(h_int, dt_int, omega):
         stepper = CrankNicolson1D(grid.n_points, h_int, potential.values / (HBAR * omega),
                                   dt_int)
-        decay_w = potential.decay_profile * h_int
+        # the density only needs the detector: first to last nonzero decay
+        lit = np.flatnonzero(potential.decay_profile)
+        span = slice(lit[0], lit[-1] + 1) if lit.size else slice(0, 0)
+        decay_w = potential.decay_profile[span] * (0.25 * h_int)
         return (stepper.step,
-                lambda y, y_next: np.sum(decay_w * np.abs(0.5 * (y + y_next)) ** 2),
-                lambda y: (np.sum(np.abs(y) ** 2) * h_int,))
+                lambda y, y_next: np.sum(decay_w * _abs2(y[span] + y_next[span])),
+                lambda y: (np.sum(_abs2(y)) * h_int,))
 
     run = _propagate((psi0,), grid, t_span, dt, mass=mass, vmax=potential.max_magnitude,
                      frequency_scales=(), reference_frequency=reference_frequency,
@@ -519,18 +524,25 @@ def propagate_two_channel(ground0: np.ndarray, excited0: np.ndarray,
 
     def solver(h_int, dt_int, omega):
         ham = _two_channel_matrix(n, h_int, rabi / omega, excited_diag / omega)
-        z = 0.5j * dt_int
-        ident = sp.identity(2 * n, dtype=complex, format="csc")
-        backward = (ident - z * ham).tocsr()
-        lu = splu((ident + z * ham).tocsc())
+        forward = sp.identity(2 * n, dtype=complex, format="csc") + 0.5j * dt_int * ham
+        # the interleaved matrix is already a pentadiagonal band: no reordering
+        lu = splu(forward.tocsc(), permc_spec="NATURAL")
+
+        def step(y):
+            # Cayley identity, as in CrankNicolson1D.step
+            out = lu.solve(y)
+            out *= 2.0
+            out -= y
+            return out
 
         def norms(y):
-            excited = np.sum(np.abs(y[1::2]) ** 2) * h_int
-            return np.sum(np.abs(y[0::2]) ** 2) * h_int + excited, excited
+            dens = _abs2(y)
+            excited = np.sum(dens[1::2]) * h_int
+            return np.sum(dens[0::2]) * h_int + excited, excited
 
-        return (lambda y: lu.solve(backward @ y),
-                lambda y, y_next: linewidth * np.sum(
-                    np.abs(0.5 * (y[1::2] + y_next[1::2])) ** 2) * h_int,
+        return (step,
+                lambda y, y_next: 0.25 * linewidth * np.sum(
+                    _abs2(y[1::2] + y_next[1::2])) * h_int,
                 norms)
 
     run = _propagate((ground0, excited0), grid, t_span, dt, mass=mass,

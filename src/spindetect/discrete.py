@@ -430,19 +430,21 @@ class ScatteringSynthesis:
         right = np.zeros(nt)
         edge_density = 0.0
         u_step = np.exp(1j * self.q_mu_int * h)   # (nk, N+1)
-        buf = None
         for start in range(0, right_points, CHUNK_ROWS):
             stop = min(start + CHUNK_ROWS, right_points)
             rows = stop - start
-            fields = np.zeros((rows, nt), dtype=complex)
+            # sum the modes on the k-nodes first, then one matmul to times
+            synth = np.zeros((rows, len(k)), dtype=complex)
+            buf = np.empty((rows, len(k)), dtype=complex)
             for mu in range(self.q_mu_int.shape[1]):
-                if buf is None or buf.shape[0] != rows:
-                    buf = np.empty((rows, len(k)), dtype=complex)
                 buf[0, :] = np.exp(1j * self.q_mu_int[:, mu] * (start * h))
                 if rows > 1:
                     buf[1:, :] = u_step[:, mu][None, :]
                 np.cumprod(buf, axis=0, out=buf)
-                fields += (buf * self.beta[:, mu][None, :]) @ c_mat
+                buf *= self.beta[:, mu][None, :]
+                synth += buf
+            fields = synth @ c_mat
+            del synth, buf
             density = np.abs(fields) ** 2 / (2.0 * np.pi)
             right += simpson[start:stop] @ density
             if stop == right_points:

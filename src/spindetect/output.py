@@ -12,6 +12,9 @@ from typing import Sequence
 
 import numpy as np
 
+# rows formatted and written per block by write_csv
+CSV_BLOCK_ROWS = 256
+
 
 def format_value(v) -> str:
     if isinstance(v, (float, np.floating)):
@@ -21,17 +24,31 @@ def format_value(v) -> str:
     return str(v)
 
 
+def _cells(part) -> map:
+    """format_value of each element of a column block.  Numeric arrays go
+    through one tolist(), whose Python floats and ints format_value would
+    print with repr and str; other columns stay element by element (a numpy
+    bool prints True, a Python bool 1)."""
+    if isinstance(part, np.ndarray) and part.dtype.kind == "f":
+        return map(repr, part.tolist())
+    if isinstance(part, np.ndarray) and part.dtype.kind in "iu":
+        return map(str, part.tolist())
+    return map(format_value, part)
+
+
 def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> Path:
-    """Write columns (equal length) under the given header."""
+    """Write columns (equal length) under the given header, CSV_BLOCK_ROWS
+    rows at a time."""
     path = Path(path)
     n = len(columns[0])
     for col in columns:
         if len(col) != n:
             raise ValueError("CSV columns must have equal length")
-    lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(format_value(col[i]) for col in columns))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            rows = zip(*(_cells(col[start:start + CSV_BLOCK_ROWS]) for col in columns))
+            f.write("".join(",".join(row) + "\n" for row in rows))
     return path
 
 

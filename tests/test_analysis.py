@@ -13,6 +13,7 @@ from spindetect import (
     mass_accounting,
     propagate_conditional,
 )
+from spindetect.analysis import mass_fractions
 from spindetect.errors import ConfigurationError, NumericsError
 from spindetect.runner import run_config
 
@@ -186,7 +187,9 @@ def test_mass_accounting_rejects_tampered_field(short_absorbing_run):
 def test_edge_wall_run_keeps_one_ledger(tmp_path):
     """A packet still touching the right grid wall at the final time: the
     run completes with an edge-mass warning, and the manifest's ledger (the
-    one the trajectory keeps) totals 1 to roundoff."""
+    one the trajectory keeps) totals 1 to roundoff.  The detector is off, so
+    P0 moves only by rounding (here P0(0) - P0(end) is about -2e-13), which
+    is not a negative detection probability."""
     cfg = small_continuum_config()
     del cfg["bath"]
     cfg["rates_override"] = {"decay_per_s": 0.0}
@@ -197,4 +200,14 @@ def test_edge_wall_run_keeps_one_ledger(tmp_path):
         manifest = run_config(cfg, tmp_path)
     assert any("edge mass" in w for w in manifest["warnings"])
     split = manifest["summary"]["continuum"]["mass_split"]
+    assert split["detected"] == 0.0
     assert abs(sum(split.values()) - 1.0) <= 1e-12
+
+
+def test_mass_fractions_clips_a_rounding_rise():
+    grid = internal_grid(-2.0, 2.0, 0.5)
+    field = np.zeros(grid.n_points, dtype=complex)
+    field[0] = 1.0 / np.sqrt(grid.spacing)
+    split = mass_fractions(field, grid, (0.0, 1.0), np.array([1.0, 1.0 + 4e-14]))
+    assert split["detected"] == 0.0
+    assert split["reflected"] == pytest.approx(1.0, rel=1e-15)

@@ -91,6 +91,62 @@ def test_step_matches_dense_solve():
     np.testing.assert_allclose(stepper.step(psi), expected, atol=1e-13)
 
 
+def test_density_on_decay_support_matches_full_grid():
+    """The density is summed over the first-to-last nonzero decay entries
+    only; on a profile that is zero at both ends and in an interior gap it
+    equals the full-grid midpoint formula, step by step."""
+    u = make_units()
+    packet = slow_packet(k0_int=2.0, sigma_int=0.2)
+    grid = internal_grid(-30.0, 30.0, 0.1)
+    x = grid.points() / L0
+    decay = np.where(((x >= -6.0) & (x <= -2.0)) | ((x >= 1.0) & (x <= 5.0)),
+                     0.2 * u.reference_frequency, 0.0)
+    pot = build_conditional_potential(decay, 0.0, HalfLineSensitivity(), grid)
+    psi0 = free_evolved_packet(packet, 0.0, grid)
+    traj = propagate_conditional(psi0, pot, (0.0, 1.0 * T0), 0.01 * T0,
+                                 mass=packet.mass, snapshots=101)
+    snaps = traj.snapshots
+    assert snaps.shape[0] == traj.times.size
+    full = np.array([np.sum(decay * grid.spacing * np.abs(0.5 * (a + b)) ** 2)
+                     for a, b in zip(snaps[:-1], snaps[1:])])
+    peak = np.max(full)
+    assert peak > 0.0
+    assert np.max(np.abs(traj.detection_density - full)) < 1e-13 * peak
+
+
+def test_two_channel_step_matches_dense_solve():
+    """One step of the two-channel propagator against the dense Cayley map
+    (1 + iB)^-1 (1 - iB) of the interleaved SI Hamiltonian."""
+    rng = np.random.default_rng(5)
+    u = make_units()
+    mass = slow_packet().mass
+    grid = internal_grid(-3.0, 3.0, 0.5)
+    n = grid.n_points
+    rabi = rng.uniform(0.0, 0.3, n) * u.reference_frequency
+    detuning, linewidth = 0.1 * u.reference_frequency, 0.5 * u.reference_frequency
+    dt = 0.1 * T0
+    ground = rng.normal(size=n) + 1j * rng.normal(size=n)
+    excited = rng.normal(size=n) + 1j * rng.normal(size=n)
+    traj = propagate_two_channel(ground, excited, rabi, detuning, linewidth, grid,
+                                 (0.0, dt), dt, mass=mass)
+    # H / hbar on the interleaved (ground, excited) grid, in 1/s
+    kin = HBAR / (2.0 * mass * grid.spacing ** 2)
+    diag = np.full(2 * n, 2.0 * kin, dtype=complex)
+    diag[1::2] += -detuning - 0.5j * linewidth
+    off1 = np.zeros(2 * n - 1)
+    off1[0::2] = 0.5 * rabi
+    ham = (np.diag(diag) + np.diag(off1, 1) + np.diag(off1, -1)
+           + np.diag(np.full(2 * n - 2, -kin), 2) + np.diag(np.full(2 * n - 2, -kin), -2))
+    y = np.empty(2 * n, dtype=complex)
+    y[0::2], y[1::2] = ground, excited
+    ident = np.eye(2 * n)
+    expected = np.linalg.solve(ident + 0.5j * dt * ham, (ident - 0.5j * dt * ham) @ y)
+    scale = np.max(np.abs(expected))
+    np.testing.assert_allclose(traj.final_ground, expected[0::2], rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(traj.final_excited, expected[1::2], rtol=0,
+                               atol=1e-13 * scale)
+
+
 # ---------------------------------------------------------------------------
 # propagation: free limit, drain identity, convergence
 
@@ -317,7 +373,8 @@ def _lit_region(grid, start_l0, width_l0, rabi):
 def test_two_channel_balance_and_drain():
     u = make_units()
     packet = slow_packet()
-    grid = internal_grid(-40.0, 60.0, 0.1)
+    # the packet spans ~+-80 l0 (7 sigma): a narrower grid reflects its tails
+    grid = internal_grid(-90.0, 90.0, 0.1)
     rabi = _lit_region(grid, 0.0, 20.0, 0.3 * u.reference_frequency)
     ground0 = free_evolved_packet(packet, -2.0 * T0, grid)
     traj = propagate_two_channel(ground0, np.zeros_like(ground0), rabi,
@@ -334,6 +391,7 @@ def test_two_channel_balance_and_drain():
     assert traj.survival_prob[0] - traj.survival_prob[-1] == pytest.approx(
         emitted, abs=1e-12)
     assert np.all(traj.excited_mass <= traj.survival_prob + 1e-15)
+    assert traj.warnings == []
 
 
 def test_two_channel_with_dark_drive_is_free():
@@ -357,7 +415,7 @@ def test_two_channel_with_dark_drive_is_free():
 def test_two_channel_csv_and_snapshots(tmp_path):
     u = make_units()
     packet = slow_packet()
-    grid = internal_grid(-30.0, 40.0, 0.2)
+    grid = internal_grid(-90.0, 90.0, 0.2)
     rabi = _lit_region(grid, 0.0, 10.0, 0.2 * u.reference_frequency)
     ground0 = free_evolved_packet(packet, 0.0, grid)
     traj = propagate_two_channel(ground0, np.zeros_like(ground0), rabi,
@@ -367,6 +425,7 @@ def test_two_channel_csv_and_snapshots(tmp_path):
     assert traj.ground_snapshots.shape == (4, grid.n_points)
     assert traj.excited_snapshots.shape == (4, grid.n_points)
     np.testing.assert_array_equal(traj.ground_snapshots[-1], traj.final_ground)
+    assert traj.warnings == []
     traj.to_csv(tmp_path / "two.csv")
     cols = read_csv(tmp_path / "two.csv")
     assert list(cols) == ["t_s", "no_detection_prob", "excited_mass",
