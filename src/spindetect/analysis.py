@@ -175,12 +175,14 @@ def compare_curves(times_a: np.ndarray, curve_a: np.ndarray,
 
 
 def mass_fractions(field: np.ndarray, grid, region: tuple[float, float],
-                   no_detection_prob: np.ndarray) -> dict[str, float]:
+                   no_detection_prob: np.ndarray,
+                   detection_density: np.ndarray) -> dict[str, float]:
     """The one mass ledger of a conditional run (trajectory.mass_split and
     mass_accounting): the final field's mass left of, right of and inside
     region, and P0(0) - P0(end), over P0(0).  Plain sums h * sum |psi|^2,
-    the inner product of P0, so the four total 1 to roundoff.  A drop below
-    zero is rounding of a run that detects nothing (ConditionalTrajectory
+    the inner product of P0, so the four total 1 to roundoff.  P0 moves by
+    rounding only when detection_density is identically zero, so detected
+    is 0 then; a drop below zero is rounding too (ConditionalTrajectory
     rejects a real rise of P0) and is reported as 0.
     """
     lo, hi = float(region[0]), float(region[1])
@@ -191,11 +193,12 @@ def mass_fractions(field: np.ndarray, grid, region: tuple[float, float],
     inside = ~(left | right)
     h = grid.spacing
     norm0 = float(no_detection_prob[0])
+    drop = norm0 - float(no_detection_prob[-1]) if np.any(detection_density) else 0.0
     return {
         "reflected": float(np.sum(dens[left]) * h) / norm0,
         "transmitted_undetected": float(np.sum(dens[right]) * h) / norm0,
         "residual_in_region": float(np.sum(dens[inside]) * h) / norm0,
-        "detected": max(0.0, float(no_detection_prob[0] - no_detection_prob[-1])) / norm0,
+        "detected": max(0.0, drop) / norm0,
     }
 
 
@@ -212,7 +215,7 @@ def mass_accounting(trajectory, region: tuple[float, float] | None = None,
     """
     split = mass_fractions(trajectory.final_field, trajectory.grid,
                            trajectory.region if region is None else region,
-                           trajectory.no_detection_prob)
+                           trajectory.no_detection_prob, trajectory.detection_density)
     total = sum(split.values())
     if abs(total - 1.0) > 1e-6:
         raise NumericsError(f"mass ledger sums to {total!r}, not 1")

@@ -11,8 +11,9 @@ described by a one-sided spectral density
 
 and the Markov-limit rate and level shift are A = 2 Re I and
 delta_shift = 2 Im I with I = integral_0^inf kappa(tau) dtau. Equivalently
-A = f(omega0) and delta_shift is a principal-value transform of f; both
-routes are implemented and cross-checked.
+A = f(omega0) and delta_shift is a principal-value transform of f, the
+fallback for a kernel that decays too slowly (the same transform gives the
+3D shift). Every quadrature is one composite Gauss-Legendre rule.
 
 The worked example (sharp cutoff omega_M, Gamma(omega) = -i G sqrt(2 pi
 c0/omega_M) up to the cutoff) has closed forms for everything:
@@ -38,16 +39,14 @@ phase and is dropped).
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import exp1, roots_legendre
 
 from .errors import ConfigurationError, NumericsError
 from .model import DetectorGeometry, SpinRegion3D
-from .output import write_csv
 
 TWO_PI = 2.0 * np.pi
 
@@ -61,15 +60,13 @@ class RectangularBath:
     """Sharp-cutoff bath of the worked example.
 
     coupling: G in s^(-1/2); cutoff: omega_M in rad/s; modes: mode count N
-    of the discrete realization (None for the pure continuum); dispersion
-    c0 and bath_length are bookkeeping only, results do not depend on them.
+    of the discrete realization (None for the pure continuum).  The
+    dispersion c0 cancels from the density, so it is not a field.
     """
 
     coupling: float       # G, s^-1/2
     cutoff: float         # omega_M, rad/s
     modes: int | None = None
-    dispersion: float = 1.0
-    bath_length: float | None = None
 
     def __post_init__(self):
         if self.coupling < 0 or not np.isfinite(self.coupling):
@@ -78,18 +75,12 @@ class RectangularBath:
             raise ConfigurationError(f"cutoff must be positive, got {self.cutoff}")
         if self.modes is not None and self.modes < 1:
             raise ConfigurationError(f"mode count must be >= 1, got {self.modes}")
-        if not self.dispersion > 0:
-            raise ConfigurationError(f"dispersion speed must be positive, got {self.dispersion}")
 
     def density(self, omega) -> np.ndarray:
         """f(omega) = 2 pi G^2 omega/omega_M on (0, omega_M], else 0."""
         omega = np.asarray(omega, dtype=float)
         inside = (omega > 0) & (omega <= self.cutoff)
         return np.where(inside, TWO_PI * self.coupling**2 * omega / self.cutoff, 0.0)
-
-    @property
-    def support_cutoff(self) -> float:
-        return self.cutoff
 
     # --- discrete block ------------------------------------------------
     def mode_frequencies(self) -> np.ndarray:
@@ -128,42 +119,57 @@ class GeneralBath:
         if not (self.cutoff > 0 and np.isfinite(self.cutoff)):
             raise ConfigurationError(f"cutoff must be positive and finite, got {self.cutoff}")
 
-    def _speed(self, omega):
-        if callable(self.dispersion):
-            return np.asarray([self.dispersion(w) for w in np.atleast_1d(omega)])
-        return np.full_like(np.atleast_1d(np.asarray(omega, float)), self.dispersion)
-
-    def _speed_derivative(self, omega):
-        if not callable(self.dispersion):
-            return np.zeros_like(np.atleast_1d(np.asarray(omega, float)))
-        if self.dispersion_derivative is not None:
-            return np.asarray([self.dispersion_derivative(w) for w in np.atleast_1d(omega)])
-        omega = np.atleast_1d(np.asarray(omega, float))
-        h = np.maximum(np.abs(omega), 1.0) * 1e-6
-        return (self._speed(omega + h) - self._speed(omega - h)) / (2.0 * h)
-
     def density(self, omega) -> np.ndarray:
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
         out = np.zeros_like(omega)
         inside = (omega > 0) & (omega <= self.cutoff)
         if np.any(inside):
             w = omega[inside]
-            c = self._speed(w)
-            cp = self._speed_derivative(w)
-            bracket = (c - w * cp) / c**2
-            if np.any(bracket <= 0):
-                raise ConfigurationError(
-                    "unphysical dispersion: c - omega c' <= 0 inside the support")
+            bracket = _dispersion_factor(self.dispersion, self.dispersion_derivative, w, 2)
             gam = np.asarray(self.coupling(w), dtype=complex)
             out[inside] = bracket * w * np.abs(gam) ** 2
         return out
 
-    @property
-    def support_cutoff(self) -> float:
-        return self.cutoff
-
 
 BathSpectrum = RectangularBath | GeneralBath
+
+
+def _dispersion_factor(dispersion, derivative, omega, power: int) -> np.ndarray:
+    """(c - omega c')/c^power on an array of omega.
+
+    dispersion is a constant or a scalar callable c(omega); c' comes from
+    derivative when given, else from central differences with step
+    max(|omega|, 1) * 1e-6.  A factor <= 0 is an unphysical dispersion law.
+    """
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    if callable(dispersion):
+        speed = np.vectorize(dispersion, otypes=[float])
+        c = speed(omega)
+        if derivative is not None:
+            cp = np.vectorize(derivative, otypes=[float])(omega)
+        else:
+            h = np.maximum(np.abs(omega), 1.0) * 1e-6
+            cp = (speed(omega + h) - speed(omega - h)) / (2.0 * h)
+    else:
+        c = np.full_like(omega, dispersion)
+        cp = np.zeros_like(omega)
+    factor = (c - omega * cp) / c**power
+    if np.any(factor <= 0):
+        raise ConfigurationError(
+            f"unphysical dispersion: c - omega c' <= 0 at omega = {omega[factor <= 0][0]:.6g}")
+    return factor
+
+
+def _gauss_legendre(lo: float, hi: float, n_seg: int, order: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the order-point Gauss-Legendre rule on each of
+    n_seg equal segments of [lo, hi]."""
+    x, wx = roots_legendre(order)
+    edges = np.linspace(lo, hi, n_seg + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * np.diff(edges)
+    return ((mid[:, None] + half[:, None] * x[None, :]).ravel(),
+            (half[:, None] * wx[None, :]).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +178,11 @@ BathSpectrum = RectangularBath | GeneralBath
 
 def _kernel_quadrature(spectrum, resonance: float, tau: np.ndarray) -> np.ndarray:
     """kappa(tau) by composite Gauss-Legendre over the support."""
-    hi = spectrum.support_cutoff
+    hi = spectrum.cutoff
     # resolve the fastest phase omega*tau across the support
     tau = np.atleast_1d(tau)
     n_seg = int(max(64, 8 * np.ceil(hi * np.max(tau, initial=0.0) / TWO_PI)))
-    n_seg = min(n_seg, 20000)
-    nodes, wts = roots_legendre(10)
-    edges = np.linspace(0.0, hi, n_seg + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    omega = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    weight = (half[:, None] * wts[None, :]).ravel()
+    omega, weight = _gauss_legendre(0.0, hi, min(n_seg, 20000), 10)
     f = spectrum.density(omega) * weight
     phase = np.exp(-1j * np.outer(tau, omega - resonance))
     return (phase @ f) / TWO_PI
@@ -243,7 +243,6 @@ class RatesResult:
     method: str              # "closed_form" | "tau_quadrature" | "frequency_pv"
     quadrature_decay_rate: float | None = None
     quadrature_level_shift: float | None = None
-    slow_kernel_decay: bool = False
 
 
 def _closed_form_rates(bath: RectangularBath, resonance: float) -> tuple[float, float]:
@@ -260,15 +259,9 @@ def _closed_form_rates(bath: RectangularBath, resonance: float) -> tuple[float, 
 
 def _tau_integral_finite(spectrum, resonance: float, t_upper: float) -> complex:
     """integral_0^T kappa dtau by oscillation-resolving composite quadrature."""
-    fastest = max(spectrum.support_cutoff - resonance, resonance)
+    fastest = max(spectrum.cutoff - resonance, resonance)
     n_seg = int(max(32, 6 * np.ceil(fastest * t_upper / TWO_PI)))
-    n_seg = min(n_seg, 60000)
-    nodes, wts = roots_legendre(12)
-    edges = np.linspace(0.0, t_upper, n_seg + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    tau = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    weight = (half[:, None] * wts[None, :]).ravel()
+    tau, weight = _gauss_legendre(0.0, t_upper, min(n_seg, 60000), 12)
     kappa = correlation_kernel(spectrum, resonance, tau)
     return complex(np.sum(kappa * weight))
 
@@ -289,34 +282,38 @@ def _rectangular_tail(bath: RectangularBath, resonance: float, t_upper: float) -
                                  + 1j * b * (exp1(1j * a * t) - exp1(-1j * b * t)))
 
 
-def _pv_shift(spectrum, resonance: float) -> float:
-    """delta = -(1/pi) PV integral_0^cutoff f(omega)/(omega - omega0) domega.
+def _pv_transform(fn: Callable[[np.ndarray], np.ndarray], pole: float, hi: float) -> float:
+    """-(1/pi) PV integral_0^hi fn(omega)/(omega - pole) domega, fn vectorised.
 
-    Singularity subtraction on a symmetric window around the pole; plain
-    quadrature outside it.
+    Singularity subtraction: on the window [pole - r, pole + r] symmetric
+    about the pole, fn(pole) is subtracted (its log term cancels by
+    symmetry) and the remainder is smooth; the rest of [0, hi] has no pole.
+    Each piece is one 64-point Gauss-Legendre rule.
     """
-    hi = spectrum.support_cutoff
-    b = resonance
-    nodes, wts = roots_legendre(64)
-
-    def smooth_integral(lo, up, fn):
+    def smooth(lo, up, g):
         if up <= lo:
             return 0.0
-        mid, half = 0.5 * (up + lo), 0.5 * (up - lo)
-        x = mid + half * nodes
-        return float(np.sum(fn(x) * wts) * half)
+        x, wx = _gauss_legendre(lo, up, 1, 64)
+        return float(np.sum(g(x) * wx))
 
-    dens = lambda w: spectrum.density(w)
-    if b >= hi:  # pole outside the support
-        total = smooth_integral(0.0, hi, lambda w: dens(w) / (w - b))
-        return -total / np.pi
-    r = min(b, hi - b)
-    f_b = float(spectrum.density(np.array([b]))[0])
-    # symmetric window [b-r, b+r]: subtract f(b), the log term cancels
-    sym = smooth_integral(b - r, b + r, lambda w: (dens(w) - f_b) / (w - b))
-    rest = (smooth_integral(0.0, b - r, lambda w: dens(w) / (w - b))
-            + smooth_integral(b + r, hi, lambda w: dens(w) / (w - b)))
+    if pole >= hi or pole <= 0:
+        return -smooth(0.0, hi, lambda w: fn(w) / (w - pole)) / np.pi
+    r = min(pole, hi - pole)
+    f_p = float(fn(np.array([pole]))[0])
+    sym = smooth(pole - r, pole + r, lambda w: (fn(w) - f_p) / (w - pole))
+    rest = (smooth(0.0, pole - r, lambda w: fn(w) / (w - pole))
+            + smooth(pole + r, hi, lambda w: fn(w) / (w - pole)))
     return -(sym + rest) / np.pi
+
+
+def _decay_time(spectrum, resonance: float, kappa0: float, tau_lo: float,
+                tau_hi: float, n: int, fraction: float) -> float:
+    """First tau of a geometric scan of n delays over [tau_lo, tau_hi] from
+    which |kappa| stays below fraction * kappa0 (inf if it never does)."""
+    tau = np.geomspace(tau_lo, tau_hi, n)
+    env = np.abs(correlation_kernel(spectrum, resonance, tau))
+    below = np.maximum.accumulate(env[::-1])[::-1] < fraction * kappa0
+    return float(tau[np.argmax(below)]) if np.any(below) else float("inf")
 
 
 def decay_rate_and_shift(spectrum: BathSpectrum, resonance: float) -> RatesResult:
@@ -328,7 +325,8 @@ def decay_rate_and_shift(spectrum: BathSpectrum, resonance: float) -> RatesResul
     converge); the result must agree with the closed forms to 1e-6 relative
     and the closed forms are returned. Generic spectra are integrated up to
     a scanned decay time when the kernel decays, otherwise evaluated in the
-    frequency domain (A = f(omega0), principal-value shift) and flagged.
+    frequency domain (A = f(omega0), principal-value shift; method
+    "frequency_pv").
     """
     if not (resonance > 0 and np.isfinite(resonance)):
         raise ConfigurationError(f"resonance must be positive, got {resonance}")
@@ -337,10 +335,9 @@ def decay_rate_and_shift(spectrum: BathSpectrum, resonance: float) -> RatesResul
             return RatesResult(0.0, 0.0, "closed_form", 0.0, 0.0)
         a_cf, d_cf = _closed_form_rates(spectrum, resonance)
         t_upper = 512.0 / spectrum.cutoff
-        total = (_tau_integral_finite(spectrum, resonance, t_upper)
-                 + _rectangular_tail(spectrum, resonance, t_upper))
-        check = (_tau_integral_finite(spectrum, resonance, 2.0 * t_upper)
-                 + _rectangular_tail(spectrum, resonance, 2.0 * t_upper))
+        total, check = (_tau_integral_finite(spectrum, resonance, t)
+                        + _rectangular_tail(spectrum, resonance, t)
+                        for t in (t_upper, 2.0 * t_upper))
         if abs(total - check) > 1e-9 * max(abs(total), spectrum.coupling**2):
             raise NumericsError(
                 f"kernel time integral not stable under doubling the split point: "
@@ -357,22 +354,18 @@ def decay_rate_and_shift(spectrum: BathSpectrum, resonance: float) -> RatesResul
     kappa0 = abs(correlation_kernel(spectrum, resonance, 0.0))
     if kappa0 == 0.0:
         return RatesResult(0.0, 0.0, "tau_quadrature", 0.0, 0.0)
-    tau_scan = np.geomspace(1.0 / spectrum.support_cutoff,
-                            3e5 / spectrum.support_cutoff, 120)
-    env = np.abs(correlation_kernel(spectrum, resonance, tau_scan))
-    suffix = np.maximum.accumulate(env[::-1])[::-1]
-    decayed = suffix < 1e-10 * kappa0
-    if np.any(decayed):
-        t_upper = float(tau_scan[np.argmax(decayed)])
-        total = _tau_integral_finite(spectrum, resonance, t_upper)
-        check = _tau_integral_finite(spectrum, resonance, 2.0 * t_upper)
+    t_upper = _decay_time(spectrum, resonance, kappa0, 1.0 / spectrum.cutoff,
+                          3e5 / spectrum.cutoff, 120, 1e-10)
+    if np.isfinite(t_upper):
+        total, check = (_tau_integral_finite(spectrum, resonance, t)
+                        for t in (t_upper, 2.0 * t_upper))
         if abs(total - check) > 1e-6 * abs(total):
             raise NumericsError("kernel time integral not stable under doubling T")
         return RatesResult(2.0 * total.real, 2.0 * total.imag, "tau_quadrature")
-    # slowly decaying kernel: frequency-domain route, flagged
+    # slowly decaying kernel: frequency-domain route
     a = float(spectrum.density(np.array([resonance]))[0])
-    shift = _pv_shift(spectrum, resonance)
-    return RatesResult(a, shift, "frequency_pv", slow_kernel_decay=True)
+    return RatesResult(a, _pv_transform(spectrum.density, resonance, spectrum.cutoff),
+                       "frequency_pv")
 
 
 @dataclass(frozen=True)
@@ -388,12 +381,8 @@ def markov_summary(spectrum: BathSpectrum, resonance: float) -> MarkovSummary:
     kappa0 = abs(correlation_kernel(spectrum, resonance, 0.0))
     if kappa0 == 0.0:
         return MarkovSummary(0.0, 0.0)
-    tau = np.geomspace(1e-3 / spectrum.support_cutoff,
-                       1e6 / spectrum.support_cutoff, 600)
-    env = np.abs(correlation_kernel(spectrum, resonance, tau))
-    suffix = np.maximum.accumulate(env[::-1])[::-1]
-    below = suffix < 0.01 * kappa0
-    tau_c = float(tau[np.argmax(below)]) if np.any(below) else float("inf")
+    tau_c = _decay_time(spectrum, resonance, kappa0, 1e-3 / spectrum.cutoff,
+                        1e6 / spectrum.cutoff, 600, 0.01)
     ratio = abs(correlation_kernel(spectrum, resonance, 50.0 / resonance)) / kappa0
     return MarkovSummary(tau_c, float(ratio))
 
@@ -423,16 +412,6 @@ class RateMap:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "decay_rate", a)
         object.__setattr__(self, "level_shift", d)
-
-    def to_csv(self, path) -> None:
-        pts = self.points
-        if pts.ndim == 1:
-            header = ["x_m", "decay_rate_per_s", "level_shift_per_s"]
-            cols = [pts, self.decay_rate, self.level_shift]
-        else:
-            header = ["x_m", "y_m", "z_m", "decay_rate_per_s", "level_shift_per_s"]
-            cols = [pts[:, 0], pts[:, 1], pts[:, 2], self.decay_rate, self.level_shift]
-        write_csv(path, header, cols)
 
 
 def modified_frequencies(geometry: DetectorGeometry) -> np.ndarray:
@@ -499,16 +478,6 @@ class DirectionalSpectrum3D:
         if self.spontaneous is not None and len(self.spontaneous) != len(self.couplings):
             raise ConfigurationError("need one spontaneous entry per coupling (or None)")
 
-    def speed_and_derivative(self, omega: float) -> tuple[float, float]:
-        if not callable(self.dispersion):
-            return float(self.dispersion), 0.0
-        c = float(self.dispersion(omega))
-        if self.dispersion_derivative is not None:
-            return c, float(self.dispersion_derivative(omega))
-        h = max(abs(omega), 1.0) * 1e-6
-        return c, (float(self.dispersion(omega + h))
-                   - float(self.dispersion(omega - h))) / (2.0 * h)
-
 
 def _sphere_quadrature(n_polar: int, n_azimuth: int) -> tuple[np.ndarray, np.ndarray]:
     """Product rule on the unit sphere: Gauss-Legendre in cos(theta),
@@ -525,52 +494,22 @@ def _sphere_quadrature(n_polar: int, n_azimuth: int) -> tuple[np.ndarray, np.nda
     return e, w
 
 
-def _angle_integrated_density(spectrum: DirectionalSpectrum3D, j: int,
+def _angle_integrated_density(spectrum: DirectionalSpectrum3D,
+                              channel: DirectionalCoupling | None,
                               e: np.ndarray, w: np.ndarray):
-    """f3_j(omega) = omega^3 [(c - omega c')/c^4] ∫ dOmega |Gamma_j|^2/(2 pi)^2
-    plus the same for the spontaneous channel; returns two callables."""
+    """f3(omega) = omega^3 [(c - omega c')/c^4] ∫ dOmega |Gamma|^2/(2 pi)^2 of
+    one channel (0 for an absent one), as a function vectorised in omega."""
 
-    def bracket(omega: float) -> float:
-        c, cp = spectrum.speed_and_derivative(omega)
-        val = (c - omega * cp) / c**4
-        if val <= 0:
-            raise ConfigurationError(
-                f"unphysical dispersion at omega = {omega:.6g}: c - omega c' <= 0")
-        return val
+    def density(omega) -> np.ndarray:
+        omega = np.atleast_1d(np.asarray(omega, dtype=float))
+        if channel is None:
+            return np.zeros_like(omega)
+        bracket = _dispersion_factor(spectrum.dispersion, spectrum.dispersion_derivative,
+                                     omega, 4)
+        solid = np.array([np.sum(np.abs(channel(v, e)) ** 2 * w) for v in omega])
+        return omega**3 * bracket * solid / TWO_PI**2
 
-    def stim(omega: float) -> float:
-        gam = spectrum.couplings[j](omega, e)
-        return omega**3 * bracket(omega) * float(np.sum(np.abs(gam) ** 2 * w)) / TWO_PI**2
-
-    def spon(omega: float) -> float:
-        if spectrum.spontaneous is None or spectrum.spontaneous[j] is None:
-            return 0.0
-        gam = spectrum.spontaneous[j](omega, e)
-        return omega**3 * bracket(omega) * float(np.sum(np.abs(gam) ** 2 * w)) / TWO_PI**2
-
-    return stim, spon
-
-
-def _pv_transform(fn: Callable[[float], float], pole: float, hi: float) -> float:
-    """-(1/pi) PV integral_0^hi fn(omega)/(omega - pole) domega."""
-    nodes, wts = roots_legendre(64)
-
-    def smooth(lo, up, g):
-        if up <= lo:
-            return 0.0
-        mid, half = 0.5 * (up + lo), 0.5 * (up - lo)
-        x = mid + half * nodes
-        vals = np.array([g(v) for v in x])
-        return float(np.sum(vals * wts) * half)
-
-    if pole >= hi or pole <= 0:
-        return -smooth(0.0, hi, lambda w: fn(w) / (w - pole)) / np.pi
-    r = min(pole, hi - pole)
-    f_p = fn(pole)
-    sym = smooth(pole - r, pole + r, lambda w: (fn(w) - f_p) / (w - pole))
-    rest = (smooth(0.0, pole - r, lambda w: fn(w) / (w - pole))
-            + smooth(pole + r, hi, lambda w: fn(w) / (w - pole)))
-    return -(sym + rest) / np.pi
+    return density
 
 
 def rate_map_3d(geometry: DetectorGeometry, spectrum: DirectionalSpectrum3D,
@@ -594,10 +533,12 @@ def rate_map_3d(geometry: DetectorGeometry, spectrum: DirectionalSpectrum3D,
     e, w = _sphere_quadrature(n_polar, n_azimuth)
     a_map = np.zeros(pts.shape[0])
     d_map = np.zeros(pts.shape[0])
+    spontaneous = spectrum.spontaneous or (None,) * len(spectrum.couplings)
     for j, region in enumerate(geometry.regions_3d):
         omega_j = float(eff[j])
-        stim, spon = _angle_integrated_density(spectrum, j, e, w)
-        stim_j, spon_j = stim(omega_j), spon(omega_j)
+        stim = _angle_integrated_density(spectrum, spectrum.couplings[j], e, w)
+        stim_j = float(stim(omega_j)[0])
+        spon_j = float(_angle_integrated_density(spectrum, spontaneous[j], e, w)(omega_j)[0])
         if spon_j > 0 and stim_j < 100.0 * spon_j:
             raise ConfigurationError(
                 f"spontaneous channel too strong for spin {j}: stimulated/spontaneous "

@@ -397,7 +397,7 @@ def propagate_conditional(psi0: np.ndarray, potential: ComplexPotential,
         detection_density_times=run.density_times, detection_density=run.density,
         snapshot_times=run.snapshot_times, snapshots=run.snapshots[0],
         final_field=run.final[0], region=potential.region,
-        mass_split=mass_fractions(run.final[0], grid, potential.region, p0),
+        mass_split=mass_fractions(run.final[0], grid, potential.region, p0, run.density),
         warnings=warn_list + run.warnings)
 
 

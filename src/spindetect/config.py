@@ -317,11 +317,10 @@ def _check_kind_needs(cfg: dict, kind: str, what: str):
 def _resolve_sweep_axis(cfg: dict):
     """Check the sweep parameter path points at a number in the config."""
     path = cfg["sweep"]["parameter"]
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            _fail("sweep.parameter", f"path {path!r} not found in the config")
-        node = node[part]
+    try:
+        node = get_by_path(cfg, path)
+    except (KeyError, TypeError):
+        _fail("sweep.parameter", f"path {path!r} not found in the config")
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         _fail("sweep.parameter", f"path {path!r} does not target a numeric field")
 

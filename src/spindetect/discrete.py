@@ -174,10 +174,6 @@ class ScatteringSolution:
     failed: np.ndarray               # (nk,) bool, nodes with no solution
 
     @property
-    def open_flipped(self) -> np.ndarray:
-        return np.abs(self.flipped_wavenumbers.imag) == 0.0
-
-    @property
     def open_interior(self) -> np.ndarray:
         return np.abs(self.interior_wavenumbers.imag) == 0.0
 
@@ -187,14 +183,6 @@ class ScatteringSolution:
         share = np.sum(np.where(self.open_interior, q.real, 0.0)
                        * np.abs(self.interior_amplitudes) ** 2, axis=1)
         return share / self.k
-
-    def to_csv(self, path) -> None:
-        reflect_detected = np.sum(np.abs(self.reflection_detected) ** 2, axis=1)
-        write_csv(path,
-                  ["k_per_m", "reflect_undetected_prob", "reflect_detected_prob_sum",
-                   "transmitted_flux_fraction"],
-                  [self.k, np.abs(self.reflection_undetected) ** 2,
-                   reflect_detected, self.transmitted_flux_fraction()])
 
 
 def _assemble_matching(basis: InteriorEigenbasis, k_int: np.ndarray,
@@ -326,19 +314,6 @@ class SectorState:
     time: float
     no_flip: np.ndarray        # psi in |up, vac>, m^-1/2
     flipped: np.ndarray        # (N, nx) fields in |down, 1_l>
-
-    def channel_norms(self) -> tuple[float, np.ndarray]:
-        x = self.grid.points()
-        up = float(np.trapezoid(np.abs(self.no_flip) ** 2, x))
-        down = np.trapezoid(np.abs(self.flipped) ** 2, x, axis=1)
-        return up, down
-
-    def total_norm(self) -> float:
-        up, down = self.channel_norms()
-        total = up + float(np.sum(down))
-        if total > 1.0 + 1e-8:
-            raise NumericsError(f"sector norm {total} exceeds 1 beyond quadrature tolerance")
-        return total
 
 
 class ScatteringSynthesis:

@@ -152,8 +152,8 @@ class TabulatedMomentumAmplitude:
         self.k_nodes = k
         self.values = v
 
-    def quadrature_nodes(self, n_nodes: int | None = None, n_sigma: float = 8.0
-                         ) -> tuple[np.ndarray, np.ndarray]:
+    def quadrature_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table's own nodes with trapezoid weights."""
         k = self.k_nodes
         w = np.empty_like(k)
         w[1:-1] = 0.5 * (k[2:] - k[:-2])

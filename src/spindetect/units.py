@@ -72,22 +72,3 @@ class UnitSystem:
 
     def velocity_in(self, v_si):
         return np.asarray(v_si) * self.time_unit / self.length_unit
-
-    # --- internal -> SI -------------------------------------------------
-    def time_out(self, t_int):
-        return np.asarray(t_int) * self.time_unit
-
-    def length_out(self, x_int):
-        return np.asarray(x_int) * self.length_unit
-
-    def wavenumber_out(self, k_int):
-        return np.asarray(k_int) / self.length_unit
-
-    def frequency_out(self, omega_int):
-        return np.asarray(omega_int) * self.reference_frequency
-
-    def energy_out(self, e_int):
-        return np.asarray(e_int) * self.energy_unit
-
-    def velocity_out(self, v_int):
-        return np.asarray(v_int) * self.length_unit / self.time_unit

@@ -184,21 +184,27 @@ def test_mass_accounting_rejects_tampered_field(short_absorbing_run):
         traj.final_field[:] = original
 
 
-def test_edge_wall_run_keeps_one_ledger(tmp_path):
-    """A packet still touching the right grid wall at the final time: the
-    run completes with an edge-mass warning, and the manifest's ledger (the
-    one the trajectory keeps) totals 1 to roundoff.  The detector is off, so
-    P0 moves only by rounding (here P0(0) - P0(end) is about -2e-13), which
-    is not a negative detection probability."""
+@pytest.mark.parametrize("grid,edge_wall", [
+    (dict(x_min_l0=-80.0, x_max_l0=60.0, grid_spacing_l0=0.1, time_start_t0=-6.0,
+          time_stop_t0=11.0, time_step_t0=0.01), True),
+    ({}, False),
+], ids=["edge-wall", "default-grid"])
+def test_edge_wall_run_keeps_one_ledger(tmp_path, grid, edge_wall):
+    """A zero-decay run: the manifest's ledger (the one the trajectory
+    keeps) totals 1 to roundoff and reports nothing detected.  P0 moves only
+    by rounding, up on the edge-wall grid (P0(0) - P0(end) about -2e-13, a
+    packet still touching the right wall, so an edge-mass warning) and down
+    on the default grid (about +6e-13); neither is a detection."""
     cfg = small_continuum_config()
     del cfg["bath"]
     cfg["rates_override"] = {"decay_per_s": 0.0}
-    cfg["numerics"]["continuum"].update(
-        x_min_l0=-80.0, x_max_l0=60.0, grid_spacing_l0=0.1,
-        time_start_t0=-6.0, time_stop_t0=11.0, time_step_t0=0.01)
-    with pytest.warns(UserWarning, match="edge mass"):
+    cfg["numerics"]["continuum"].update(grid)
+    if edge_wall:
+        with pytest.warns(UserWarning, match="edge mass"):
+            manifest = run_config(cfg, tmp_path)
+    else:
         manifest = run_config(cfg, tmp_path)
-    assert any("edge mass" in w for w in manifest["warnings"])
+    assert any("edge mass" in w for w in manifest["warnings"]) == edge_wall
     split = manifest["summary"]["continuum"]["mass_split"]
     assert split["detected"] == 0.0
     assert abs(sum(split.values()) - 1.0) <= 1e-12
@@ -208,6 +214,12 @@ def test_mass_fractions_clips_a_rounding_rise():
     grid = internal_grid(-2.0, 2.0, 0.5)
     field = np.zeros(grid.n_points, dtype=complex)
     field[0] = 1.0 / np.sqrt(grid.spacing)
-    split = mass_fractions(field, grid, (0.0, 1.0), np.array([1.0, 1.0 + 4e-14]))
+    dark, lit = np.zeros(3), np.array([0.0, 1e-13, 0.0])
+    split = mass_fractions(field, grid, (0.0, 1.0), np.array([1.0, 1.0 + 4e-14]), lit)
     assert split["detected"] == 0.0
     assert split["reflected"] == pytest.approx(1.0, rel=1e-15)
+    # a drop of P0 is a detection only when the detection density is not zero
+    drop = np.array([1.0, 1.0 - 4e-14])
+    assert mass_fractions(field, grid, (0.0, 1.0), drop, dark)["detected"] == 0.0
+    assert mass_fractions(field, grid, (0.0, 1.0), drop, lit)["detected"] == pytest.approx(
+        4e-14, rel=1e-2)

@@ -175,6 +175,58 @@ def test_generic_bath_gaussian_bump():
     assert res.level_shift == pytest.approx(shift_ref, rel=2e-3)
 
 
+def test_frequency_pv_route_matches_sharp_cutoff_closed_forms():
+    """The sharp-cutoff density rebuilt as a GeneralBath: its kernel decays
+    only like 1/tau, so the rates come from the frequency domain, A = f(w0)
+    and the principal-value shift, and must equal the closed forms."""
+    g2, cutoff, w0 = 0.01, 4.6, 1.0
+    amp = np.sqrt(2.0 * np.pi * g2 / cutoff)
+    bath = GeneralBath(dispersion=1.0, cutoff=cutoff,
+                       coupling=lambda w: np.full(np.shape(w), amp))
+    res = decay_rate_and_shift(bath, w0)
+    assert res.method == "frequency_pv"
+    a_ref = 2.0 * np.pi * g2 * w0 / cutoff
+    d_ref = 2.0 * g2 * ((w0 / cutoff) * np.log(w0 / (cutoff - w0)) - 1.0)
+    assert res.decay_rate == pytest.approx(a_ref, rel=1e-12)
+    assert res.level_shift == pytest.approx(d_ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("with_derivative,rtol", [(True, 1e-13), (False, 1e-9)])
+def test_callable_dispersion_density_1d_and_3d(with_derivative, rtol):
+    """c = c0 + c1 w gives c - w c' = c0: the 1D density is c0 w |Gamma|^2/c^2
+    and the isotropic 3D rate m w^3 c0/c^4 |Gamma|^2/pi.  Without the
+    derivative c' comes from central differences."""
+    c0, c1, gamma0 = 2.0, 0.3, 0.4
+    speed = lambda w: c0 + c1 * w
+    slope = (lambda w: c1) if with_derivative else None
+    bath = GeneralBath(dispersion=speed, dispersion_derivative=slope, cutoff=5.0,
+                       coupling=lambda w: np.full(np.shape(w), gamma0))
+    w = np.array([0.2, 1.0, 3.7, 5.0])
+    np.testing.assert_allclose(bath.density(w), c0 * w * gamma0**2 / speed(w) ** 2,
+                               rtol=rtol)
+
+    w0 = 1.3
+    geo = _ball_geometry(multiplicity=3, resonance=w0)
+    spec = DirectionalSpectrum3D(dispersion=speed, dispersion_derivative=slope,
+                                 couplings=(DirectionalCoupling(gamma0, 5.0),))
+    rm = rate_map_3d(geo, spec, np.zeros((1, 3)), include_shift=False)
+    expected = 3.0 * w0**3 * c0 / speed(w0) ** 4 * gamma0**2 / np.pi
+    assert rm.decay_rate[0] == pytest.approx(expected, rel=rtol)
+
+
+def test_unphysical_dispersion_rejected():
+    """c = w^2 has c - w c' = -w^2 < 0 everywhere in the support."""
+    speed = lambda w: w**2
+    bath = GeneralBath(dispersion=speed, cutoff=5.0,
+                       coupling=lambda w: np.ones(np.shape(w)))
+    with pytest.raises(ConfigurationError, match="unphysical dispersion"):
+        bath.density(np.array([0.5, 1.0]))
+    spec = DirectionalSpectrum3D(dispersion=speed,
+                                 couplings=(DirectionalCoupling(0.4, 5.0),))
+    with pytest.raises(ConfigurationError, match="unphysical dispersion"):
+        rate_map_3d(_ball_geometry(), spec, np.zeros((1, 3)))
+
+
 def test_markov_summary_correlation_time():
     ms = markov_summary(make_bath(), RESONANCE)
     # pinned output of the 1% suffix-envelope scan (regression guard)

@@ -160,10 +160,12 @@ def test_sweep_axis_validation():
     with pytest.raises(ConfigurationError, match="exactly one"):
         resolve_config(both)
 
-    missing = json.loads(json.dumps(base))
-    missing["sweep"]["parameter"] = "bath.nope"
-    with pytest.raises(ConfigurationError, match="not found"):
-        resolve_config(missing)
+    # a missing key, and a path running on through a number
+    for path in ("bath.nope", "bath.coupling_sqrt_per_s.nope"):
+        missing = json.loads(json.dumps(base))
+        missing["sweep"]["parameter"] = path
+        with pytest.raises(ConfigurationError, match="not found"):
+            resolve_config(missing)
 
     nonnum = json.loads(json.dumps(base))
     nonnum["sweep"]["parameter"] = "detector.sensitivity.kind"

@@ -208,8 +208,10 @@ def test_window_beyond_recurrence_warns():
     units = make_units()
     bath = make_bath(modes=2)   # tiny ladder: recurrence after ~2.7 periods
     times = np.arange(-4.0, 8.0 + 1e-9, 0.5) * units.time_unit
+    # +-200 l0 holds the packet over the whole window (no edge warning)
     with pytest.warns(UserWarning, match="recurrence"):
-        detection_density_discrete(
+        series = detection_density_discrete(
             fig1_packet(), fig1_geometry(), bath, times,
-            x_min=-120 * units.length_unit, x_max=120 * units.length_unit,
-            right_points=2001, k_nodes=301)
+            x_min=-200 * units.length_unit, x_max=200 * units.length_unit,
+            right_points=3335, k_nodes=301)
+    assert len(series.warnings) == 1 and "recurrence" in series.warnings[0]

@@ -1,0 +1,52 @@
+"""Every module-level import in the package is used (no linter runs here).
+
+A name counts as used when it is read anywhere in its module (as a name or
+as the root of an attribute chain) or listed in the module's __all__.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spindetect"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each module-level import -> its line."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    return bound
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def test_guard_sees_an_unused_import():
+    tree = ast.parse("import os\nimport sys\nfrom re import match as m\n"
+                     "__all__ = ['m']\nsys.exit\n")
+    unused = set(_imported_names(tree)) - _used_names(tree)
+    assert unused == {"os"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_are_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = _imported_names(tree)
+    unused = sorted(set(bound) - _used_names(tree))
+    assert not unused, f"{path.name}: unused imports " + ", ".join(
+        f"{name} (line {bound[name]})" for name in unused)

@@ -1,6 +1,5 @@
-"""Unit-system conversions: definitions, round trips, failure modes."""
+"""Unit-system conversions: definitions, SI -> internal, failure modes."""
 
-import numpy as np
 import pytest
 
 from spindetect import CESIUM_MASS_KG, HBAR, UnitSystem
@@ -16,17 +15,6 @@ def test_base_unit_definitions():
     assert u.length_unit**2 * CESIUM_MASS_KG * RESONANCE == pytest.approx(
         HBAR, rel=1e-12)
     assert u.energy_unit == pytest.approx(HBAR * RESONANCE, rel=1e-15)
-
-
-def test_round_trips():
-    u = make_units()
-    rng = np.random.default_rng(7)
-    vals = rng.uniform(1e-9, 1e9, 20)
-    for name in ("time", "length", "wavenumber", "frequency", "energy",
-                 "velocity"):
-        into = getattr(u, name + "_in")
-        out = getattr(u, name + "_out")
-        np.testing.assert_allclose(out(into(vals)), vals, rtol=1e-14)
 
 
 def test_hbar_equals_mass_equals_one_internally():
