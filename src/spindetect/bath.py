@@ -184,8 +184,13 @@ def _kernel_quadrature(spectrum, resonance: float, tau: np.ndarray) -> np.ndarra
     n_seg = int(max(64, 8 * np.ceil(hi * np.max(tau, initial=0.0) / TWO_PI)))
     omega, weight = _gauss_legendre(0.0, hi, min(n_seg, 20000), 10)
     f = spectrum.density(omega) * weight
-    phase = np.exp(-1j * np.outer(tau, omega - resonance))
-    return (phase @ f) / TWO_PI
+    detuning = omega - resonance
+    # tau rows per block: bounds the phase matrix at ~2^21 elements (32 MB)
+    rows = max(1, 2**21 // len(omega))
+    out = np.empty(len(tau), dtype=complex)
+    for lo in range(0, len(tau), rows):
+        out[lo:lo + rows] = np.exp(-1j * np.outer(tau[lo:lo + rows], detuning)) @ f
+    return out / TWO_PI
 
 
 def _kernel_closed_form(bath: RectangularBath, resonance: float, tau) -> np.ndarray:

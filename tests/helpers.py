@@ -6,6 +6,8 @@ rest) and are frozen here so regressions cannot hide behind a shared
 implementation.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from spindetect import (
@@ -71,6 +73,18 @@ def l2_distance(grid, a, b):
     """Discrete L2 distance sqrt(h sum |a - b|^2) on a shared grid."""
     return float(np.sqrt(grid.spacing * np.sum(np.abs(np.asarray(a)
                                                       - np.asarray(b)) ** 2)))
+
+
+def peak_alloc_mb(fn):
+    """(fn(), peak MB that Python and numpy allocated while fn ran), by
+    tracemalloc: a guard against work buffers that grow with the problem."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / 1e6
 
 
 # ---------------------------------------------------------------------------

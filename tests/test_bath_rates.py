@@ -38,6 +38,7 @@ from helpers import (
     RESONANCE,
     CORRELATION_TIME_REF,
     make_bath,
+    peak_alloc_mb,
 )
 
 CUTOFF = CUTOFF_RATIO * RESONANCE
@@ -178,12 +179,15 @@ def test_generic_bath_gaussian_bump():
 def test_frequency_pv_route_matches_sharp_cutoff_closed_forms():
     """The sharp-cutoff density rebuilt as a GeneralBath: its kernel decays
     only like 1/tau, so the rates come from the frequency domain, A = f(w0)
-    and the principal-value shift, and must equal the closed forms."""
+    and the principal-value shift, and must equal the closed forms. The
+    kernel-decay scan on the way must not hold its whole delay x frequency
+    phase matrix at once (that took 773 MB)."""
     g2, cutoff, w0 = 0.01, 4.6, 1.0
     amp = np.sqrt(2.0 * np.pi * g2 / cutoff)
     bath = GeneralBath(dispersion=1.0, cutoff=cutoff,
                        coupling=lambda w: np.full(np.shape(w), amp))
-    res = decay_rate_and_shift(bath, w0)
+    res, peak_mb = peak_alloc_mb(lambda: decay_rate_and_shift(bath, w0))
+    assert peak_mb < 128.0
     assert res.method == "frequency_pv"
     a_ref = 2.0 * np.pi * g2 * w0 / cutoff
     d_ref = 2.0 * g2 * ((w0 / cutoff) * np.log(w0 / (cutoff - w0)) - 1.0)

@@ -15,7 +15,7 @@ from spindetect import (
     match_at_origin,
     single_spin,
 )
-from spindetect.discrete import CHUNK_ROWS
+from spindetect.discrete import CHUNK_ROWS, PHASE_BLOCK
 from spindetect.errors import ConfigurationError
 from spindetect.output import read_csv
 
@@ -28,6 +28,8 @@ from helpers import (
     l2_distance,
     make_bath,
     make_units,
+    peak_alloc_mb,
+    slow_packet,
 )
 
 
@@ -155,7 +157,8 @@ def _per_mode_right_mass(synth, times, x_max, right_points):
 
 def test_mode_sum_first_matches_per_mode_synthesis():
     """Summing the modes before the matmul to times is a reordering of the
-    same sum: equal to the per-mode synthesis to rounding, over two blocks."""
+    same sum: equal to the per-mode synthesis to rounding, over several
+    blocks."""
     units = make_units()
     lu, tu = units.length_unit, units.time_unit
     synth = ScatteringSynthesis(fig1_packet(), fig1_geometry(), make_bath(modes=6),
@@ -168,6 +171,124 @@ def test_mode_sum_first_matches_per_mode_synthesis():
     peak = np.max(reference)
     assert peak > 0.1
     assert np.max(np.abs(series["right_mass"] - reference)) < 1e-13 * peak
+
+
+def _direct_fields(synth, t, x):
+    """(psi, x) for time t, with psi = (no_flip, flipped...) as a (N+1, nx)
+    array, every phase by its own exp at the points x (internal units)."""
+    c_t = synth.time_phases(np.array([t]))[:, 0]
+    u_mat = synth.basis.vectors
+    fields = np.zeros((synth.basis.n_modes + 1, len(x)), dtype=complex)
+    neg = x < 0.0
+    xl, xr = x[neg], x[~neg]
+    fields[0, neg] = (np.exp(1j * np.outer(xl, synth.k_int)) @ c_t
+                      + np.exp(-1j * np.outer(xl, synth.k_int)) @ (synth.r0 * c_t))
+    for ell in range(synth.basis.n_modes):
+        fields[ell + 1, neg] = np.exp(-1j * np.outer(xl, synth.k_l_int[:, ell])) \
+            @ (synth.r_l[:, ell] * c_t)
+    for mu in range(synth.basis.n_modes + 1):
+        mode = np.exp(1j * np.outer(xr, synth.q_mu_int[:, mu])) @ (synth.alpha[:, mu] * c_t)
+        fields[:, ~neg] += u_mat[:, mu][:, None] * mode[None, :]
+    return fields / (np.sqrt(2.0 * np.pi) * np.sqrt(synth.units.length_unit))
+
+
+@pytest.mark.parametrize("packet,bounds_l0,points", [
+    # fast packet, every channel open; a 1e-13 relative error in the spacing
+    # shifts the far phases by ~1e-11
+    (fig1_packet(), (-41.3, 52.9), 1501),
+    # slow packet: evanescent flipped channels, on a grid so coarse that
+    # e^{Im k_l * PHASE_BLOCK * h} overflows
+    (slow_packet(), (-433.0, 377.0), 82),
+])
+def test_state_matches_direct_exponentials(packet, bounds_l0, points):
+    """The factorized synthesis equals per-point direct exponentials, with
+    the x < 0 / x >= 0 split and both grid ends inside blocks."""
+    units = make_units()
+    lu, tu = units.length_unit, units.time_unit
+    synth = ScatteringSynthesis(packet, fig1_geometry(), make_bath(modes=5), k_nodes=151)
+    grid = Grid1D(bounds_l0[0] * lu, bounds_l0[1] * lu, points)
+    n_neg = int(np.sum(grid.points() < 0.0))
+    assert n_neg % PHASE_BLOCK and (points - n_neg) % PHASE_BLOCK
+    state = synth.state(1.5 * tu, grid)
+    direct = _direct_fields(synth, 1.5 * tu, np.asarray(units.length_in(grid.points())))
+    got = np.vstack([state.no_flip[None, :], state.flipped])
+    assert np.all(np.isfinite(got))
+    peak = np.max(np.abs(direct), axis=1)
+    assert np.all(peak > 0.0)
+    assert np.all(np.max(np.abs(got - direct), axis=1) < 1e-12 * peak)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="np.longdouble is no wider than float64 here")
+def test_right_mass_matches_extended_precision_reference():
+    """The interior Simpson mass against the same sum in clongdouble with a
+    direct exp per phase: the synthesis error stays at a few ulp of the
+    peak (the cumprod recurrence reached 5.8e-15)."""
+    units = make_units()
+    lu, tu = units.length_unit, units.time_unit
+    synth = ScatteringSynthesis(fig1_packet(), fig1_geometry(), make_bath(modes=6),
+                                k_nodes=201)
+    times = np.linspace(-6.0, 6.0, 13) * tu
+    right_points = 5001
+    series = synth.no_flip_norm_series(times, x_min=-150.0 * lu, x_max=150.0 * lu,
+                                       right_points=right_points)
+    h = float(units.length_in(150.0 * lu)) / (right_points - 1)
+    x = np.arange(right_points, dtype=np.longdouble) * np.longdouble(h)
+    q = synth.q_mu_int.astype(np.clongdouble)
+    beta = synth.beta.astype(np.clongdouble)
+    c_mat = synth.time_phases(times).astype(np.clongdouble)
+    synthesis = np.zeros((right_points, q.shape[0]), dtype=np.clongdouble)
+    for mu in range(q.shape[1]):
+        synthesis += np.exp(1j * np.outer(x, q[:, mu])) * beta[:, mu]
+    fields = synthesis @ c_mat
+    simpson = np.full(right_points, 2.0, dtype=np.longdouble)
+    simpson[1::2] = 4.0
+    simpson[0] = simpson[-1] = 1.0
+    density = (fields.real ** 2 + fields.imag ** 2) / (2.0 * np.pi)
+    reference = (simpson * np.longdouble(h) / 3.0) @ density
+    peak = float(np.max(reference))
+    assert peak > 0.1
+    assert float(np.max(np.abs(series["right_mass"] - reference))) < 2e-15 * peak
+
+
+def test_edge_density_covers_last_five_rows_across_blocks():
+    """The right edge density is the maximum over the last five grid rows
+    also when the last block holds fewer than five of them."""
+    units = make_units()
+    lu, tu = units.length_unit, units.time_unit
+    synth = ScatteringSynthesis(fig1_packet(), fig1_geometry(), make_bath(modes=6),
+                                k_nodes=201)
+    times = np.array([4.0, 6.0]) * tu
+    right_points = 2 * CHUNK_ROWS + 3
+    x_max = 40.0 * lu
+    series = synth.no_flip_norm_series(times, x_min=-150.0 * lu, x_max=x_max,
+                                       right_points=right_points)
+    h = float(units.length_in(x_max)) / (right_points - 1)
+    x = h * np.arange(right_points - 5, right_points)
+    fields = np.zeros((5, len(times)), dtype=complex)
+    for mu in range(synth.q_mu_int.shape[1]):
+        fields += (np.exp(1j * np.outer(x, synth.q_mu_int[:, mu]))
+                   * synth.beta[:, mu]) @ synth.time_phases(times)
+    right_edge = np.max(np.abs(fields) ** 2) / (2.0 * np.pi)
+    x_lo = float(units.length_in(-150.0 * lu))
+    phi = np.exp(1j * synth.k_int * x_lo) + synth.r0 * np.exp(-1j * synth.k_int * x_lo)
+    left_edge = np.max(np.abs(phi @ synth.time_phases(times)) ** 2) / (2.0 * np.pi)
+    assert right_edge > 10.0 * left_edge
+    assert series["edge_density_internal"] == pytest.approx(right_edge, rel=1e-9)
+
+
+def test_series_work_buffers_stay_bounded():
+    """A figure1-compare-sized series (201 k-nodes, 41 modes, 2573 interior
+    rows, 105 times) allocates well under the 21.4 MB that full-width
+    (rows x k-nodes) cumprod buffers took."""
+    units = make_units()
+    lu, tu = units.length_unit, units.time_unit
+    synth = ScatteringSynthesis(fig1_packet(), fig1_geometry(), make_bath(), k_nodes=201)
+    times = np.arange(-12.0, 14.0 + 1e-9, 0.25) * tu
+    series, peak_mb = peak_alloc_mb(lambda: synth.no_flip_norm_series(
+        times, x_min=-180.0 * lu, x_max=180.0 * lu, right_points=2573))
+    assert np.all(np.isfinite(series["no_flip_mass"]))
+    assert peak_mb < 16.0
 
 
 def test_detection_series_shape_and_monotonicity(tmp_path):
