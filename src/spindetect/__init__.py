@@ -31,7 +31,7 @@ from .discrete import (DiscreteDetectionSeries, InteriorEigenbasis, ScatteringSo
 from .errors import ConfigurationError, NumericsError, SpindetectError
 from .model import (DetectorGeometry, Grid1D, HalfLineSensitivity, IntervalSensitivity,
                     SpinRegion3D, TabulatedSensitivity, ball_region, single_spin)
-from .packets import GaussianPacketSpec, TabulatedMomentumAmplitude, free_evolved_packet, momentum_amplitude
+from .packets import GaussianPacketSpec, free_evolved_packet, momentum_amplitude
 from .runner import build_scene, run_config
 from .units import CESIUM_MASS_KG, HBAR, UnitSystem
 
@@ -55,8 +55,7 @@ __all__ = [
     "ConfigurationError", "NumericsError", "SpindetectError",
     "DetectorGeometry", "Grid1D", "HalfLineSensitivity", "IntervalSensitivity",
     "SpinRegion3D", "TabulatedSensitivity", "ball_region", "single_spin",
-    "GaussianPacketSpec", "TabulatedMomentumAmplitude", "free_evolved_packet",
-    "momentum_amplitude",
+    "GaussianPacketSpec", "free_evolved_packet", "momentum_amplitude",
     "build_scene", "run_config",
     "CESIUM_MASS_KG", "HBAR", "UnitSystem",
 ]

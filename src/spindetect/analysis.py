@@ -27,6 +27,9 @@ __all__ = [
 # below this (relative to the peak) and reject anything worse.
 NEGATIVE_DENSITY_TOL = 1e-6
 UNDEFINED_MASS = 1e-9
+# mass still inside the sensitive region at the end of a run, above which
+# mass_accounting warns that the run stopped too early
+RESIDUAL_WARN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -202,14 +205,14 @@ def mass_fractions(field: np.ndarray, grid, region: tuple[float, float],
     }
 
 
-def mass_accounting(trajectory, region: tuple[float, float] | None = None,
-                    residual_warn: float = 1e-3) -> dict[str, float]:
+def mass_accounting(trajectory, region: tuple[float, float] | None = None
+                    ) -> dict[str, float]:
     """Where did the launched packet end up: reflected (left of the sensitive
     region), transmitted without detection (right of it), still inside it,
     or detected: mass_fractions of a conditional run, optionally against
     another region; a ledger not summing to 1 is a NumericsError.
 
-    A residual inside the region above residual_warn means the run stopped
+    A residual inside the region above RESIDUAL_WARN means the run stopped
     before the packet cleared the detector; a warning string is appended to
     the trajectory's warning list in that case.
     """
@@ -219,7 +222,7 @@ def mass_accounting(trajectory, region: tuple[float, float] | None = None,
     total = sum(split.values())
     if abs(total - 1.0) > 1e-6:
         raise NumericsError(f"mass ledger sums to {total!r}, not 1")
-    if split["residual_in_region"] > residual_warn:
+    if split["residual_in_region"] > RESIDUAL_WARN:
         trajectory.warnings.append(
             f"residual mass {split['residual_in_region']:.3e} still inside the "
             "sensitive region at the final time; extend the run to drain it")

@@ -11,9 +11,11 @@ described by a one-sided spectral density
 
 and the Markov-limit rate and level shift are A = 2 Re I and
 delta_shift = 2 Im I with I = integral_0^inf kappa(tau) dtau. Equivalently
-A = f(omega0) and delta_shift is a principal-value transform of f, the
-fallback for a kernel that decays too slowly (the same transform gives the
-3D shift). Every quadrature is one composite Gauss-Legendre rule.
+A = f(omega0) and delta_shift = -(1/pi) PV integral_0^inf f/(omega - omega0)
+(Cohen-Tannoudji, Dupont-Roc, Grynberg, Atom-Photon Interactions, ch. III);
+every user-supplied spectrum takes this frequency-domain route, and the same
+transform gives the 3D shift. Every quadrature is one composite
+Gauss-Legendre rule.
 
 The worked example (sharp cutoff omega_M, Gamma(omega) = -i G sqrt(2 pi
 c0/omega_M) up to the cutoff) has closed forms for everything:
@@ -49,6 +51,9 @@ from .errors import ConfigurationError, NumericsError
 from .model import DetectorGeometry, SpinRegion3D
 
 TWO_PI = 2.0 * np.pi
+PV_ORDER = 64
+PV_MAX_SEGMENTS = 1024
+PV_TOLERANCE = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +112,7 @@ class GeneralBath:
     dispersion: constant (float) or callable; dispersion_derivative may be
     given, otherwise c' is taken by central differences. coupling maps
     omega -> complex amplitude with |Gamma|^2 in m/s. cutoff bounds the
-    support (needed by the frequency-domain shift fallback).
+    support of the principal-value shift integral.
     """
 
     dispersion: float | Callable[[float], float]
@@ -245,7 +250,7 @@ class RatesResult:
 
     decay_rate: float        # A, 1/s
     level_shift: float       # delta_shift, 1/s
-    method: str              # "closed_form" | "tau_quadrature" | "frequency_pv"
+    method: str              # "closed_form" | "frequency_pv"
     quadrature_decay_rate: float | None = None
     quadrature_level_shift: float | None = None
 
@@ -262,12 +267,13 @@ def _closed_form_rates(bath: RectangularBath, resonance: float) -> tuple[float, 
     return a, shift
 
 
-def _tau_integral_finite(spectrum, resonance: float, t_upper: float) -> complex:
-    """integral_0^T kappa dtau by oscillation-resolving composite quadrature."""
-    fastest = max(spectrum.cutoff - resonance, resonance)
+def _tau_integral_finite(bath: RectangularBath, resonance: float, t_upper: float) -> complex:
+    """integral_0^T kappa dtau of the closed-form kernel, by an
+    oscillation-resolving composite quadrature."""
+    fastest = max(bath.cutoff - resonance, resonance)
     n_seg = int(max(32, 6 * np.ceil(fastest * t_upper / TWO_PI)))
     tau, weight = _gauss_legendre(0.0, t_upper, min(n_seg, 60000), 12)
-    kappa = correlation_kernel(spectrum, resonance, tau)
+    kappa = _kernel_closed_form(bath, resonance, tau)
     return complex(np.sum(kappa * weight))
 
 
@@ -293,45 +299,44 @@ def _pv_transform(fn: Callable[[np.ndarray], np.ndarray], pole: float, hi: float
     Singularity subtraction: on the window [pole - r, pole + r] symmetric
     about the pole, fn(pole) is subtracted (its log term cancels by
     symmetry) and the remainder is smooth; the rest of [0, hi] has no pole.
-    Each piece is one 64-point Gauss-Legendre rule.
+    Each piece takes a composite PV_ORDER-point Gauss-Legendre rule with
+    1, 2, 4, ... segments; the first level that agrees with the one before
+    to PV_TOLERANCE x the largest |fn| on the nodes is returned.  A density
+    that PV_MAX_SEGMENTS segments cannot resolve is a NumericsError.
     """
-    def smooth(lo, up, g):
-        if up <= lo:
-            return 0.0
-        x, wx = _gauss_legendre(lo, up, 1, 64)
-        return float(np.sum(g(x) * wx))
-
-    if pole >= hi or pole <= 0:
-        return -smooth(0.0, hi, lambda w: fn(w) / (w - pole)) / np.pi
-    r = min(pole, hi - pole)
-    f_p = float(fn(np.array([pole]))[0])
-    sym = smooth(pole - r, pole + r, lambda w: (fn(w) - f_p) / (w - pole))
-    rest = (smooth(0.0, pole - r, lambda w: fn(w) / (w - pole))
-            + smooth(pole + r, hi, lambda w: fn(w) / (w - pole)))
-    return -(sym + rest) / np.pi
-
-
-def _decay_time(spectrum, resonance: float, kappa0: float, tau_lo: float,
-                tau_hi: float, n: int, fraction: float) -> float:
-    """First tau of a geometric scan of n delays over [tau_lo, tau_hi] from
-    which |kappa| stays below fraction * kappa0 (inf if it never does)."""
-    tau = np.geomspace(tau_lo, tau_hi, n)
-    env = np.abs(correlation_kernel(spectrum, resonance, tau))
-    below = np.maximum.accumulate(env[::-1])[::-1] < fraction * kappa0
-    return float(tau[np.argmax(below)]) if np.any(below) else float("inf")
+    pieces = [(0.0, hi, 0.0)]
+    if 0 < pole < hi:
+        r = min(pole, hi - pole)
+        f_p = float(fn(np.array([pole]))[0])
+        pieces = [(pole - r, pole + r, f_p), (0.0, pole - r, 0.0), (pole + r, hi, 0.0)]
+    scale, previous, n_seg = 0.0, np.nan, 1
+    while n_seg <= PV_MAX_SEGMENTS:
+        total = 0.0
+        for lo, up, subtract in pieces:
+            if up > lo:
+                x, wx = _gauss_legendre(lo, up, n_seg, PV_ORDER)
+                f = fn(x)
+                scale = max(scale, float(np.max(np.abs(f))))
+                total += float(np.sum((f - subtract) / (x - pole) * wx))
+        gap = abs(total - previous)   # nan on the first level
+        if gap <= PV_TOLERANCE * scale:
+            return -total / np.pi
+        previous, n_seg = total, 2 * n_seg
+    raise NumericsError(
+        f"principal-value integral about {pole:.6g} not resolved by {PV_MAX_SEGMENTS} "
+        f"segments: the last two levels differ by {gap:.3e}, max|f| {scale:.3e}")
 
 
 def decay_rate_and_shift(spectrum: BathSpectrum, resonance: float) -> RatesResult:
-    """Markov-limit decay rate A and level shift from the kernel integral.
+    """Markov-limit decay rate A and level shift.
 
-    For the sharp-cutoff example the time integral is split into a finite
-    oscillation-resolved quadrature plus the exact exponential-integral
-    tail (the kernel decays only like 1/tau, so a naive truncation cannot
-    converge); the result must agree with the closed forms to 1e-6 relative
-    and the closed forms are returned. Generic spectra are integrated up to
-    a scanned decay time when the kernel decays, otherwise evaluated in the
-    frequency domain (A = f(omega0), principal-value shift; method
-    "frequency_pv").
+    For the sharp-cutoff example the closed forms are returned, after a
+    cross-check by the kernel's time integral: a finite oscillation-resolved
+    quadrature plus the exact exponential-integral tail (the kernel decays
+    only like 1/tau, so a naive truncation cannot converge), which must be
+    stable under doubling the split point and agree with the closed forms
+    to 1e-6 relative. Generic spectra are evaluated in the frequency domain:
+    A = f(omega0) and the principal-value shift (method "frequency_pv").
     """
     if not (resonance > 0 and np.isfinite(resonance)):
         raise ConfigurationError(f"resonance must be positive, got {resonance}")
@@ -354,20 +359,6 @@ def decay_rate_and_shift(spectrum: BathSpectrum, resonance: float) -> RatesResul
                 f"quadrature route (A={a_q:.9e}, shift={d_q:.9e}) disagrees with "
                 f"closed forms (A={a_cf:.9e}, shift={d_cf:.9e}) beyond 1e-6")
         return RatesResult(a_cf, d_cf, "closed_form", a_q, d_q)
-
-    # generic profile: scan for kernel decay
-    kappa0 = abs(correlation_kernel(spectrum, resonance, 0.0))
-    if kappa0 == 0.0:
-        return RatesResult(0.0, 0.0, "tau_quadrature", 0.0, 0.0)
-    t_upper = _decay_time(spectrum, resonance, kappa0, 1.0 / spectrum.cutoff,
-                          3e5 / spectrum.cutoff, 120, 1e-10)
-    if np.isfinite(t_upper):
-        total, check = (_tau_integral_finite(spectrum, resonance, t)
-                        for t in (t_upper, 2.0 * t_upper))
-        if abs(total - check) > 1e-6 * abs(total):
-            raise NumericsError("kernel time integral not stable under doubling T")
-        return RatesResult(2.0 * total.real, 2.0 * total.imag, "tau_quadrature")
-    # slowly decaying kernel: frequency-domain route
     a = float(spectrum.density(np.array([resonance]))[0])
     return RatesResult(a, _pv_transform(spectrum.density, resonance, spectrum.cutoff),
                        "frequency_pv")
@@ -382,12 +373,15 @@ class MarkovSummary:
 
 
 def markov_summary(spectrum: BathSpectrum, resonance: float) -> MarkovSummary:
-    """Correlation time: first tau where the kernel envelope stays < 1% of kappa(0)."""
+    """Correlation time: the first tau of a 600-delay geometric scan from
+    which the kernel envelope stays < 1% of kappa(0) (inf if it never does)."""
     kappa0 = abs(correlation_kernel(spectrum, resonance, 0.0))
     if kappa0 == 0.0:
         return MarkovSummary(0.0, 0.0)
-    tau_c = _decay_time(spectrum, resonance, kappa0, 1e-3 / spectrum.cutoff,
-                        1e6 / spectrum.cutoff, 600, 0.01)
+    tau = np.geomspace(1e-3 / spectrum.cutoff, 1e6 / spectrum.cutoff, 600)
+    env = np.abs(correlation_kernel(spectrum, resonance, tau))
+    below = np.maximum.accumulate(env[::-1])[::-1] < 0.01 * kappa0
+    tau_c = float(tau[np.argmax(below)]) if np.any(below) else float("inf")
     ratio = abs(correlation_kernel(spectrum, resonance, 50.0 / resonance)) / kappa0
     return MarkovSummary(tau_c, float(ratio))
 

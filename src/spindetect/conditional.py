@@ -83,6 +83,8 @@ EDGE_CELLS = 5
 # rounding of a per-step survival drop P0(n) - P0(n+1), relative to P0(0):
 # plain sums of up to ~1e5 terms each carry a few ulp
 DRAIN_ROUNDOFF = 64 * np.finfo(float).eps
+# largest drain-identity residual of a run, relative to the peak density
+DRAIN_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -401,13 +403,13 @@ def propagate_conditional(psi0: np.ndarray, potential: ComplexPotential,
         warnings=warn_list + run.warnings)
 
 
-def norm_balance(trajectory, *, check_tolerance: float = 1e-3) -> dict[str, float]:
+def norm_balance(trajectory) -> dict[str, float]:
     """Check a conditional run (either trajectory type) against the drain
     identity w1 = -dP0/dt and return its two balance numbers.
 
     continuity_residual_relative is the largest gap between a midpoint
     density sample and -[P0(n+1) - P0(n)]/dt, over the peak density (0 when
-    nothing is detected); above check_tolerance it is a NumericsError,
+    nothing is detected); above DRAIN_TOLERANCE it is a NumericsError,
     unless within DRAIN_ROUNDOFF * P0(0) per step, which two rounded norms
     cannot resolve.  w1 comes from the decay-weighted field and P0 from the
     norm, so this is the discrete continuity statement, not a tautology.
@@ -423,10 +425,10 @@ def norm_balance(trajectory, *, check_tolerance: float = 1e-3) -> dict[str, floa
     peak = float(np.max(w1))
     resid = float(np.max(np.abs(w1 - drain)))
     floor = DRAIN_ROUNDOFF * float(p0[0]) / dt
-    if peak > 0.0 and resid > max(check_tolerance * peak, floor):
+    if peak > 0.0 and resid > max(DRAIN_TOLERANCE * peak, floor):
         raise NumericsError(
             f"detection density disagrees with -dP0/dt: residual {resid:.3e} "
-            f"exceeds {check_tolerance:g} x peak {peak:.3e}")
+            f"exceeds {DRAIN_TOLERANCE:g} x peak {peak:.3e}")
     return {"continuity_residual_relative": resid / peak if peak > 0.0 else 0.0,
             "detection_integral_gap": float(abs(np.sum(w1) * dt - (1.0 - p0[-1])))}
 

@@ -54,7 +54,7 @@ from .bath import RectangularBath
 from .errors import ConfigurationError, NumericsError
 from .model import DetectorGeometry, Grid1D
 from .output import write_csv
-from .packets import GaussianPacketSpec, TabulatedMomentumAmplitude, momentum_amplitude
+from .packets import GaussianPacketSpec, momentum_amplitude
 from .units import UnitSystem
 
 ROOT_2PI = np.sqrt(2.0 * np.pi)
@@ -352,18 +352,13 @@ class ScatteringSynthesis:
 
     def __init__(self, packet: GaussianPacketSpec, geometry: DetectorGeometry,
                  bath: RectangularBath, *, k_nodes: int = 2001,
-                 k_window_sigmas: float = 8.0,
-                 amplitude: TabulatedMomentumAmplitude | None = None):
+                 k_window_sigmas: float = 8.0):
         self.packet = packet
         self.basis = interior_eigenmodes(geometry, bath)
         self.bath = bath
         self.units = UnitSystem(reference_frequency=geometry.resonance, mass=packet.mass)
-        if amplitude is None:
-            k_si, w_si = packet.quadrature_nodes(k_nodes, k_window_sigmas)
-            psi = momentum_amplitude(packet, k_si)
-        else:
-            k_si, w_si = amplitude.quadrature_nodes()
-            psi = amplitude(k_si)
+        k_si, w_si = packet.quadrature_nodes(k_nodes, k_window_sigmas)
+        psi = momentum_amplitude(packet, k_si)
         self.k_si = k_si
         self.solution = match_at_origin(self.basis, packet.mass, k_si)
         n_failed = int(np.sum(self.solution.failed))
@@ -533,8 +528,7 @@ def detection_density_discrete(packet: GaussianPacketSpec,
                                x_min: float, x_max: float,
                                right_points: int = 20001,
                                k_nodes: int = 2001,
-                               k_window_sigmas: float = 8.0,
-                               synthesis: ScatteringSynthesis | None = None
+                               k_window_sigmas: float = 8.0
                                ) -> DiscreteDetectionSeries:
     """P_flip and its time derivative for the discrete model.
 
@@ -548,9 +542,8 @@ def detection_density_discrete(packet: GaussianPacketSpec,
     steps = np.diff(times)
     if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
         raise ConfigurationError("time grid must be uniform")
-    if synthesis is None:
-        synthesis = ScatteringSynthesis(packet, geometry, bath, k_nodes=k_nodes,
-                                        k_window_sigmas=k_window_sigmas)
+    synthesis = ScatteringSynthesis(packet, geometry, bath, k_nodes=k_nodes,
+                                    k_window_sigmas=k_window_sigmas)
     series = synthesis.no_flip_norm_series(times, x_min=x_min, x_max=x_max,
                                            right_points=right_points)
     p_flip = 1.0 - series["no_flip_mass"]

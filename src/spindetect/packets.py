@@ -126,43 +126,3 @@ def free_evolved_packet(spec: GaussianPacketSpec, t: float, grid: Grid1D,
     return ((2.0 * np.pi * sk**2) ** -0.25 / np.sqrt(2.0 * b)
             * np.exp(-((big_x - theta * k0) ** 2) / (4.0 * b))
             * np.exp(1j * (k0 * big_x - 0.5 * theta * k0**2)))
-
-
-class TabulatedMomentumAmplitude:
-    """Escape hatch: a packet given by tabulated psi(k) samples.
-
-    Nodes must be strictly increasing and positive; the table is used
-    directly as the synthesis quadrature (trapezoid weights). The norm
-    integral |psi|^2 dk must equal 1 within 1e-6.
-    """
-
-    def __init__(self, k_nodes, values):
-        k = np.asarray(k_nodes, dtype=float)
-        v = np.asarray(values, dtype=complex)
-        if k.ndim != 1 or k.shape != v.shape or k.size < 9:
-            raise ConfigurationError("tabulated amplitude needs matching 1D tables, >= 9 rows")
-        if not np.all(np.diff(k) > 0):
-            raise ConfigurationError("tabulated k nodes must be strictly increasing")
-        if k[0] <= 0:
-            raise ConfigurationError("tabulated k nodes must be positive")
-        norm = np.trapezoid(np.abs(v) ** 2, k)
-        if abs(norm - 1.0) > 1e-6:
-            raise ConfigurationError(
-                f"tabulated amplitude norm {norm:.8f} differs from 1 by more than 1e-6")
-        self.k_nodes = k
-        self.values = v
-
-    def quadrature_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The table's own nodes with trapezoid weights."""
-        k = self.k_nodes
-        w = np.empty_like(k)
-        w[1:-1] = 0.5 * (k[2:] - k[:-2])
-        w[0] = 0.5 * (k[1] - k[0])
-        w[-1] = 0.5 * (k[-1] - k[-2])
-        return k, w
-
-    def __call__(self, k) -> np.ndarray:
-        k = np.asarray(k, dtype=float)
-        re = np.interp(k, self.k_nodes, self.values.real, left=0.0, right=0.0)
-        im = np.interp(k, self.k_nodes, self.values.imag, left=0.0, right=0.0)
-        return re + 1j * im

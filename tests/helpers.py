@@ -9,6 +9,7 @@ implementation.
 import tracemalloc
 
 import numpy as np
+from hypothesis import settings
 
 from spindetect import (
     CESIUM_MASS_KG,
@@ -32,6 +33,9 @@ DECAY_RATE_REF = 10571492.061166039       # 1/s
 LEVEL_SHIFT_REF = -19789403.75624606      # 1/s
 RECURRENCE_REF = 2.2860415889319944e-07   # s
 CORRELATION_TIME_REF = 1.8309816854605307e-07  # s
+
+# one deterministic setting for every property test
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 def make_units(resonance=RESONANCE, mass=CESIUM_MASS_KG):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spindetect import (
     ArrivalStats,
@@ -17,7 +19,8 @@ from spindetect.analysis import mass_fractions
 from spindetect.errors import ConfigurationError, NumericsError
 from spindetect.runner import run_config
 
-from helpers import internal_grid, make_units, slow_packet, small_continuum_config
+from helpers import (PROPERTY_SETTINGS, internal_grid, make_units, slow_packet,
+                     small_continuum_config)
 
 
 def test_flat_density_moments():
@@ -120,6 +123,33 @@ def test_shifted_curve_distance_and_symmetry():
     # small shift: L_inf ~ delta * max|slope| = delta * exp(-1/2)/sigma
     assert ab.linf_relative == pytest.approx(delta * np.exp(-0.5) / sigma, rel=0.05)
     assert 0.0 < ab.l2_relative < ab.linf_relative
+
+
+@st.composite
+def unit_window_curves(draw):
+    """One sampled curve on [0, 1]: 2 to 40 strictly increasing times with
+    both ends fixed, values in [-1, 1]."""
+    inner = sorted(set(draw(st.lists(st.floats(1e-3, 1.0 - 1e-3), max_size=38))))
+    times = np.array([0.0, *inner, 1.0])
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=times.size,
+                           max_size=times.size))
+    return times, np.array(values)
+
+
+@PROPERTY_SETTINGS
+@given(a=unit_window_curves(), b=unit_window_curves(), c=unit_window_curves(),
+       n_resample=st.integers(2, 300))
+def test_compare_curves_is_a_metric(a, b, c, n_resample):
+    """Curves sampled differently on one window: the absolute distances are
+    exactly symmetric and obey the triangle inequality up to rounding."""
+    def dist(x, y):
+        return compare_curves(*x, *y, n_resample=n_resample)
+
+    ab, ba, bc, ac = dist(a, b), dist(b, a), dist(b, c), dist(a, c)
+    assert (ab.window, ab.peak, ab.linf, ab.l2) == (ba.window, ba.peak, ba.linf, ba.l2)
+    slack = 1e-12 * max(ab.peak, bc.peak)
+    assert ac.linf <= ab.linf + bc.linf + slack
+    assert ac.l2 <= ab.l2 + bc.l2 + slack
 
 
 def test_compare_window_and_failure_modes():

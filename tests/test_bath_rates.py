@@ -7,6 +7,9 @@ drift without a test noticing.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import dawsn
 
 from spindetect import (
     DetectorGeometry,
@@ -26,7 +29,7 @@ from spindetect import (
     scaled_ensemble,
 )
 from spindetect.bath import _kernel_quadrature
-from spindetect.errors import ConfigurationError
+from spindetect.errors import ConfigurationError, NumericsError
 
 from helpers import (
     COUPLING,
@@ -34,6 +37,7 @@ from helpers import (
     DECAY_RATE_REF,
     LEVEL_SHIFT_REF,
     MODES,
+    PROPERTY_SETTINGS,
     RECURRENCE_REF,
     RESONANCE,
     CORRELATION_TIME_REF,
@@ -147,6 +151,10 @@ def test_quadrature_route_agrees_with_closed_form():
 def test_zero_coupling_rates():
     res = decay_rate_and_shift(make_bath(coupling=0.0), RESONANCE)
     assert res.decay_rate == 0.0 and res.level_shift == 0.0
+    silent = GeneralBath(dispersion=1.0, cutoff=3.0,
+                         coupling=lambda w: np.zeros(np.shape(w)))
+    res = decay_rate_and_shift(silent, 1.0)
+    assert res.decay_rate == 0.0 and res.level_shift == 0.0
 
 
 def test_resonance_above_cutoff_rejected():
@@ -157,7 +165,9 @@ def test_resonance_above_cutoff_rejected():
 def test_generic_bath_gaussian_bump():
     """Smooth bump spectrum f = omega a^2 exp(-(omega-1)^2/s^2): A equals
     f at the resonance; the shift oracle -a^2 s/sqrt(pi) follows from the
-    principal value (the even part of f drops, the linear part survives)."""
+    principal value (the even part of f drops, the linear part survives).
+    The bump is 20 widths from both ends of (0, 3], so the oracle is exact
+    to e^-400."""
     s = 0.05
     amp = 0.7
 
@@ -170,18 +180,52 @@ def test_generic_bath_gaussian_bump():
     f_res = float(bath.density(np.array([1.0]))[0])
     assert f_res == pytest.approx(amp**2, rel=1e-12)
     res = decay_rate_and_shift(bath, 1.0)
-    assert res.method == "tau_quadrature"
-    assert res.decay_rate == pytest.approx(f_res, rel=1e-5)
+    assert res.method == "frequency_pv"
+    assert res.decay_rate == pytest.approx(f_res, rel=1e-12)
     shift_ref = -(amp**2) * s * np.sqrt(np.pi) / np.pi
-    assert res.level_shift == pytest.approx(shift_ref, rel=2e-3)
+    assert res.level_shift == pytest.approx(shift_ref, rel=1e-10)
+
+
+@PROPERTY_SETTINGS
+@given(cutoff=st.floats(0.5, 20.0), width=st.floats(1e-3, 0.05),
+       line=st.floats(0.0, 1.0), pole=st.floats(0.02, 0.98),
+       a=st.floats(0.1, 2.0), b=st.floats(0.0, 1.0))
+def test_frequency_route_matches_dawson_oracle(cutoff, width, line, pole, a, b):
+    """A Gaussian line over a flat floor, f = omega (a^2 e^{-(omega-wc)^2/s^2}
+    + b^2) on (0, M] with the line at least 8 s inside the support.  The
+    shift has a closed form through Dawson's integral D:
+    -pi delta = a^2 (s sqrt(pi) - 2 sqrt(pi) w0 D((w0 - wc)/s))
+                + b^2 (M + w0 ln((M - w0)/w0)),
+    exact up to the Gaussian's tails beyond 8 s (e^-64)."""
+    s = width * cutoff
+    wc = 8.0 * s + line * (cutoff - 16.0 * s)
+    w0 = pole * cutoff
+    bath = GeneralBath(dispersion=1.0, cutoff=cutoff, coupling=lambda w: np.sqrt(
+        a**2 * np.exp(-(((np.asarray(w) - wc) / s) ** 2)) + b**2))
+    res = decay_rate_and_shift(bath, w0)
+    f0 = w0 * (a**2 * np.exp(-(((w0 - wc) / s) ** 2)) + b**2)
+    shift = -(a**2 * (s * np.sqrt(np.pi) - 2.0 * np.sqrt(np.pi) * w0 * dawsn((w0 - wc) / s))
+              + b**2 * (cutoff + w0 * np.log((cutoff - w0) / w0))) / np.pi
+    assert res.method == "frequency_pv"
+    assert res.decay_rate == pytest.approx(f0, rel=1e-14)
+    assert res.level_shift == pytest.approx(shift, rel=1e-11)
+
+
+def test_unresolved_density_raises():
+    """A density oscillating ~48,000 times over its support cannot be
+    resolved by the capped rule: the shift raises instead of returning a
+    number."""
+    bath = GeneralBath(dispersion=1.0, cutoff=3.0, coupling=lambda w: np.sqrt(
+        1.0 + 0.5 * np.sin(1e5 * np.asarray(w))))
+    with pytest.raises(NumericsError, match="not resolved"):
+        decay_rate_and_shift(bath, 1.0)
 
 
 def test_frequency_pv_route_matches_sharp_cutoff_closed_forms():
-    """The sharp-cutoff density rebuilt as a GeneralBath: its kernel decays
-    only like 1/tau, so the rates come from the frequency domain, A = f(w0)
-    and the principal-value shift, and must equal the closed forms. The
-    kernel-decay scan on the way must not hold its whole delay x frequency
-    phase matrix at once (that took 773 MB)."""
+    """The sharp-cutoff density rebuilt as a GeneralBath: the frequency
+    route, A = f(w0) and the principal-value shift, must equal the closed
+    forms, and stay far from the 773 MB that an earlier kernel-decay scan
+    took on this bath."""
     g2, cutoff, w0 = 0.01, 4.6, 1.0
     amp = np.sqrt(2.0 * np.pi * g2 / cutoff)
     bath = GeneralBath(dispersion=1.0, cutoff=cutoff,
@@ -291,6 +335,21 @@ def test_rate_map_level_shift_analytic():
           + w0**3 * np.log((big_m - w0) / w0))
     expected = -(gamma0**2 / (np.pi * c**3)) * pv / np.pi
     assert rm.level_shift[0] == pytest.approx(expected, rel=1e-9)
+
+
+def test_rate_map_narrow_line_shift_analytic():
+    """Isotropic Gamma = a exp(-(w - 1)^2/(2 s^2)) at w0 = 1 and constant c:
+    f3 = m a^2 w^3 e^{-(w-1)^2/s^2}/(pi c^3), and only the even part of
+    w^3/(w - 1) about the pole survives the principal value, so
+    delta = -(m a^2/(pi^2 c^3)) s sqrt(pi) (3 + s^2/2).  The line is 20
+    widths from both ends of (0, 2]."""
+    amp, s, c = 0.7, 0.05, 1.5
+    coupling = DirectionalCoupling(
+        lambda w, e: amp * np.exp(-((w - 1.0) ** 2) / (2.0 * s**2)), 2.0)
+    spec = DirectionalSpectrum3D(dispersion=c, couplings=(coupling,))
+    rm = rate_map_3d(_ball_geometry(multiplicity=3), spec, np.zeros((1, 3)))
+    expected = -(3.0 * amp**2 / (np.pi**2 * c**3)) * s * np.sqrt(np.pi) * (3.0 + s**2 / 2.0)
+    assert rm.level_shift[0] == pytest.approx(expected, rel=1e-11)
 
 
 def test_rate_map_spontaneous_floor():

@@ -7,7 +7,6 @@ from spindetect import (
     HBAR,
     GaussianPacketSpec,
     Grid1D,
-    TabulatedMomentumAmplitude,
     free_evolved_packet,
     momentum_amplitude,
 )
@@ -88,18 +87,6 @@ def test_resolution_check_rejects_coarse_grid():
         free_evolved_packet(p, 0.0, coarse)
     # the escape hatch skips the guard
     free_evolved_packet(p, 0.0, coarse, resolution_check=False)
-
-
-def test_tabulated_amplitude_matches_gaussian():
-    p = fig1_packet()
-    k, _ = p.quadrature_nodes(501, 8.0)
-    tab = TabulatedMomentumAmplitude(k, momentum_amplitude(p, k))
-    k_probe = np.linspace(k[0], k[-1], 77)
-    np.testing.assert_allclose(tab(k_probe), momentum_amplitude(p, k_probe),
-                               rtol=0, atol=2e-4 * np.max(np.abs(tab(k_probe))))
-    nodes, weights = tab.quadrature_nodes()
-    np.testing.assert_allclose(nodes, k)
-    assert np.sum(weights) == pytest.approx(k[-1] - k[0], rel=1e-12)
 
 
 def test_invalid_packets_rejected():

@@ -4,7 +4,7 @@ rises and the recorded density balances its drain (norm_balance)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from spindetect import (
@@ -15,13 +15,12 @@ from spindetect import (
     propagate_two_channel,
 )
 
-from helpers import internal_grid, make_units
+from helpers import PROPERTY_SETTINGS, internal_grid, make_units
 
 U = make_units()
 OMEGA = U.reference_frequency
 KINETIC_SAFETY = 64.0
 
-PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 # random fields may reach the grid ends; the warning is beside the point here
 QUIET_EDGES = pytest.mark.filterwarnings("ignore:edge mass")
 
