@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+import operator
 from importlib import resources
-
-import jsonschema
 
 from .errors import ConfigurationError
 
@@ -212,13 +212,78 @@ def _fail(path: str, message: str):
                              else f"config error: {message}")
 
 
-def _schema_validate(raw: dict):
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        path = ".".join(str(p) for p in err.absolute_path)
-        _fail(path, err.message)
+# CONFIG_SCHEMA is checked by _schema_errors, which implements exactly these
+# JSON Schema (draft 2020-12) keywords; "$schema" only names the dialect
+SCHEMA_KEYWORDS = frozenset({
+    "$schema", "type", "enum", "properties", "required", "additionalProperties",
+    "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
+    "items", "minItems", "maxItems", "minLength"})
+
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: ((isinstance(v, int) and not isinstance(v, bool))
+                          or (isinstance(v, float) and v.is_integer())),
+}
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+    "maximum": (operator.gt, "greater than the maximum"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum"),
+}
+
+
+def _schema_errors(node, schema: dict, path: tuple = ()):
+    """Yield (path, message) for every violation of schema by node.
+
+    A node of the wrong type gets one error and no further checks, as every
+    other keyword applies only to its own type.  Unlike JSON Schema, a
+    number must be finite: json.load accepts NaN and Infinity.
+    """
+    kind = schema.get("type")
+    if kind is not None and not _IS_TYPE[kind](node):
+        yield path, f"{node!r} is not of type {kind!r}"
+        return
+    if kind == "number" and not math.isfinite(node):
+        yield path, f"{node!r} is not a finite number"
+        return
+    if "enum" in schema and node not in schema["enum"]:
+        yield path, f"{node!r} is not one of {schema['enum']!r}"
+    if _IS_TYPE["number"](node):
+        for key, (breaks, words) in _BOUNDS.items():
+            if key in schema and breaks(node, schema[key]):
+                yield path, f"{node!r} is {words} of {schema[key]!r}"
+    if isinstance(node, str) and len(node) < schema.get("minLength", 0):
+        yield path, f"{node!r} is too short"
+    if isinstance(node, list):
+        if len(node) < schema.get("minItems", 0):
+            yield path, f"{node!r} is too short"
+        if len(node) > schema.get("maxItems", math.inf):
+            yield path, f"{node!r} is too long"
+        if "items" in schema:
+            for i, item in enumerate(node):
+                yield from _schema_errors(item, schema["items"], path + (i,))
+    if isinstance(node, dict):
+        for key in schema.get("required", ()):
+            if key not in node:
+                yield path, f"{key!r} is a required property"
+        props = schema.get("properties", {})
+        extra = sorted(set(node) - set(props))
+        if schema.get("additionalProperties", True) is False and extra:
+            verb = "was" if len(extra) == 1 else "were"
+            yield path, ("Additional properties are not allowed ("
+                         f"{', '.join(map(repr, extra))} {verb} unexpected)")
+        for key, sub in props.items():
+            if key in node:
+                yield from _schema_errors(node[key], sub, path + (key,))
+
+
+def _first_schema_error(raw: dict):
+    """The (path, message) that sorts first by path, or None."""
+    return min(_schema_errors(raw, CONFIG_SCHEMA), key=lambda e: e[0], default=None)
 
 
 def _require(cfg: dict, path: str, why: str):
@@ -241,7 +306,9 @@ def resolve_config(raw: dict, kind: str | None = None, *,
     """
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
-    _schema_validate(raw)
+    error = _first_schema_error(raw)
+    if error:
+        _fail(".".join(map(str, error[0])), error[1])
     cfg = _merge_defaults(_TOP_DEFAULTS, raw)
     num = cfg.setdefault("numerics", {})
     if "discrete" in num:

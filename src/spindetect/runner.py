@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -385,6 +384,8 @@ def _run_sweep(cfg: dict, out_dir: Path, jobs: int):
         tasks.append((i, sub_cfg, str(sub_dir)))
 
     if jobs > 1:
+        # only parallel sweeps need the executor; serial runs skip its import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_subrun, tasks))
     else:

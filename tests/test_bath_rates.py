@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import dawsn
+from scipy.special import dawsn, exp1
 
 from spindetect import (
     DetectorGeometry,
@@ -28,7 +28,7 @@ from spindetect import (
     rate_map_3d,
     scaled_ensemble,
 )
-from spindetect.bath import _kernel_quadrature
+from spindetect.bath import _exp1, _gauss_legendre, _kernel_quadrature
 from spindetect.errors import ConfigurationError, NumericsError
 
 from helpers import (
@@ -121,6 +121,30 @@ def test_kernel_series_continuous_at_switch():
 def test_kernel_rejects_negative_delay():
     with pytest.raises(ConfigurationError):
         correlation_kernel(make_bath(), RESONANCE, -1.0e-9)
+
+
+# ---------------------------------------------------------------------------
+# special functions and rules, against scipy.special (which the package does
+# not import)
+
+
+def test_exp1_matches_scipy_on_the_imaginary_axis():
+    # the sharp-cutoff tail evaluates E1 at +-i y; both branches of _exp1
+    # (series below |z| = 2, continued fraction above) are covered
+    y = np.geomspace(1e-8, 1.2e4, 2001)
+    for sign in (1.0, -1.0):
+        ours = np.array([_exp1(sign * 1j * v) for v in y])
+        np.testing.assert_allclose(ours, exp1(sign * 1j * y), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("order", [10, 12, 64])
+def test_gauss_legendre_is_exact_to_its_degree(order):
+    # the orders the kernel, tau and principal-value rules use
+    degree = 2 * order - 1
+    for lo, hi, n_seg in ((0.0, 1.0, 1), (0.5, 2.0, 3)):
+        x, w = _gauss_legendre(lo, hi, n_seg, order)
+        exact = (hi**(degree + 1) - lo**(degree + 1)) / (degree + 1)
+        assert np.sum(w * x**degree) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

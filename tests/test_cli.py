@@ -9,7 +9,7 @@ from spindetect.cli import main
 from spindetect.output import read_csv
 
 import helpers
-from helpers import rates_config
+from helpers import rates_config, small_continuum_config
 
 
 def tiny_continuum_config():
@@ -48,6 +48,16 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["validate", "--config", str(path)]) == 2
     assert "momentum_width_hbar_per_m" in capsys.readouterr().err
+
+
+def test_validate_rejects_non_finite_numbers(tmp_path, capsys):
+    # json.load reads NaN and Infinity; validation must stop them, not the run
+    cfg = small_continuum_config()
+    cfg["numerics"]["continuum"]["time_step_t0"] = float("nan")
+    path = write_config(tmp_path, cfg)
+    assert "NaN" in path.read_text()
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "numerics.continuum.time_step_t0" in capsys.readouterr().err
 
 
 def test_unknown_preset_lists_available(capsys):

@@ -1,10 +1,14 @@
-"""Every module-level import in the package is used (no linter runs here).
+"""Every module-level import in the package is used (no linter runs here),
+and starting a run imports nothing it does not need.
 
 A name counts as used when it is read anywhere in its module (as a name or
 as the root of an attribute chain) or listed in the module's __all__.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +54,17 @@ def test_module_imports_are_used(path):
     unused = sorted(set(bound) - _used_names(tree))
     assert not unused, f"{path.name}: unused imports " + ", ".join(
         f"{name} (line {bound[name]})" for name in unused)
+
+
+def test_start_up_loads_neither_jsonschema_nor_scipy_special():
+    # config validation and the bath quadratures are self-contained; either
+    # package would add tens of milliseconds to every run's start-up
+    code = ("import sys, spindetect.runner, spindetect.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'\n"
+            "             or m == 'scipy.special' or m.startswith('scipy.special.')))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
