@@ -19,7 +19,7 @@ from .bath import (DirectionalCoupling, DirectionalSpectrum3D, GeneralBath,
                    MarkovSummary, RateMap, RatesResult, RectangularBath,
                    correlation_kernel, decay_rate_and_shift, markov_summary,
                    modified_frequencies, rate_map_3d, scaled_ensemble)
-from .conditional import (ComplexPotential, ConditionalTrajectory, TwoChannelTrajectory,
+from .conditional import (ComplexPotential, ConditionalTrajectory,
                           adiabaticity_ratio, build_conditional_potential,
                           norm_balance, one_channel_limit_potential,
                           propagate_conditional, propagate_two_channel)
@@ -44,7 +44,7 @@ __all__ = [
     "RateMap", "RatesResult", "RectangularBath", "correlation_kernel",
     "decay_rate_and_shift", "markov_summary", "modified_frequencies",
     "rate_map_3d", "scaled_ensemble",
-    "ComplexPotential", "ConditionalTrajectory", "TwoChannelTrajectory",
+    "ComplexPotential", "ConditionalTrajectory",
     "adiabaticity_ratio", "build_conditional_potential", "norm_balance",
     "one_channel_limit_potential", "propagate_conditional", "propagate_two_channel",
     "load_preset", "preset_names", "resolve_config",

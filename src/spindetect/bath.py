@@ -55,6 +55,11 @@ TWO_PI = 2.0 * np.pi
 PV_ORDER = 64
 PV_MAX_SEGMENTS = 1024
 PV_TOLERANCE = 1e-9
+# segment cap of the kernel quadrature (10 Gauss nodes a segment); it
+# resolves delays up to where a segment spans two periods of the fastest
+# phase, five nodes a period: a segment that wide integrates an oscillation
+# to 4e-9 of its length, and past it the error grows as the phase^20
+KERNEL_SEGMENTS_MAX = 20000
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +214,37 @@ def _gauss_legendre(lo: float, hi: float, n_seg: int, order: int
 # Correlation kernel
 # ---------------------------------------------------------------------------
 
+def _kernel_tau_max(spectrum) -> float:
+    """Largest delay _kernel_quadrature resolves: each of its
+    KERNEL_SEGMENTS_MAX segments then spans two periods of cutoff * tau."""
+    return 2.0 * TWO_PI * KERNEL_SEGMENTS_MAX / spectrum.cutoff
+
+
 def _kernel_quadrature(spectrum, resonance: float, tau: np.ndarray) -> np.ndarray:
-    """kappa(tau) by composite Gauss-Legendre over the support."""
+    """kappa(tau) by composite Gauss-Legendre over the support, each delay on
+    a rule set by that delay alone: 8 to 16 segments per period of the
+    fastest phase cutoff * tau, a power of two times 64, capped at
+    KERNEL_SEGMENTS_MAX.  A delay beyond _kernel_tau_max is a NumericsError."""
     hi = spectrum.cutoff
-    # resolve the fastest phase omega*tau across the support
     tau = np.atleast_1d(tau)
-    n_seg = int(max(64, 8 * np.ceil(hi * np.max(tau, initial=0.0) / TWO_PI)))
-    omega, weight = _gauss_legendre(0.0, hi, min(n_seg, 20000), 10)
-    f = spectrum.density(omega) * weight
-    detuning = omega - resonance
-    # tau rows per block: bounds the phase matrix at ~2^21 elements (32 MB)
-    rows = max(1, 2**21 // len(omega))
+    tau_top = np.max(tau, initial=0.0)
+    if tau_top > _kernel_tau_max(spectrum):
+        raise NumericsError(
+            f"kernel quadrature does not resolve tau = {tau_top:.6g} s: its "
+            f"{KERNEL_SEGMENTS_MAX} segments cover at most {_kernel_tau_max(spectrum):.6g} s")
+    needed = np.maximum(8.0 * np.ceil(hi * tau / TWO_PI), 64.0)
+    n_seg = np.minimum(64.0 * 2.0 ** np.ceil(np.log2(needed / 64.0)), KERNEL_SEGMENTS_MAX)
     out = np.empty(len(tau), dtype=complex)
-    for lo in range(0, len(tau), rows):
-        out[lo:lo + rows] = np.exp(-1j * np.outer(tau[lo:lo + rows], detuning)) @ f
+    for segments in np.unique(n_seg):
+        omega, weight = _gauss_legendre(0.0, hi, int(segments), 10)
+        f = spectrum.density(omega) * weight
+        detuning = omega - resonance
+        # delays per block: bounds the phase matrix at ~2^21 elements (32 MB)
+        rows = max(1, 2**21 // len(omega))
+        pick = np.flatnonzero(n_seg == segments)
+        for lo in range(0, len(pick), rows):
+            block = pick[lo:lo + rows]
+            out[block] = np.exp(-1j * np.outer(tau[block], detuning)) @ f
     return out / TWO_PI
 
 
@@ -278,7 +300,9 @@ class RatesResult:
 
     decay_rate: float        # A, 1/s
     level_shift: float       # delta_shift, 1/s
-    method: str              # "closed_form" | "frequency_pv"
+    # "closed_form" | "frequency_pv"; runner.build_scene also makes
+    # "override" and "zero_coupling" results
+    method: str
     quadrature_decay_rate: float | None = None
     quadrature_level_shift: float | None = None
 
@@ -431,11 +455,14 @@ class MarkovSummary:
 
 def markov_summary(spectrum: BathSpectrum, resonance: float) -> MarkovSummary:
     """Correlation time: the first tau of a 600-delay geometric scan from
-    which the kernel envelope stays < 1% of kappa(0) (inf if it never does)."""
+    which the kernel envelope stays < 1% of kappa(0) (inf if it never does).
+    On a quadrature kernel the scan ends at _kernel_tau_max."""
     kappa0 = abs(correlation_kernel(spectrum, resonance, 0.0))
     if kappa0 == 0.0:
         return MarkovSummary(0.0, 0.0)
     tau = np.geomspace(1e-3 / spectrum.cutoff, 1e6 / spectrum.cutoff, 600)
+    if not isinstance(spectrum, RectangularBath):
+        tau = tau[tau <= _kernel_tau_max(spectrum)]
     env = np.abs(correlation_kernel(spectrum, resonance, tau))
     below = np.maximum.accumulate(env[::-1])[::-1] < 0.01 * kappa0
     tau_c = float(tau[np.argmax(below)]) if np.any(below) else float("inf")

@@ -36,12 +36,13 @@ whose strong-damping limit collapses to the single-channel complex
 potential returned by one_channel_limit_potential.
 
 Both propagators share one core (_propagate: validation, units, step loop,
-records, edge mass) and supply only their solver (LAPACK zgttrs for one
-channel, SuperLU on the interleaved pair) and density and norm formulas.
-Norms are plain (pairwise) sums h * sum |psi|^2, as is the mass ledger
-(analysis.mass_fractions); norm_balance checks either trajectory type.  The
-norms are computed from the field alone, never from the density, so the
-drain identity that norm_balance checks stays a real test.
+edge mass) that returns one record, ConditionalTrajectory; they supply only
+their solver (LAPACK zgttrs for one channel, SuperLU on the interleaved
+pair), density and norm formulas, and detector region.  Norms are plain
+(pairwise) sums h * sum |psi|^2, as is the mass ledger
+(analysis.mass_accounting), and norm_balance checks the drain identity on
+either model's record.  The norms are computed from the field alone, never
+from the density, so that check stays a real test.
 
 All public inputs and outputs are SI; internally fields and operators are
 rescaled to detector units (see units.UnitSystem) before factoring the
@@ -58,7 +59,6 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
-from .analysis import mass_fractions
 from .errors import ConfigurationError, NumericsError
 from .model import Grid1D, Sensitivity
 from .units import HBAR, UnitSystem
@@ -66,7 +66,6 @@ from .units import HBAR, UnitSystem
 __all__ = [
     "ComplexPotential",
     "ConditionalTrajectory",
-    "TwoChannelTrajectory",
     "CrankNicolson1D",
     "build_conditional_potential",
     "propagate_conditional",
@@ -191,27 +190,30 @@ class CrankNicolson1D:
 
 @dataclass
 class ConditionalTrajectory:
-    """Record of one conditional run: survival series, detection density,
-    sparse field snapshots, and the final mass ledger.
+    """Record of one conditional run of either propagator: norm series,
+    detection density, sparse field snapshots and the final fields.
 
-    Sampling is staggered: no_detection_prob lives on the step boundaries
-    (`times`) while detection_density lives on the step midpoints
-    (`detection_density_times`), where the scheme satisfies
-    [P0(n) - P0(n+1)]/dt = w1(midpoint) exactly.  Sampling the density at
-    the nodes instead would bias it against the P0 drain by the factor
-    1 + (E dt)^2/4 from the fast kinetic phase.
+    norms maps CSV column names to series on the step boundaries (`times`),
+    led by no_detection_prob, the survival probability P0; the two-channel
+    run adds excited_mass.  The detection density lives on the step
+    midpoints (`detection_density_times`), where the scheme satisfies
+    [P0(n) - P0(n+1)]/dt = w1(midpoint) exactly.  Sampling it at the nodes
+    instead would bias it against the P0 drain by the factor 1 + (E dt)^2/4
+    from the fast kinetic phase.  snapshots are (channel, index, x) and
+    final_fields (channel, x), in SI; channel 0 is the ground field.  region
+    is the detector's extent, which the mass ledger splits the final field
+    around.
     """
 
     grid: Grid1D
     times: np.ndarray
-    no_detection_prob: np.ndarray
+    norms: dict[str, np.ndarray]
     detection_density_times: np.ndarray
     detection_density: np.ndarray
     snapshot_times: np.ndarray
     snapshots: np.ndarray
-    final_field: np.ndarray
+    final_fields: np.ndarray
     region: tuple[float, float]
-    mass_split: dict[str, float]
     warnings: list[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -220,29 +222,31 @@ class ConditionalTrajectory:
             raise NumericsError("survival probability left [0, 1]")
         if np.any(np.diff(p0) > 1e-10):
             raise NumericsError("survival probability increased between steps")
-        total = sum(self.mass_split.values())
-        if abs(total - 1.0) > 1e-6:
-            raise NumericsError(f"mass ledger sums to {total!r}, not 1")
+
+    @property
+    def no_detection_prob(self) -> np.ndarray:
+        """The survival probability P0, the lead norm series."""
+        return self.norms["no_detection_prob"]
 
     @property
     def final_survival(self) -> float:
         return float(self.no_detection_prob[-1])
 
     def to_csv(self, path) -> None:
-        """Rows on the midpoint grid; P0 is averaged onto it."""
+        """Rows on the midpoint grid; every norm is averaged onto it."""
         from .output import write_csv
-        p0_mid = 0.5 * (self.no_detection_prob[:-1] + self.no_detection_prob[1:])
-        write_csv(path, ["t_s", "no_detection_prob", "detection_density_per_s"],
-                  [self.detection_density_times, p0_mid, self.detection_density])
+        mids = [0.5 * (v[:-1] + v[1:]) for v in self.norms.values()]
+        write_csv(path, ["t_s", *self.norms, "detection_density_per_s"],
+                  [self.detection_density_times, *mids, self.detection_density])
 
     def snapshots_to_csv(self, path) -> None:
+        """Channel 0's snapshots, one real and one imaginary column each."""
         from .output import write_csv
-        x = self.grid.points()
         header = ["x_m"]
-        cols = [x]
-        for i, t in enumerate(self.snapshot_times):
+        cols = [self.grid.points()]
+        for i, snap in enumerate(self.snapshots[0]):
             header += [f"re_psi_t{i}", f"im_psi_t{i}"]
-            cols += [self.snapshots[i].real, self.snapshots[i].imag]
+            cols += [snap.real, snap.imag]
         write_csv(path, header, cols)
 
 
@@ -257,24 +261,10 @@ def _edge_mass(y: np.ndarray, channels: int, spacing: float) -> float:
     return float((np.sum(_abs2(y[:k])) + np.sum(_abs2(y[-k:]))) * spacing)
 
 
-@dataclass
-class _Run:
-    """The core's record, in SI: norms[0] is the survival probability, further
-    rows follow the model's norm formula; snapshots are (channel, index, x)."""
-
-    times: np.ndarray
-    norms: np.ndarray
-    density_times: np.ndarray
-    density: np.ndarray
-    snapshot_times: np.ndarray
-    snapshots: np.ndarray
-    final: list[np.ndarray]
-    warnings: list[str]
-
-
 def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
                mass: float, vmax: float, frequency_scales, reference_frequency,
-               snapshots: int, kinetic_safety: float, solver) -> _Run:
+               snapshots: int, kinetic_safety: float, solver, norm_names,
+               region: tuple[float, float]) -> ConditionalTrajectory:
     """Shared core of the conditional propagators; checks every input first.
 
     The channel fields (SI) are interleaved into one state y, channel c at
@@ -282,7 +272,8 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
     frequency_scales (1/s) may raise the default reference frequency.
     solver(h_int, dt_int, omega) returns (step, density, norms): the next
     state, the midpoint detection density (1/s), and a tuple of norms led
-    by the survival probability.  Edge mass above EDGE_MASS_WARN warns.
+    by the survival probability, recorded under norm_names.  Edge mass
+    above EDGE_MASS_WARN warns.
     """
     n = grid.n_points
     if any(np.shape(f) != (n,) for f in fields):
@@ -351,10 +342,12 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
         warn_list.append(msg)
         warnings.warn(msg, stacklevel=3)
     snaps /= scale
-    return _Run(times=times, norms=recorded, density_times=times[:-1] + 0.5 * dt,
-                density=w1, snapshot_times=times[snap_idx], snapshots=snaps,
-                final=[y[c::channels] / scale for c in range(channels)],
-                warnings=warn_list)
+    return ConditionalTrajectory(
+        grid=grid, times=times, norms=dict(zip(norm_names, recorded)),
+        detection_density_times=times[:-1] + 0.5 * dt, detection_density=w1,
+        snapshot_times=times[snap_idx], snapshots=snaps,
+        final_fields=y.reshape(n, channels).T / scale, region=region,
+        warnings=warn_list)
 
 
 def propagate_conditional(psi0: np.ndarray, potential: ComplexPotential,
@@ -386,25 +379,19 @@ def propagate_conditional(psi0: np.ndarray, potential: ComplexPotential,
                 lambda y, y_next: np.sum(decay_w * _abs2(y[span] + y_next[span])),
                 lambda y: (np.sum(_abs2(y)) * h_int,))
 
-    run = _propagate((psi0,), grid, t_span, dt, mass=mass, vmax=potential.max_magnitude,
-                     frequency_scales=(), reference_frequency=reference_frequency,
-                     snapshots=snapshots, kinetic_safety=kinetic_safety, solver=solver)
-    p0 = run.norms[0]
-    norm0 = float(p0[0])
-    warn_list = []
+    traj = _propagate((psi0,), grid, t_span, dt, mass=mass, vmax=potential.max_magnitude,
+                      frequency_scales=(), reference_frequency=reference_frequency,
+                      snapshots=snapshots, kinetic_safety=kinetic_safety, solver=solver,
+                      norm_names=("no_detection_prob",), region=potential.region)
+    norm0 = float(traj.no_detection_prob[0])
     if abs(norm0 - 1.0) > 1e-6:
-        warn_list.append(f"initial norm {norm0!r} differs from 1; mass ledger is renormalized")
-    return ConditionalTrajectory(
-        grid=grid, times=run.times, no_detection_prob=p0,
-        detection_density_times=run.density_times, detection_density=run.density,
-        snapshot_times=run.snapshot_times, snapshots=run.snapshots[0],
-        final_field=run.final[0], region=potential.region,
-        mass_split=mass_fractions(run.final[0], grid, potential.region, p0, run.density),
-        warnings=warn_list + run.warnings)
+        traj.warnings.insert(
+            0, f"initial norm {norm0!r} differs from 1; mass ledger is renormalized")
+    return traj
 
 
 def norm_balance(trajectory) -> dict[str, float]:
-    """Check a conditional run (either trajectory type) against the drain
+    """Check a conditional run (either model) against the drain
     identity w1 = -dP0/dt and return its two balance numbers.
 
     continuity_residual_relative is the largest gap between a midpoint
@@ -437,45 +424,6 @@ def norm_balance(trajectory) -> dict[str, float]:
 # two-channel fluorescence analog
 
 
-@dataclass
-class TwoChannelTrajectory:
-    """Conditional run of the driven two-level system: ground and excited
-    channel fields, combined survival probability, and the photon-emission
-    density w1 = linewidth * ||excited||^2, sampled at step midpoints like
-    ConditionalTrajectory.detection_density."""
-
-    grid: Grid1D
-    times: np.ndarray
-    survival_prob: np.ndarray
-    excited_mass: np.ndarray
-    detection_density_times: np.ndarray
-    detection_density: np.ndarray
-    snapshot_times: np.ndarray
-    ground_snapshots: np.ndarray
-    excited_snapshots: np.ndarray
-    final_ground: np.ndarray
-    final_excited: np.ndarray
-    warnings: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        if np.any(np.diff(self.survival_prob) > 1e-10):
-            raise NumericsError("combined norm increased between steps")
-
-    @property
-    def no_detection_prob(self) -> np.ndarray:
-        """The combined norm, under the name ConditionalTrajectory uses."""
-        return self.survival_prob
-
-    def to_csv(self, path) -> None:
-        from .output import write_csv
-        p0_mid = 0.5 * (self.survival_prob[:-1] + self.survival_prob[1:])
-        exc_mid = 0.5 * (self.excited_mass[:-1] + self.excited_mass[1:])
-        write_csv(path, ["t_s", "no_detection_prob", "excited_mass",
-                         "detection_density_per_s"],
-                  [self.detection_density_times, p0_mid, exc_mid,
-                   self.detection_density])
-
-
 def _rabi_on(grid: Grid1D, rabi_profile) -> np.ndarray:
     rabi = np.asarray(rabi_profile, dtype=float)
     if rabi.shape != (grid.n_points,):
@@ -483,6 +431,16 @@ def _rabi_on(grid: Grid1D, rabi_profile) -> np.ndarray:
     if np.any(rabi < 0.0):
         raise ConfigurationError("Rabi profile must be nonnegative")
     return rabi
+
+
+def _lit_span(grid: Grid1D, rabi: np.ndarray) -> tuple[float, float]:
+    """First to last grid point where the Rabi profile is nonzero;
+    (x_max, x_max) for a dark profile."""
+    lit = np.flatnonzero(rabi > 0.0)
+    if not lit.size:
+        return (grid.x_max, grid.x_max)
+    x = grid.points()
+    return (float(x[lit[0]]), float(x[lit[-1]]))
 
 
 def _two_channel_matrix(n: int, h_int: float, rabi_int: np.ndarray,
@@ -507,7 +465,7 @@ def propagate_two_channel(ground0: np.ndarray, excited0: np.ndarray,
                           grid: Grid1D, t_span: tuple[float, float], dt: float, *,
                           mass: float, reference_frequency: float | None = None,
                           snapshots: int = 128, kinetic_safety: float = 64.0
-                          ) -> TwoChannelTrajectory:
+                          ) -> ConditionalTrajectory:
     """Propagate the coupled ground/excited fields of the fluorescence model.
 
     The conditional generator is kinetic energy on both channels plus the
@@ -516,6 +474,8 @@ def propagate_two_channel(ground0: np.ndarray, excited0: np.ndarray,
     the emission density is w1 = linewidth * ||excited||^2, balancing the
     combined norm loss.  dt is checked as in propagate_conditional, with
     |V|max the larger of hbar*Omega/2 and hbar|2*detuning + i*linewidth|/2.
+    The record's norms are the combined norm P0 and the excited mass; its
+    region is the lit span of the Rabi profile.
     """
     n = grid.n_points
     rabi = _rabi_on(grid, rabi_profile)
@@ -547,19 +507,13 @@ def propagate_two_channel(ground0: np.ndarray, excited0: np.ndarray,
                     _abs2(y[1::2] + y_next[1::2])) * h_int,
                 norms)
 
-    run = _propagate((ground0, excited0), grid, t_span, dt, mass=mass,
-                     vmax=HBAR * max(half_rabi, abs(excited_diag)),
-                     frequency_scales=(half_rabi, abs(detuning), linewidth / 2.0),
-                     reference_frequency=reference_frequency, snapshots=snapshots,
-                     kinetic_safety=kinetic_safety, solver=solver)
-    survival, excited = run.norms
-    return TwoChannelTrajectory(
-        grid=grid, times=run.times, survival_prob=survival, excited_mass=excited,
-        detection_density_times=run.density_times, detection_density=run.density,
-        snapshot_times=run.snapshot_times,
-        ground_snapshots=run.snapshots[0], excited_snapshots=run.snapshots[1],
-        final_ground=run.final[0], final_excited=run.final[1],
-        warnings=run.warnings)
+    return _propagate((ground0, excited0), grid, t_span, dt, mass=mass,
+                      vmax=HBAR * max(half_rabi, abs(excited_diag)),
+                      frequency_scales=(half_rabi, abs(detuning), linewidth / 2.0),
+                      reference_frequency=reference_frequency, snapshots=snapshots,
+                      kinetic_safety=kinetic_safety, solver=solver,
+                      norm_names=("no_detection_prob", "excited_mass"),
+                      region=_lit_span(grid, rabi))
 
 
 def one_channel_limit_potential(rabi_profile: np.ndarray, detuning: float,
@@ -582,15 +536,9 @@ def one_channel_limit_potential(rabi_profile: np.ndarray, detuning: float,
     decay = linewidth * om2 / denom
     shift = 2.0 * detuning * om2 / denom
     values = 0.5 * HBAR * (shift - 1j * decay)
-    if region is None:
-        lit = np.nonzero(rabi > 0.0)[0]
-        if lit.size:
-            x = grid.points()
-            region = (float(x[lit[0]]), float(x[lit[-1]]))
-        else:
-            region = (grid.x_max, grid.x_max)
     return ComplexPotential(grid=grid, values=values, decay_profile=decay,
-                            shift_profile=shift, region=region)
+                            shift_profile=shift,
+                            region=_lit_span(grid, rabi) if region is None else region)
 
 
 def adiabaticity_ratio(rabi_max: float, detuning: float, linewidth: float,

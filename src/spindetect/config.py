@@ -281,6 +281,20 @@ def _schema_errors(node, schema: dict, path: tuple = ()):
                 yield from _schema_errors(node[key], sub, path + (key,))
 
 
+def _with_ints(node, schema: dict):
+    """node with every value that schema types "integer" as an int: the
+    checker accepts integral floats such as 9.0 there, and the numerics
+    need ints."""
+    if schema.get("type") == "integer":
+        return int(node)
+    if isinstance(node, dict):
+        props = schema.get("properties", {})
+        return {key: _with_ints(value, props.get(key, {})) for key, value in node.items()}
+    if isinstance(node, list) and "items" in schema:
+        return [_with_ints(item, schema["items"]) for item in node]
+    return node
+
+
 def _first_schema_error(raw: dict):
     """The (path, message) that sorts first by path, or None."""
     return min(_schema_errors(raw, CONFIG_SCHEMA), key=lambda e: e[0], default=None)
@@ -299,7 +313,8 @@ def resolve_config(raw: dict, kind: str | None = None, *,
                    require_kind: bool = True) -> dict:
     """Validate raw config against the schema, fill defaults, and run the
     kind-specific semantic checks.  Returns the fully resolved config with
-    its `kind` field set; the result re-validates and re-resolves to itself.
+    its `kind` field set and every integer field an int (9.0 passes the
+    schema and becomes 9); the result re-validates and re-resolves to itself.
     With require_kind=False a config without a run kind passes the generic
     checks only (used by `validate`, where the kind may come later from the
     subcommand).
@@ -309,7 +324,7 @@ def resolve_config(raw: dict, kind: str | None = None, *,
     error = _first_schema_error(raw)
     if error:
         _fail(".".join(map(str, error[0])), error[1])
-    cfg = _merge_defaults(_TOP_DEFAULTS, raw)
+    cfg = _merge_defaults(_TOP_DEFAULTS, _with_ints(raw, CONFIG_SCHEMA))
     num = cfg.setdefault("numerics", {})
     if "discrete" in num:
         num["discrete"] = _merge_defaults(_DISCRETE_DEFAULTS, num["discrete"])

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import arrival_stats, compare_curves, mass_accounting
-from .bath import RectangularBath, decay_rate_and_shift, markov_summary
+from .bath import RatesResult, RectangularBath, decay_rate_and_shift, markov_summary
 from .conditional import (build_conditional_potential, one_channel_limit_potential,
                           propagate_conditional, propagate_two_channel,
                           adiabaticity_ratio, norm_balance)
@@ -52,11 +52,7 @@ class Scene:
     packet: GaussianPacketSpec
     geometry: DetectorGeometry
     bath: RectangularBath | None
-    decay_rate: float
-    level_shift: float
-    rates_method: str
-    quadrature_decay_rate: float | None
-    quadrature_level_shift: float | None
+    rates: RatesResult
     correlation_time: float | None
     recurrence_time: float | None
 
@@ -92,50 +88,40 @@ def build_scene(cfg: dict) -> Scene:
     if "bath" in cfg:
         b = cfg["bath"]
         cutoff = b.get("cutoff_per_s", b.get("cutoff_ratio", 0.0) * resonance)
-        modes = b.get("modes")
         bath = RectangularBath(coupling=b["coupling_sqrt_per_s"], cutoff=cutoff,
-                               modes=None if modes is None else int(modes))
+                               modes=b.get("modes"))
         if bath.modes:
             t_rec = bath.recurrence_time()
 
+    tau_c = None
     if "rates_override" in cfg:
         ov = cfg["rates_override"]
-        decay, shift = ov["decay_per_s"], ov.get("shift_per_s", 0.0)
-        method = "override"
-        qd = qs = None
-        tau_c = None
+        rates = RatesResult(ov["decay_per_s"], ov.get("shift_per_s", 0.0), "override")
     elif bath is not None and bath.coupling > 0.0:
         rates = decay_rate_and_shift(bath, resonance)
-        decay, shift = rates.decay_rate, rates.level_shift
-        method = rates.method
-        qd, qs = rates.quadrature_decay_rate, rates.quadrature_level_shift
         tau_c = markov_summary(bath, resonance).correlation_time
     else:
-        decay = shift = 0.0
-        method = "zero_coupling"
-        qd = qs = None
-        tau_c = None
+        rates = RatesResult(0.0, 0.0, "zero_coupling")
 
     return Scene(units=units, packet=packet, geometry=geometry, bath=bath,
-                 decay_rate=decay, level_shift=shift, rates_method=method,
-                 quadrature_decay_rate=qd, quadrature_level_shift=qs,
-                 correlation_time=tau_c, recurrence_time=t_rec)
+                 rates=rates, correlation_time=tau_c, recurrence_time=t_rec)
 
 
 def _derived_block(scene: Scene, cfg: dict) -> dict:
     u = scene.units
+    rates = scene.rates
     out = {
         "time_unit_s": u.time_unit,
         "length_unit_m": u.length_unit,
         "mean_wavenumber_per_m": scene.packet.mean_wavenumber,
-        "decay_rate_per_s": scene.decay_rate,
-        "level_shift_per_s": scene.level_shift,
-        "rates_method": scene.rates_method,
+        "decay_rate_per_s": rates.decay_rate,
+        "level_shift_per_s": rates.level_shift,
+        "rates_method": rates.method,
         "shift_included": bool(cfg["include_shift"]),
     }
-    if scene.quadrature_decay_rate is not None:
-        out["quadrature_decay_rate_per_s"] = scene.quadrature_decay_rate
-        out["quadrature_level_shift_per_s"] = scene.quadrature_level_shift
+    if rates.quadrature_decay_rate is not None:
+        out["quadrature_decay_rate_per_s"] = rates.quadrature_decay_rate
+        out["quadrature_level_shift_per_s"] = rates.quadrature_level_shift
     if scene.correlation_time is not None:
         out["correlation_time_s"] = scene.correlation_time
     if scene.recurrence_time is not None:
@@ -163,17 +149,15 @@ def _space_grid(num: dict, unit: float) -> Grid1D:
 
 
 def _run_rates(cfg: dict, scene: Scene, out_dir: Path):
-    t_rec = scene.recurrence_time if scene.recurrence_time is not None else math.nan
-    tau_c = scene.correlation_time if scene.correlation_time is not None else math.nan
-    qd = scene.quadrature_decay_rate if scene.quadrature_decay_rate is not None else math.nan
-    qs = scene.quadrature_level_shift if scene.quadrature_level_shift is not None else math.nan
+    rates = scene.rates
+    values = (scene.geometry.resonance, rates.decay_rate, rates.level_shift,
+              rates.quadrature_decay_rate, rates.quadrature_level_shift,
+              scene.correlation_time, scene.recurrence_time)
     path = out_dir / "rates.csv"
     write_csv(path, ["resonance_per_s", "decay_rate_per_s", "level_shift_per_s",
                      "quadrature_decay_rate_per_s", "quadrature_level_shift_per_s",
                      "correlation_time_s", "recurrence_time_s"],
-              [np.array([v]) for v in
-               (scene.geometry.resonance, scene.decay_rate, scene.level_shift,
-                qd, qs, tau_c, t_rec)])
+              [np.array([math.nan if v is None else v]) for v in values])
     return {"rates": "rates.csv"}, {}, []
 
 
@@ -222,8 +206,8 @@ def _run_continuum(cfg: dict, scene: Scene, out_dir: Path):
 
     def detector(grid):
         potential = build_conditional_potential(
-            scene.decay_rate, scene.level_shift, scene.geometry.sensitivity, grid,
-            include_shift=cfg["include_shift"])
+            scene.rates.decay_rate, scene.rates.level_shift,
+            scene.geometry.sensitivity, grid, include_shift=cfg["include_shift"])
         return potential, potential.max_magnitude
 
     _, span, dt, psi0, potential, warn = _continuum_setup(cfg, scene, detector)

@@ -229,7 +229,7 @@ def test_free_limits_recover_analytic_packet(criterion_report):
     psi0 = free_evolved_packet(packet_c, -2.5 * t0u, grid_c)
     traj = propagate_conditional(psi0, pot, (-2.5 * t0u, 2.5 * t0u),
                                  0.004 * t0u, mass=packet_c.mass)
-    gap_cont = l2_distance(grid_c, traj.final_field,
+    gap_cont = l2_distance(grid_c, traj.final_fields[0],
                            free_evolved_packet(packet_c, 2.5 * t0u, grid_c))
 
     # mode-ladder synthesis with the spin coupling switched off

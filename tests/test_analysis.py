@@ -16,6 +16,7 @@ from spindetect import (
     propagate_conditional,
 )
 from spindetect.analysis import mass_fractions
+from spindetect.conditional import ConditionalTrajectory
 from spindetect.errors import ConfigurationError, NumericsError
 from spindetect.runner import run_config
 
@@ -184,9 +185,10 @@ def short_absorbing_run():
 def test_mass_accounting_matches_run_ledger(short_absorbing_run):
     traj = short_absorbing_run
     split = mass_accounting(traj)
-    assert set(split) == set(traj.mass_split)
-    for key, value in traj.mass_split.items():
-        assert split[key] == pytest.approx(value, abs=1e-9)
+    assert split == mass_fractions(traj.final_fields[0], traj.grid, traj.region,
+                                   traj.no_detection_prob, traj.detection_density)
+    assert set(split) == {"reflected", "transmitted_undetected",
+                          "residual_in_region", "detected"}
     assert sum(split.values()) == pytest.approx(1.0, abs=1e-7)
     # the packet is still draining, so the run reports a residual warning
     assert any("residual mass" in w for w in traj.warnings)
@@ -205,13 +207,31 @@ def test_mass_accounting_region_override(short_absorbing_run):
 
 def test_mass_accounting_rejects_tampered_field(short_absorbing_run):
     traj = short_absorbing_run
-    original = traj.final_field.copy()
+    original = traj.final_fields.copy()
     try:
-        traj.final_field *= 1.05
+        traj.final_fields[0] *= 1.05
         with pytest.raises(NumericsError, match="mass ledger"):
             mass_accounting(traj)
     finally:
-        traj.final_field[:] = original
+        traj.final_fields[:] = original
+
+
+def test_mass_accounting_rejects_a_ledger_off_one():
+    """A record whose final field and survival series disagree: half the
+    mass transmitted plus 0.2 detected is not the launched 1."""
+    grid = internal_grid(-2.0, 2.0, 0.5)
+    field = np.zeros((1, grid.n_points), dtype=complex)
+    field[0, -1] = np.sqrt(0.5 / grid.spacing)
+    traj = ConditionalTrajectory(
+        grid=grid, times=np.arange(3.0),
+        norms={"no_detection_prob": np.array([1.0, 0.9, 0.8])},
+        detection_density_times=np.array([0.5, 1.5]),
+        detection_density=np.array([0.1, 0.1]),
+        snapshot_times=np.array([0.0, 2.0]),
+        snapshots=np.zeros((1, 2, grid.n_points), dtype=complex),
+        final_fields=field, region=(0.0, 0.0))
+    with pytest.raises(NumericsError, match="mass ledger sums to 0.7"):
+        mass_accounting(traj)
 
 
 @pytest.mark.parametrize("grid,edge_wall", [

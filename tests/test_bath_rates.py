@@ -109,6 +109,45 @@ def test_kernel_closed_form_matches_quadrature():
                                atol=1e-10 * abs(closed[0]))
 
 
+def _sharp_cutoff_copy(g2=0.01, cutoff=4.6):
+    """The sharp-cutoff density rebuilt as a GeneralBath, and the
+    RectangularBath whose closed forms it must reproduce (resonance 1)."""
+    amp = np.sqrt(2.0 * np.pi * g2 / cutoff)
+    return (GeneralBath(dispersion=1.0, cutoff=cutoff,
+                        coupling=lambda w: np.full(np.shape(w), amp)),
+            RectangularBath(coupling=np.sqrt(g2), cutoff=cutoff))
+
+
+@pytest.mark.parametrize("tau", [1e2, 1e4, 3e4, 5e4])
+def test_kernel_quadrature_resolves_up_to_its_cap(tau):
+    general, sharp = _sharp_cutoff_copy()
+    quad = correlation_kernel(general, 1.0, tau)
+    closed = correlation_kernel(sharp, 1.0, tau)
+    assert abs(quad - closed) < 1e-8 * abs(closed)
+
+
+@pytest.mark.parametrize("tau", [1e5, 2e5])
+def test_kernel_quadrature_raises_past_its_cap(tau):
+    """At 2e5 the capped rule was 18.5 |kappa| off; it now refuses."""
+    general, _ = _sharp_cutoff_copy()
+    with pytest.raises(NumericsError, match="does not resolve"):
+        correlation_kernel(general, 1.0, np.array([1.0, tau]))
+
+
+def test_markov_summary_of_a_quadrature_kernel_ends_where_it_resolves():
+    """The scan stops at the quadrature's last resolved delay, so the
+    sharp-cutoff copy finds the closed form's correlation time (43.76 at
+    resonance 1) to within one of the 600 geometric scan steps."""
+    general, sharp = _sharp_cutoff_copy()
+    quad = markov_summary(general, 1.0)
+    closed = markov_summary(sharp, 1.0)
+    assert closed.correlation_time == pytest.approx(43.76, abs=5e-3)
+    step = (1e9) ** (1.0 / 599.0)
+    assert closed.correlation_time / step <= quad.correlation_time
+    assert quad.correlation_time <= closed.correlation_time * step
+    assert quad.ratio_at_50_periods == pytest.approx(closed.ratio_at_50_periods, rel=1e-8)
+
+
 def test_kernel_series_continuous_at_switch():
     bath = make_bath()
     # the small-x series hands over to the closed form near x = 1e-4

@@ -12,6 +12,7 @@ from spindetect import (
     adiabaticity_ratio,
     build_conditional_potential,
     free_evolved_packet,
+    mass_accounting,
     one_channel_limit_potential,
     propagate_conditional,
     propagate_two_channel,
@@ -105,7 +106,7 @@ def test_density_on_decay_support_matches_full_grid():
     psi0 = free_evolved_packet(packet, 0.0, grid)
     traj = propagate_conditional(psi0, pot, (0.0, 1.0 * T0), 0.01 * T0,
                                  mass=packet.mass, snapshots=101)
-    snaps = traj.snapshots
+    snaps = traj.snapshots[0]
     assert snaps.shape[0] == traj.times.size
     full = np.array([np.sum(decay * grid.spacing * np.abs(0.5 * (a + b)) ** 2)
                      for a, b in zip(snaps[:-1], snaps[1:])])
@@ -142,8 +143,9 @@ def test_two_channel_step_matches_dense_solve():
     ident = np.eye(2 * n)
     expected = np.linalg.solve(ident + 0.5j * dt * ham, (ident - 0.5j * dt * ham) @ y)
     scale = np.max(np.abs(expected))
-    np.testing.assert_allclose(traj.final_ground, expected[0::2], rtol=0, atol=1e-13 * scale)
-    np.testing.assert_allclose(traj.final_excited, expected[1::2], rtol=0,
+    np.testing.assert_allclose(traj.final_fields[0], expected[0::2], rtol=0,
+                               atol=1e-13 * scale)
+    np.testing.assert_allclose(traj.final_fields[1], expected[1::2], rtol=0,
                                atol=1e-13 * scale)
 
 
@@ -166,7 +168,7 @@ def _free_run(dt_t0=0.01, span=(-1.0, 1.0)):
 def test_free_propagation_matches_analytic():
     packet, grid, traj = _free_run()
     exact = free_evolved_packet(packet, 1.0 * T0, grid)
-    assert l2_distance(grid, traj.final_field, exact) < 1e-5
+    assert l2_distance(grid, traj.final_fields[0], exact) < 1e-5
     assert traj.final_survival == pytest.approx(1.0, abs=1e-9)
     assert np.all(traj.detection_density == 0.0)
     # zero-decay run: the checker has nothing to compare and reports 0
@@ -208,7 +210,7 @@ def test_drain_identity_is_exact(absorbing_run):
 
 def test_mass_split_is_consistent(absorbing_run):
     _, _, _, traj = absorbing_run
-    split = traj.mass_split
+    split = mass_accounting(traj)
     assert set(split) == {"reflected", "transmitted_undetected",
                           "residual_in_region", "detected"}
     assert sum(split.values()) == pytest.approx(1.0, abs=1e-9)
@@ -255,7 +257,7 @@ def test_dt_refinement_is_converged(absorbing_run):
     fine = propagate_conditional(psi0, pot, (0.0, 2.0 * T0), 0.0025 * T0,
                                  mass=packet.mass)
     assert abs(fine.final_survival - traj.final_survival) < 1e-6
-    assert l2_distance(grid, fine.final_field, traj.final_field) < 1e-4
+    assert l2_distance(grid, fine.final_fields[0], traj.final_fields[0]) < 1e-4
 
 
 def test_snapshots_and_csv(absorbing_run, tmp_path):
@@ -264,10 +266,11 @@ def test_snapshots_and_csv(absorbing_run, tmp_path):
     short = propagate_conditional(psi0, pot, (0.0, 1.0 * T0), 0.005 * T0,
                                   mass=packet.mass, snapshots=5)
     assert short.snapshot_times.shape == (5,)
-    assert short.snapshots.shape == (5, grid.n_points)
+    assert short.snapshots.shape == (1, 5, grid.n_points)
+    assert short.final_fields.shape == (1, grid.n_points)
     # first snapshot round trips through the internal rescaling
-    np.testing.assert_allclose(short.snapshots[0], psi0, rtol=1e-14, atol=1e-12)
-    np.testing.assert_array_equal(short.snapshots[-1], short.final_field)
+    np.testing.assert_allclose(short.snapshots[0, 0], psi0, rtol=1e-14, atol=1e-12)
+    np.testing.assert_array_equal(short.snapshots[0, -1], short.final_fields[0])
     short.to_csv(tmp_path / "run.csv")
     cols = read_csv(tmp_path / "run.csv")
     assert list(cols) == ["t_s", "no_detection_prob", "detection_density_per_s"]
@@ -286,7 +289,7 @@ def test_initial_norm_mismatch_is_flagged(absorbing_run):
     traj = propagate_conditional(psi0, pot, (0.0, 0.1 * T0), 0.005 * T0,
                                  mass=packet.mass)
     assert any("renormalized" in w for w in traj.warnings)
-    assert sum(traj.mass_split.values()) == pytest.approx(1.0, abs=1e-9)
+    assert sum(mass_accounting(traj).values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_edge_mass_triggers_warning():
@@ -329,21 +332,18 @@ def test_propagation_guards():
                               (0.0, 0.1 * T0), 0.01 * T0, mass=packet.mass)
 
 
-def _fake_trajectory(p0, split=None):
+def _fake_trajectory(p0, norms=()):
     grid = internal_grid(-2.0, 2.0, 0.5)
     n = len(p0) - 1
-    if split is None:
-        split = {"reflected": 0.0, "transmitted_undetected": float(p0[-1]),
-                 "residual_in_region": 0.0, "detected": float(p0[0] - p0[-1])}
     return ConditionalTrajectory(
         grid=grid, times=np.arange(n + 1, dtype=float),
-        no_detection_prob=np.asarray(p0, dtype=float),
+        norms={"no_detection_prob": np.asarray(p0, dtype=float), **dict(norms)},
         detection_density_times=np.arange(n) + 0.5,
         detection_density=np.zeros(n),
         snapshot_times=np.array([0.0, float(n)]),
-        snapshots=np.zeros((2, grid.n_points), dtype=complex),
-        final_field=np.zeros(grid.n_points, dtype=complex),
-        region=(0.0, 1.0), mass_split=split)
+        snapshots=np.zeros((1, 2, grid.n_points), dtype=complex),
+        final_fields=np.zeros((1, grid.n_points), dtype=complex),
+        region=(0.0, 1.0))
 
 
 def test_trajectory_record_rejects_bad_histories():
@@ -351,12 +351,22 @@ def test_trajectory_record_rejects_bad_histories():
         _fake_trajectory([1.0, 0.9, 0.95, 0.9])
     with pytest.raises(NumericsError, match=r"left \[0, 1\]"):
         _fake_trajectory([1.2, 1.1, 1.0])
-    with pytest.raises(NumericsError, match="mass ledger"):
-        _fake_trajectory([1.0, 0.9, 0.8],
-                         split={"reflected": 0.0, "transmitted_undetected": 0.5,
-                                "residual_in_region": 0.0, "detected": 0.2})
-    # a clean history builds fine
-    _fake_trajectory([1.0, 0.9, 0.8])
+    # only the lead norm is checked: the excited mass of a two-channel run
+    # may rise
+    _fake_trajectory([1.0, 0.9, 0.8], norms={"excited_mass": [0.0, 0.1, 0.2]})
+
+
+def test_record_csv_columns_follow_the_norms(tmp_path):
+    """One writer for both models: t_s, every norm averaged onto the
+    midpoints in order, then the density."""
+    traj = _fake_trajectory([1.0, 0.9, 0.8],
+                            norms={"excited_mass": np.array([0.0, 0.1, 0.2])})
+    traj.to_csv(tmp_path / "run.csv")
+    cols = read_csv(tmp_path / "run.csv")
+    assert list(cols) == ["t_s", "no_detection_prob", "excited_mass",
+                          "detection_density_per_s"]
+    np.testing.assert_allclose(cols["no_detection_prob"], [0.95, 0.85], rtol=1e-15)
+    np.testing.assert_allclose(cols["excited_mass"], [0.05, 0.15], rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +393,14 @@ def test_two_channel_balance_and_drain():
                                  grid, (-2.0 * T0, 2.0 * T0), 0.02 * T0,
                                  mass=packet.mass)
     dt = traj.times[1] - traj.times[0]
-    drain = -np.diff(traj.survival_prob) / dt
+    p0 = traj.no_detection_prob
+    drain = -np.diff(p0) / dt
     peak = np.max(traj.detection_density)
     assert peak > 0.0
     assert np.max(np.abs(traj.detection_density - drain)) < 1e-10 * peak
     emitted = np.sum(traj.detection_density) * dt
-    assert traj.survival_prob[0] - traj.survival_prob[-1] == pytest.approx(
-        emitted, abs=1e-12)
-    assert np.all(traj.excited_mass <= traj.survival_prob + 1e-15)
+    assert p0[0] - p0[-1] == pytest.approx(emitted, abs=1e-12)
+    assert np.all(traj.norms["excited_mass"] <= p0 + 1e-15)
     assert traj.warnings == []
 
 
@@ -406,10 +416,12 @@ def test_two_channel_with_dark_drive_is_free():
                                  grid, (-1.0 * T0, 1.0 * T0), 0.01 * T0,
                                  mass=packet.mass)
     exact = free_evolved_packet(packet, 1.0 * T0, grid)
-    assert l2_distance(grid, traj.final_ground, exact) < 1e-5
-    assert np.max(np.abs(traj.final_excited)) == 0.0
+    assert l2_distance(grid, traj.final_fields[0], exact) < 1e-5
+    assert np.max(np.abs(traj.final_fields[1])) == 0.0
     assert np.max(traj.detection_density) == 0.0
-    assert traj.survival_prob[-1] == pytest.approx(1.0, abs=1e-9)
+    assert traj.final_survival == pytest.approx(1.0, abs=1e-9)
+    # a dark drive lights nothing: the region collapses onto the right edge
+    assert traj.region == (grid.x_max, grid.x_max)
 
 
 def test_two_channel_csv_and_snapshots(tmp_path):
@@ -422,10 +434,13 @@ def test_two_channel_csv_and_snapshots(tmp_path):
                                  0.0, 2.0 * u.reference_frequency, grid,
                                  (0.0, 1.0 * T0), 0.02 * T0,
                                  mass=packet.mass, snapshots=4)
-    assert traj.ground_snapshots.shape == (4, grid.n_points)
-    assert traj.excited_snapshots.shape == (4, grid.n_points)
-    np.testing.assert_array_equal(traj.ground_snapshots[-1], traj.final_ground)
+    assert traj.snapshots.shape == (2, 4, grid.n_points)
+    assert traj.final_fields.shape == (2, grid.n_points)
+    np.testing.assert_array_equal(traj.snapshots[:, -1], traj.final_fields)
     assert traj.warnings == []
+    # the region is the lit span, as one_channel_limit_potential defaults it
+    assert traj.region == one_channel_limit_potential(rabi, 0.0, 1.0, grid).region
+    assert traj.region[0] >= 0.0 and traj.region[1] <= 10.0 * L0
     traj.to_csv(tmp_path / "two.csv")
     cols = read_csv(tmp_path / "two.csv")
     assert list(cols) == ["t_s", "no_detection_prob", "excited_mass",
@@ -454,6 +469,19 @@ def test_two_channel_validation():
     with pytest.raises(ConfigurationError, match="reduce dt"):
         propagate_two_channel(psi, zeros, good, 0.0, 100.0 * u.reference_frequency,
                               grid, (0.0, 1.0 * T0), 0.05 * T0, mass=packet.mass)
+
+
+def test_two_channel_record_bounds_the_survival():
+    """The two-channel run shares the record's check that P0 stays in
+    [0, 1]: an over-normalized launch is rejected."""
+    u = make_units()
+    packet = slow_packet()
+    grid = internal_grid(-90.0, 90.0, 0.2)
+    psi = 1.2 * free_evolved_packet(packet, 0.0, grid)
+    with pytest.raises(NumericsError, match=r"left \[0, 1\]"):
+        propagate_two_channel(psi, np.zeros_like(psi), np.zeros(grid.n_points), 0.0,
+                              u.reference_frequency, grid, (0.0, 0.1 * T0), 0.01 * T0,
+                              mass=packet.mass)
 
 
 def test_two_channel_guards():
@@ -566,6 +594,6 @@ def test_strong_damping_reduction_tracks_two_channel():
     gap = np.max(np.abs(two.detection_density - one.detection_density))
     assert gap / peak < 0.08
     # both runs drain a comparable total
-    emitted_two = 1.0 - two.survival_prob[-1]
+    emitted_two = 1.0 - two.final_survival
     emitted_one = 1.0 - one.final_survival
     assert emitted_two == pytest.approx(emitted_one, rel=0.05)

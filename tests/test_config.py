@@ -48,6 +48,32 @@ def test_resolution_is_idempotent():
     assert resolve_config(cfg) == cfg
 
 
+def _integer_paths(schema, where=()):
+    """Dotted paths of every "integer" field of the schema."""
+    if schema.get("type") == "integer":
+        yield ".".join(where)
+    for key, sub in schema.get("properties", {}).items():
+        yield from _integer_paths(sub, where + (key,))
+
+
+def test_integral_floats_run_as_ints(tmp_path):
+    """9.0 passes the schema's integer type; the run must then see an int.
+    The compare run reads every integer field of the schema, so each is
+    given as a float here."""
+    cfg = small_compare_config()
+    paths = sorted(_integer_paths(CONFIG_SCHEMA))
+    assert paths == ["bath.modes", "comparison.n_resample",
+                     "numerics.continuum.snapshots", "numerics.discrete.k_nodes"]
+    for path in paths:
+        cfg = set_by_path(cfg, path, float(get_by_path(cfg, path)))
+    manifest = run_config(cfg, tmp_path)
+    written = json.loads((tmp_path / "manifest.json").read_text())
+    for resolved in (manifest["config"], written["config"]):
+        for path in paths:
+            value = get_by_path(resolved, path)
+            assert type(value) is int and value == get_by_path(cfg, path)
+
+
 def test_preset_listing_and_unknown_preset():
     assert "figure1" in preset_names()
     with pytest.raises(ConfigurationError, match="figure1"):

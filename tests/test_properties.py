@@ -1,6 +1,8 @@
-"""Property tests of the conditional propagators: for random detectors and
-steps inside the phase and kinetic bounds, the survival probability never
-rises and the recorded density balances its drain (norm_balance)."""
+"""Property tests of both routes.  Conditional propagators: for random
+detectors and steps inside the phase and kinetic bounds, the survival
+probability never rises and the recorded density balances its drain
+(norm_balance).  Mode ladder: for random (N, G, cutoff) baths the interior
+eigenbasis is unitary and the matching at x = 0 conserves flux."""
 
 import numpy as np
 import pytest
@@ -8,14 +10,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spindetect import (
+    CESIUM_MASS_KG,
     HBAR,
     ComplexPotential,
+    RectangularBath,
+    interior_eigenmodes,
+    match_at_origin,
     norm_balance,
     propagate_conditional,
     propagate_two_channel,
 )
 
-from helpers import PROPERTY_SETTINGS, internal_grid, make_units
+from helpers import (COUPLING, PROPERTY_SETTINGS, RESONANCE, fig1_geometry, fig1_packet,
+                     internal_grid, make_units)
 
 U = make_units()
 OMEGA = U.reference_frequency
@@ -111,4 +118,25 @@ def test_two_channel_contracts_and_balances(shape, rabi, linewidth, detuning, k0
                                  detuning * OMEGA, linewidth * OMEGA, grid,
                                  (0.0, n_steps * dt), dt, mass=U.mass,
                                  kinetic_safety=KINETIC_SAFETY)
-    _assert_properties(traj, traj.survival_prob)
+    _assert_properties(traj, traj.no_detection_prob)
+
+
+@PROPERTY_SETTINGS
+@given(modes=st.integers(1, 80), coupling=st.floats(0.0, 30.0),
+       cutoff_ratio=st.floats(1.05, 10.0),
+       k_fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_ladder_basis_is_unitary_and_matching_conserves_flux(modes, coupling,
+                                                             cutoff_ratio, k_fractions):
+    """Random ladders up to 30x the worked-example coupling: the interior
+    eigenvectors are unitary to 1e-12, and at incident k drawn across the
+    worked-example packet's band the matching's flux defect stays < 1e-8."""
+    bath = RectangularBath(coupling=coupling * COUPLING, cutoff=cutoff_ratio * RESONANCE,
+                           modes=modes)
+    basis = interior_eigenmodes(fig1_geometry(), bath)
+    u = basis.vectors
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(modes + 1), rtol=0, atol=1e-12)
+    lo, hi = fig1_packet().wavenumber_window(8.0)
+    k = lo + (hi - lo) * np.array(k_fractions)
+    sol = match_at_origin(basis, CESIUM_MASS_KG, k)
+    assert not sol.failed.any()
+    assert np.max(sol.flux_defect) < 1e-8
