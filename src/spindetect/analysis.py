@@ -177,20 +177,22 @@ def compare_curves(times_a: np.ndarray, curve_a: np.ndarray,
                            linf_relative=rel_inf, l2_relative=rel_2)
 
 
-def mass_fractions(field: np.ndarray, grid, region: tuple[float, float],
+def mass_fractions(fields: np.ndarray, grid, region: tuple[float, float],
                    no_detection_prob: np.ndarray,
                    detection_density: np.ndarray) -> dict[str, float]:
     """The one mass ledger of a conditional run, behind mass_accounting:
-    the final field's mass left of, right of and inside region, and
-    P0(0) - P0(end), over P0(0).  Plain sums h * sum |psi|^2, the inner
-    product of P0, so the four total 1 to roundoff.  P0 moves by
-    rounding only when detection_density is identically zero, so detected
-    is 0 then; a drop below zero is rounding too (ConditionalTrajectory
-    rejects a real rise of P0) and is reported as 0.
+    the final mass left of, right of and inside region, and
+    P0(0) - P0(end), over P0(0).  fields is one field (x,) or a channel
+    stack (channel, x).  The mass is h * sum |psi|^2 summed over channels,
+    the inner product of P0 (a two-channel run's P0 is the combined norm),
+    so the four total 1 to roundoff.  P0 moves by rounding only when
+    detection_density is identically zero, so detected is 0 then; a drop
+    below zero is rounding too (ConditionalTrajectory rejects a real rise
+    of P0) and is reported as 0.
     """
     lo, hi = float(region[0]), float(region[1])
     x = grid.points()
-    dens = np.abs(field) ** 2
+    dens = np.sum(np.abs(np.atleast_2d(fields)) ** 2, axis=0)
     left = x < lo
     right = x > hi
     inside = ~(left | right)
@@ -209,15 +211,16 @@ def mass_accounting(trajectory, region: tuple[float, float] | None = None
                     ) -> dict[str, float]:
     """Where did the launched packet end up: reflected (left of the sensitive
     region), transmitted without detection (right of it), still inside it,
-    or detected: mass_fractions of a one-channel conditional run, optionally
-    against another region.  This is the run's only ledger and the only
-    check that it sums to 1; a ledger that does not is a NumericsError.
+    or detected: mass_fractions of a conditional run's final fields (every
+    channel of a two-channel run), optionally against another region.  This
+    is the run's only ledger and the only check that it sums to 1; a ledger
+    that does not is a NumericsError.
 
     A residual inside the region above RESIDUAL_WARN means the run stopped
     before the packet cleared the detector; a warning string is appended to
     the trajectory's warning list in that case.
     """
-    split = mass_fractions(trajectory.final_fields[0], trajectory.grid,
+    split = mass_fractions(trajectory.final_fields, trajectory.grid,
                            trajectory.region if region is None else region,
                            trajectory.no_detection_prob, trajectory.detection_density)
     total = sum(split.values())

@@ -56,9 +56,7 @@ PV_ORDER = 64
 PV_MAX_SEGMENTS = 1024
 PV_TOLERANCE = 1e-9
 # segment cap of the kernel quadrature (10 Gauss nodes a segment); it
-# resolves delays up to where a segment spans two periods of the fastest
-# phase, five nodes a period: a segment that wide integrates an oscillation
-# to 4e-9 of its length, and past it the error grows as the phase^20
+# bounds the delays the quadrature resolves (_kernel_tau_max)
 KERNEL_SEGMENTS_MAX = 20000
 
 
@@ -216,8 +214,11 @@ def _gauss_legendre(lo: float, hi: float, n_seg: int, order: int
 
 def _kernel_tau_max(spectrum) -> float:
     """Largest delay _kernel_quadrature resolves: each of its
-    KERNEL_SEGMENTS_MAX segments then spans two periods of cutoff * tau."""
-    return 2.0 * TWO_PI * KERNEL_SEGMENTS_MAX / spectrum.cutoff
+    KERNEL_SEGMENTS_MAX segments then spans 1.84 periods of cutoff * tau.
+    Near two whole periods a segment the errors of the segments add up in
+    phase: on the sharp-cutoff example the relative error at the cap is
+    8.1e-9 at 1.84 periods, 2.5e-8 at 1.9 and 4.4e-4 at 2."""
+    return 1.84 * TWO_PI * KERNEL_SEGMENTS_MAX / spectrum.cutoff
 
 
 def _kernel_quadrature(spectrum, resonance: float, tau: np.ndarray) -> np.ndarray:

@@ -24,8 +24,15 @@ with channel wavenumbers fixed by energy conservation,
 
 principal branches, so closed channels decay away from the interface
 (Im k_l > 0 makes e^{-i k_l x} -> 0 for x -> -inf, Im q_mu > 0 makes
-e^{i q_mu x} -> 0 for x -> +inf). Matching value and derivative at x = 0
-yields one dense 2(N+1) linear system per k.
+e^{i q_mu x} -> 0 for x -> +inf). Matching is solved for the bare-channel
+values v of the field at x = 0: value continuity gives R0 = v_0 - 1,
+R_l = v_l, alpha = U^H v (U the eigenvectors), and derivative continuity
+reads (K + Q) v = 2k e_0, K = diag(k, k_1, ..., k_N), Q = U diag(q) U^H:
+one (N+1) x (N+1) system per k. Every term of v^H (K + Q) v =
+k|v_0|^2 + sum_l k_l |v_l|^2 + sum_mu q_mu |(U^H v)_mu|^2 lies in the
+closed first quadrant (principal roots), so with k > 0 it vanishes for
+v != 0 only if some k_l and some q_mu are exactly 0 at once; otherwise
+0 is outside the numerical range and the system is nonsingular.
 
 Wave packets are synthesized from these states on a fixed k-quadrature;
 the flip probability is P_flip(t) = 1 - |no-flip component|^2 and the
@@ -193,37 +200,6 @@ class ScatteringSolution:
         return share / self.k
 
 
-def _assemble_matching(basis: InteriorEigenbasis, k_int: np.ndarray,
-                       k_l: np.ndarray, q_mu: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked dense systems A u = b, unknowns u = [R0, R_l, alpha_mu]."""
-    nk = k_int.shape[0]
-    n = basis.n_modes
-    dim = 2 * (n + 1)
-    u_mat = basis.vectors
-    a = np.zeros((nk, dim, dim), dtype=complex)
-    b = np.zeros((nk, dim), dtype=complex)
-    cols_alpha = slice(n + 1, dim)
-    # value continuity, channel 0: R0 - sum_mu U[0,mu] alpha_mu = -1
-    a[:, 0, 0] = 1.0
-    a[:, 0, cols_alpha] = -u_mat[0, :][None, :]
-    b[:, 0] = -1.0
-    # value continuity, channels l: R_l - sum_mu U[l,mu] alpha_mu = 0
-    for ell in range(1, n + 1):
-        a[:, ell, ell] = 1.0
-        a[:, ell, cols_alpha] = -u_mat[ell, :][None, :]
-    # derivative continuity, channel 0: -i k R0 - sum_mu i q_mu U[0,mu] alpha = -i k
-    row = n + 1
-    a[:, row, 0] = -1j * k_int
-    a[:, row, cols_alpha] = -1j * q_mu * u_mat[0, :][None, :]
-    b[:, row] = -1j * k_int
-    # derivative continuity, channels l: -i k_l R_l - sum_mu i q_mu U[l,mu] alpha = 0
-    for ell in range(1, n + 1):
-        a[:, row + ell, ell] = -1j * k_l[:, ell - 1]
-        a[:, row + ell, cols_alpha] = -1j * q_mu * u_mat[ell, :][None, :]
-    return a, b
-
-
 def _matching_residual(basis, k_int, k_l, q_mu, r0, r_l, alpha) -> np.ndarray:
     """Continuity mismatch re-evaluated from the solution amplitudes."""
     u_mat = basis.vectors
@@ -244,9 +220,10 @@ def _matching_residual(basis, k_int, k_l, q_mu, r0, r_l, alpha) -> np.ndarray:
 def match_at_origin(basis: InteriorEigenbasis, mass: float, k) -> ScatteringSolution:
     """Solve the value+derivative matching for each incident k (SI, > 0).
 
-    One dense 2(N+1) solve per node, batched. A singular node is retried at
-    k(1+1e-12); a node failing both attempts is marked in `failed` and its
-    amplitudes set to NaN.
+    One (N+1) x (N+1) channel-space solve per node, batched; it can be
+    singular only where some k_l and some q_mu are exactly 0 together (see
+    the module docstring). A singular node is retried at k(1+1e-12); a node
+    failing both attempts is marked in `failed`, its amplitudes NaN.
     """
     units = UnitSystem(reference_frequency=basis.resonance, mass=mass)
     k_si = np.atleast_1d(np.asarray(k, dtype=float))
@@ -254,23 +231,27 @@ def match_at_origin(basis: InteriorEigenbasis, mass: float, k) -> ScatteringSolu
         raise ConfigurationError("incident wavenumbers must be positive")
     k_int = np.asarray(units.wavenumber_in(k_si))
     n = basis.n_modes
+    u_mat = basis.vectors
 
     def solve_block(k_block: np.ndarray):
+        """Channel values v at x = 0 from (K + U diag(q) U^H) v = 2k e_0."""
         k_l, q_mu = _wavenumbers_internal(basis, k_block)
-        a, b = _assemble_matching(basis, k_block, k_l, q_mu)
-        sol = np.linalg.solve(a, b[..., None])[..., 0]
-        return k_l, q_mu, sol
+        a = (u_mat[None, :, :] * q_mu[:, None, :]) @ u_mat.conj().T
+        diag = np.arange(n + 1)
+        a[:, diag, diag] += np.concatenate([k_block[:, None], k_l], axis=1)
+        b = np.zeros((len(k_block), n + 1, 1), dtype=complex)
+        b[:, 0, 0] = 2.0 * k_block
+        return k_l, q_mu, np.linalg.solve(a, b)[..., 0]
 
     try:
         k_l, q_mu, sol = solve_block(k_int)
         bad = ~np.all(np.isfinite(sol), axis=1)
     except np.linalg.LinAlgError:
         k_l, q_mu = _wavenumbers_internal(basis, k_int)
-        sol = np.full((len(k_int), 2 * (n + 1)), np.nan, dtype=complex)
+        sol = np.full((len(k_int), n + 1), np.nan, dtype=complex)
         bad = np.ones(len(k_int), dtype=bool)
-    failed = np.zeros(len(k_int), dtype=bool)
+    failed = bad.copy()
     for idx in np.nonzero(bad)[0]:
-        recovered = False
         for attempt in (k_int[idx], k_int[idx] * (1.0 + 1e-12)):
             try:
                 kl_i, qm_i, sol_i = solve_block(np.array([attempt]))
@@ -278,13 +259,12 @@ def match_at_origin(basis: InteriorEigenbasis, mass: float, k) -> ScatteringSolu
                 continue
             if np.all(np.isfinite(sol_i)):
                 k_l[idx], q_mu[idx], sol[idx] = kl_i[0], qm_i[0], sol_i[0]
-                recovered = True
+                failed[idx] = False
                 break
-        failed[idx] = not recovered
 
-    r0 = sol[:, 0]
-    r_l = sol[:, 1:n + 1]
-    alpha = sol[:, n + 1:]
+    r0 = sol[:, 0] - 1.0
+    r_l = sol[:, 1:]
+    alpha = sol @ u_mat.conj()
     with np.errstate(invalid="ignore"):
         residual = _matching_residual(basis, k_int, k_l, q_mu, r0, r_l, alpha)
         open_l = np.abs(k_l.imag) == 0.0

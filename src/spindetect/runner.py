@@ -129,13 +129,19 @@ def _derived_block(scene: Scene, cfg: dict) -> dict:
     return out
 
 
-def _time_grid(num: dict, unit: float) -> np.ndarray:
+def _time_grid(num: dict, unit: float) -> tuple[np.ndarray, list[str]]:
+    """Times over the nearest whole number of steps, and a warning if that
+    moves the end of the window."""
     start, stop, step = (num["time_start_t0"], num["time_stop_t0"],
                          num["time_step_t0"])
     n = int(round((stop - start) / step))
     if n < 2:
         raise ConfigurationError("time window spans fewer than two steps")
-    return (start + step * np.arange(n + 1)) * unit
+    end = start + n * step
+    warn = [] if abs(end - stop) <= 1e-9 * max(abs(stop), step) else [
+        f"time window ends at {end:.12g} t0, not the configured {stop:.12g} t0: "
+        f"the span is not a whole number of {step:.12g} t0 steps"]
+    return (start + step * np.arange(n + 1)) * unit, warn
 
 
 def _space_grid(num: dict, unit: float) -> Grid1D:
@@ -164,7 +170,7 @@ def _run_rates(cfg: dict, scene: Scene, out_dir: Path):
 def _run_discrete(cfg: dict, scene: Scene, out_dir: Path):
     num = cfg["numerics"]["discrete"]
     u = scene.units
-    times = _time_grid(num, u.time_unit)
+    times, warn = _time_grid(num, u.time_unit)
     x_min = num["x_min_l0"] * u.length_unit
     x_max = num["x_max_l0"] * u.length_unit
     right_points = int(round(num["x_max_l0"] / num["right_spacing_l0"])) + 1
@@ -176,7 +182,7 @@ def _run_discrete(cfg: dict, scene: Scene, out_dir: Path):
     stats = arrival_stats(series.times, series.detection_density)
     summary = {"discrete": {"flip_probability_final": float(series.flip_probability[-1]),
                             "arrival": stats.as_dict()}}
-    return {"w1_disc": "w1_disc.csv"}, summary, list(series.warnings), series
+    return {"w1_disc": "w1_disc.csv"}, summary, warn + series.warnings, series
 
 
 def _continuum_setup(cfg: dict, scene: Scene, detector):
@@ -188,12 +194,11 @@ def _continuum_setup(cfg: dict, scene: Scene, detector):
     num = cfg["numerics"]["continuum"]
     u = scene.units
     grid = _space_grid(num, u.length_unit)
-    times = _time_grid(num, u.time_unit)
+    times, warn = _time_grid(num, u.time_unit)
     t0, t1 = float(times[0]), float(times[-1])
     dt = num["time_step_t0"] * u.time_unit
     built, vmax = detector(grid)
     refine = max(1, math.ceil(dt * vmax / (HBAR * PHASE_BUDGET))) if vmax > 0.0 else 1
-    warn = []
     if refine > 1:
         warn.append(f"time step refined x{refine} to respect the potential "
                     "phase bound dt|V|/hbar < 0.1")

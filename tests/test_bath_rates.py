@@ -28,7 +28,7 @@ from spindetect import (
     rate_map_3d,
     scaled_ensemble,
 )
-from spindetect.bath import _exp1, _gauss_legendre, _kernel_quadrature
+from spindetect.bath import _exp1, _gauss_legendre, _kernel_quadrature, _kernel_tau_max
 from spindetect.errors import ConfigurationError, NumericsError
 
 from helpers import (
@@ -118,9 +118,12 @@ def _sharp_cutoff_copy(g2=0.01, cutoff=4.6):
             RectangularBath(coupling=np.sqrt(g2), cutoff=cutoff))
 
 
-@pytest.mark.parametrize("tau", [1e2, 1e4, 3e4, 5e4])
+@pytest.mark.parametrize("tau", [1e2, 1e4, 3e4, 5e4, pytest.param(None, id="cap")])
 def test_kernel_quadrature_resolves_up_to_its_cap(tau):
+    """Also at the cap itself, where two periods a segment were 4.4e-4 off."""
     general, sharp = _sharp_cutoff_copy()
+    if tau is None:
+        tau = _kernel_tau_max(general)
     quad = correlation_kernel(general, 1.0, tau)
     closed = correlation_kernel(sharp, 1.0, tau)
     assert abs(quad - closed) < 1e-8 * abs(closed)

@@ -124,6 +124,25 @@ def test_continuum_rerun_is_byte_stable(tmp_path):
     assert (out1 / "w1_cont.csv").read_bytes() == (out2 / "w1_cont.csv").read_bytes()
 
 
+def test_window_off_the_step_grid_warns(tmp_path):
+    """A span of 800.65 steps runs 801, to 8.02 t0; the manifest names the
+    configured and the used end instead of moving it silently."""
+    cfg = tiny_continuum_config()
+    cfg["numerics"]["continuum"]["time_stop_t0"] = 8.013
+    out = tmp_path / "out"
+    assert main(["continuum", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    moved = [w for w in manifest["warnings"] if "time window" in w]
+    assert moved == ["time window ends at 8.02 t0, not the configured 8.013 t0: "
+                     "the span is not a whole number of 0.02 t0 steps"]
+    # perfbench counts warnings by these phrases; this one is none of them
+    assert not any(p in moved[0] for p in ("refined x", "edge mass", "window edges"))
+    # w1 sits on step midpoints: the last one is half a step before 8.02
+    t_last = read_csv(out / "w1_cont.csv")["t_s"][-1]
+    assert t_last / helpers.make_units().time_unit == pytest.approx(8.01, rel=1e-12)
+
+
 def test_sweep_over_decay_rate(tmp_path):
     cfg = tiny_continuum_config()
     cfg["kind"] = "sweep"

@@ -402,6 +402,10 @@ def test_two_channel_balance_and_drain():
     assert p0[0] - p0[-1] == pytest.approx(emitted, abs=1e-12)
     assert np.all(traj.norms["excited_mass"] <= p0 + 1e-15)
     assert traj.warnings == []
+    # the ledger counts the excited channel's mass too (0.055 of it here)
+    assert traj.norms["excited_mass"][-1] > 0.05
+    split = mass_accounting(traj)
+    assert sum(split.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_two_channel_with_dark_drive_is_free():

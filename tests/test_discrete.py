@@ -83,6 +83,28 @@ def test_matching_flux_conservation(fig1_basis):
     assert sol.interior_amplitudes.shape == (40, MODES + 1)
 
 
+@pytest.mark.parametrize("closing", ["flipped", "interior"])
+def test_matching_at_channel_thresholds(fig1_basis, closing):
+    """At each k where a flipped channel k_l, or an interior q_mu, closes
+    (k^2 = 2(omega_l/omega0 - 1), or 2 level_mu - 1, internal units), the
+    channel-space system (K + U diag(q) U^H) v = 2k e_0 stays solvable:
+    one closed channel alone does not bring 0 into its numerical range."""
+    lu = make_units().length_unit
+    if closing == "flipped":
+        w = fig1_basis.mode_frequencies / fig1_basis.resonance
+        k = np.sqrt(2.0 * (w[w > 1.0] - 1.0)) / lu
+    else:
+        lam = fig1_basis.levels
+        k = np.sqrt(2.0 * lam[lam > 0.5] - 1.0) / lu
+    k_l, q_mu = channel_wavenumbers(fig1_basis, CESIUM_MASS_KG, k)
+    closed = np.min(np.abs(k_l if closing == "flipped" else q_mu), axis=1)
+    assert np.all(closed * lu < 1e-7) and np.any(closed == 0.0)
+    sol = match_at_origin(fig1_basis, CESIUM_MASS_KG, k)
+    assert not sol.failed.any()
+    assert np.max(sol.flux_defect) < 1e-8
+    assert np.max(sol.matching_residual) < 1e-10
+
+
 def test_zero_coupling_is_transparent():
     basis = interior_eigenmodes(fig1_geometry(), make_bath(coupling=0.0))
     k = np.linspace(0.8, 1.2, 7) * fig1_packet().mean_wavenumber

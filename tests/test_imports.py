@@ -1,5 +1,6 @@
 """Every module-level import in the package is used (no linter runs here),
-and starting a run imports nothing it does not need.
+starting a run imports nothing it does not need, and every config key is
+read.
 
 A name counts as used when it is read anywhere in its module (as a name or
 as the root of an attribute chain) or listed in the module's __all__.
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from spindetect.config import CONFIG_SCHEMA
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spindetect"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -68,3 +71,23 @@ def test_start_up_loads_neither_jsonschema_nor_scipy_special():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def _schema_leaves(schema: dict, path: tuple = ()):
+    for key, sub in schema.get("properties", {}).items():
+        if "properties" in sub:
+            yield from _schema_leaves(sub, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def test_every_config_key_is_read_by_the_runner():
+    """Each leaf key of CONFIG_SCHEMA appears as a string literal in
+    runner.py, so a knob the schema accepts cannot be ignored silently."""
+    tree = ast.parse((PACKAGE / "runner.py").read_text(encoding="utf-8"))
+    literals = {n.value for n in ast.walk(tree)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    leaves = list(_schema_leaves(CONFIG_SCHEMA))
+    assert len(leaves) >= 48
+    unread = [".".join(p) for p in leaves if p[-1] not in literals]
+    assert not unread, "config keys runner.py never names: " + ", ".join(unread)
