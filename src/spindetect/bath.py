@@ -14,8 +14,9 @@ delta_shift = 2 Im I with I = integral_0^inf kappa(tau) dtau. Equivalently
 A = f(omega0) and delta_shift = -(1/pi) PV integral_0^inf f/(omega - omega0)
 (Cohen-Tannoudji, Dupont-Roc, Grynberg, Atom-Photon Interactions, ch. III);
 every user-supplied spectrum takes this frequency-domain route, and the same
-transform gives the 3D shift. Every quadrature is one composite
-Gauss-Legendre rule.
+transform gives the 3D shift. Every integral along a line is one
+converge-or-raise rule: composite GL_ORDER-point Gauss-Legendre on 2, 4, 8,
+... segments until two levels agree, a NumericsError past MAX_SEGMENTS.
 
 The worked example (sharp cutoff omega_M, Gamma(omega) = -i G sqrt(2 pi
 c0/omega_M) up to the cutoff) has closed forms for everything:
@@ -52,12 +53,9 @@ from .errors import ConfigurationError, NumericsError
 from .model import DetectorGeometry, SpinRegion3D
 
 TWO_PI = 2.0 * np.pi
-PV_ORDER = 64
-PV_MAX_SEGMENTS = 1024
-PV_TOLERANCE = 1e-9
-# segment cap of the kernel quadrature (10 Gauss nodes a segment); it
-# bounds the delays the quadrature resolves (_kernel_tau_max)
-KERNEL_SEGMENTS_MAX = 20000
+GL_ORDER = 64            # nodes a segment of the composite rule
+MAX_SEGMENTS = 2**15     # finest level of the composite rule
+TOLERANCE = 1e-13        # level-to-level agreement, relative to the scale
 
 
 # ---------------------------------------------------------------------------
@@ -196,62 +194,71 @@ def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _gauss_legendre(lo: float, hi: float, n_seg: int, order: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the order-point Gauss-Legendre rule on each of
-    n_seg equal segments of [lo, hi]."""
-    x, wx = _legendre_rule(order)
-    edges = np.linspace(lo, hi, n_seg + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    return ((mid[:, None] + half[:, None] * x[None, :]).ravel(),
-            (half[:, None] * wx[None, :]).ravel())
+def _gauss_legendre(lo: float, hi: float, n_seg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the GL_ORDER-point Gauss-Legendre rule on each of
+    n_seg equal segments of [lo, hi], segment by segment."""
+    x, wx = _legendre_rule(GL_ORDER)
+    half = 0.5 * (hi - lo) / n_seg
+    mid = lo + half * (2 * np.arange(n_seg) + 1)
+    return (mid[:, None] + half * x).ravel(), np.tile(half * wx, n_seg)
+
+
+def _converged_integral(integrand, lo: float, hi: float, what: str,
+                        size: int = 1) -> np.ndarray:
+    """size integrals over [lo, hi] by the composite rule on 2, 4, ...,
+    MAX_SEGMENTS segments, each done at the first level that agrees with the
+    one before to TOLERANCE x its scale; only the open ones go on, and one
+    still open at MAX_SEGMENTS is a NumericsError.  The first level has two
+    segments: a comparison of one against two let a line 1/960 of [lo, hi]
+    wide fall between the nodes of both and agree.  integrand(x, w, rows)
+    returns, for the open integrals rows, the sums of g w and their scales:
+    the sums of the magnitudes g w is computed from, which bound its rounding.
+    """
+    out = np.full(size, np.nan, dtype=complex)     # the last level of each
+    rows = np.arange(size)
+    for n_seg in 2 ** np.arange(1, MAX_SEGMENTS.bit_length()):
+        total, scale = integrand(*_gauss_legendre(lo, hi, n_seg), rows)
+        # nan on the first level; tiny: a subnormal sum has no relative precision
+        excess = np.abs(total - out[rows]) / (TOLERANCE * scale + np.finfo(float).tiny)
+        out[rows] = total
+        rows = rows[~(excess <= 1.0)]
+        if rows.size == 0:
+            return out
+    raise NumericsError(
+        f"{what} not resolved by {MAX_SEGMENTS} segments of {GL_ORDER} nodes: {rows.size} "
+        f"of {size} open, the last two levels {np.max(excess):.3g} tolerances apart")
 
 
 # ---------------------------------------------------------------------------
 # Correlation kernel
 # ---------------------------------------------------------------------------
 
-def _kernel_tau_max(spectrum) -> float:
-    """Largest delay _kernel_quadrature resolves: each of its
-    KERNEL_SEGMENTS_MAX segments then spans 1.84 periods of cutoff * tau.
-    Near two whole periods a segment the errors of the segments add up in
-    phase: on the sharp-cutoff example the relative error at the cap is
-    8.1e-9 at 1.84 periods, 2.5e-8 at 1.9 and 4.4e-4 at 2."""
-    return 1.84 * TWO_PI * KERNEL_SEGMENTS_MAX / spectrum.cutoff
-
-
 def _kernel_quadrature(spectrum, resonance: float, tau: np.ndarray) -> np.ndarray:
-    """kappa(tau) by composite Gauss-Legendre over the support, each delay on
-    a rule set by that delay alone: 8 to 16 segments per period of the
-    fastest phase cutoff * tau, a power of two times 64, capped at
-    KERNEL_SEGMENTS_MAX.  A delay beyond _kernel_tau_max is a NumericsError."""
-    hi = spectrum.cutoff
-    tau = np.atleast_1d(tau)
-    tau_top = np.max(tau, initial=0.0)
-    if tau_top > _kernel_tau_max(spectrum):
-        raise NumericsError(
-            f"kernel quadrature does not resolve tau = {tau_top:.6g} s: its "
-            f"{KERNEL_SEGMENTS_MAX} segments cover at most {_kernel_tau_max(spectrum):.6g} s")
-    needed = np.maximum(8.0 * np.ceil(hi * tau / TWO_PI), 64.0)
-    n_seg = np.minimum(64.0 * 2.0 ** np.ceil(np.log2(needed / 64.0)), KERNEL_SEGMENTS_MAX)
-    out = np.empty(len(tau), dtype=complex)
-    for segments in np.unique(n_seg):
-        omega, weight = _gauss_legendre(0.0, hi, int(segments), 10)
-        f = spectrum.density(omega) * weight
-        detuning = omega - resonance
-        # delays per block: bounds the phase matrix at ~2^21 elements (32 MB)
-        rows = max(1, 2**21 // len(omega))
-        pick = np.flatnonzero(n_seg == segments)
-        for lo in range(0, len(pick), rows):
-            block = pick[lo:lo + rows]
-            out[block] = np.exp(-1j * np.outer(tau[block], detuning)) @ f
-    return out / TWO_PI
+    """kappa(tau) by the converged composite rule over the support, each
+    delay on its own.  e^{-i tau (omega - omega0)} is the phase at each
+    segment's first node times that of the offsets from it, which all
+    segments share: n_seg + GL_ORDER exponentials a delay and level."""
+
+    def sums(omega, weight, rows):
+        fw = (spectrum.density(omega) * weight).reshape(-1, GL_ORDER)
+        anchors = omega[::GL_ORDER] - resonance
+        offsets = omega[:GL_ORDER] - omega[0]
+        total = np.empty(len(rows), dtype=complex)
+        # delays per block: (delays, segments) arrays of 2^21 elements (32 MB)
+        step = max(1, 2**21 // len(anchors))
+        for lo in range(0, len(rows), step):
+            t = tau[rows[lo:lo + step]]
+            inner = np.exp(-1j * np.outer(t, offsets)) @ fw.T
+            total[lo:lo + step] = np.einsum(
+                "ij,ij->i", np.exp(-1j * np.outer(t, anchors)), inner)
+        return total, np.sum(np.abs(fw))
+
+    what = f"kernel quadrature at delays up to {np.max(tau, initial=0.0):.6g} s"
+    return _converged_integral(sums, 0.0, spectrum.cutoff, what, len(tau)) / TWO_PI
 
 
-def _kernel_closed_form(bath: RectangularBath, resonance: float, tau) -> np.ndarray:
+def _kernel_closed_form(bath: RectangularBath, resonance: float, tau: np.ndarray) -> np.ndarray:
     """Closed form for the sharp-cutoff example, series-protected near 0."""
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
     g2 = bath.coupling**2
     m = bath.cutoff
     out = np.empty(tau.shape, dtype=complex)
@@ -321,13 +328,13 @@ def _closed_form_rates(bath: RectangularBath, resonance: float) -> tuple[float, 
 
 
 def _tau_integral_finite(bath: RectangularBath, resonance: float, t_upper: float) -> complex:
-    """integral_0^T kappa dtau of the closed-form kernel, by an
-    oscillation-resolving composite quadrature."""
-    fastest = max(bath.cutoff - resonance, resonance)
-    n_seg = int(max(32, 6 * np.ceil(fastest * t_upper / TWO_PI)))
-    tau, weight = _gauss_legendre(0.0, t_upper, min(n_seg, 60000), 12)
-    kappa = _kernel_closed_form(bath, resonance, tau)
-    return complex(np.sum(kappa * weight))
+    """integral_0^T kappa dtau of the closed-form kernel, converged."""
+
+    def sums(tau, w, rows):
+        g = _kernel_closed_form(bath, resonance, tau) * w
+        return np.sum(g, keepdims=True), np.sum(np.abs(g), keepdims=True)
+
+    return complex(_converged_integral(sums, 0.0, t_upper, "kernel time integral")[0])
 
 
 def _rectangular_tail(bath: RectangularBath, resonance: float, t_upper: float) -> complex:
@@ -381,40 +388,33 @@ def _pv_transform(fn: Callable[[np.ndarray], np.ndarray], pole: float, hi: float
     Singularity subtraction: on the window [pole - r, pole + r] symmetric
     about the pole, fn(pole) is subtracted (its log term cancels by
     symmetry) and the remainder is smooth; the rest of [0, hi] has no pole.
-    Each piece takes a composite PV_ORDER-point Gauss-Legendre rule with
-    1, 2, 4, ... segments; the first level that agrees with the one before
-    to PV_TOLERANCE x the largest |fn| on the nodes is returned.  A density
-    that PV_MAX_SEGMENTS segments cannot resolve is a NumericsError.
+    Each piece takes the converged composite rule, scaled by the sum of
+    (|fn| + |fn(pole)|) w/|omega - pole|: near the pole the difference keeps
+    only the rounding of its terms.
     """
     pieces = [(0.0, hi, 0.0)]
     if 0 < pole < hi:
         r = min(pole, hi - pole)
         f_p = float(fn(np.array([pole]))[0])
         pieces = [(pole - r, pole + r, f_p), (0.0, pole - r, 0.0), (pole + r, hi, 0.0)]
-    scale, previous, n_seg = 0.0, np.nan, 1
-    while n_seg <= PV_MAX_SEGMENTS:
-        total = 0.0
-        for lo, up, subtract in pieces:
-            if up > lo:
-                x, wx = _gauss_legendre(lo, up, n_seg, PV_ORDER)
-                f = fn(x)
-                scale = max(scale, float(np.max(np.abs(f))))
-                total += float(np.sum((f - subtract) / (x - pole) * wx))
-        gap = abs(total - previous)   # nan on the first level
-        if gap <= PV_TOLERANCE * scale:
-            return -total / np.pi
-        previous, n_seg = total, 2 * n_seg
-    raise NumericsError(
-        f"principal-value integral about {pole:.6g} not resolved by {PV_MAX_SEGMENTS} "
-        f"segments: the last two levels differ by {gap:.3e}, max|f| {scale:.3e}")
+
+    def piece(lo, up, subtract):
+        def sums(x, w, rows):
+            f = fn(x)
+            w_pole = w / (x - pole)
+            return (np.sum((f - subtract) * w_pole, keepdims=True),
+                    np.sum((np.abs(f) + abs(subtract)) * np.abs(w_pole), keepdims=True))
+        return _converged_integral(sums, lo, up, f"principal-value integral about {pole:.6g}")
+
+    return -sum(piece(*p)[0].real for p in pieces if p[1] > p[0]) / np.pi
 
 
 def decay_rate_and_shift(spectrum: BathSpectrum, resonance: float) -> RatesResult:
     """Markov-limit decay rate A and level shift.
 
     For the sharp-cutoff example the closed forms are returned, after a
-    cross-check by the kernel's time integral: a finite oscillation-resolved
-    quadrature plus the exact exponential-integral tail (the kernel decays
+    cross-check by the kernel's time integral: the converged composite rule
+    on [0, T] plus the exact exponential-integral tail (the kernel decays
     only like 1/tau, so a naive truncation cannot converge), which must be
     stable under doubling the split point and agree with the closed forms
     to 1e-6 relative. Generic spectra are evaluated in the frequency domain:
@@ -456,14 +456,11 @@ class MarkovSummary:
 
 def markov_summary(spectrum: BathSpectrum, resonance: float) -> MarkovSummary:
     """Correlation time: the first tau of a 600-delay geometric scan from
-    which the kernel envelope stays < 1% of kappa(0) (inf if it never does).
-    On a quadrature kernel the scan ends at _kernel_tau_max."""
+    which the kernel envelope stays < 1% of kappa(0) (inf if it never does)."""
     kappa0 = abs(correlation_kernel(spectrum, resonance, 0.0))
     if kappa0 == 0.0:
         return MarkovSummary(0.0, 0.0)
     tau = np.geomspace(1e-3 / spectrum.cutoff, 1e6 / spectrum.cutoff, 600)
-    if not isinstance(spectrum, RectangularBath):
-        tau = tau[tau <= _kernel_tau_max(spectrum)]
     env = np.abs(correlation_kernel(spectrum, resonance, tau))
     below = np.maximum.accumulate(env[::-1])[::-1] < 0.01 * kappa0
     tau_c = float(tau[np.argmax(below)]) if np.any(below) else float("inf")

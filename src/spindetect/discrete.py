@@ -341,10 +341,11 @@ class ScatteringSynthesis:
         psi = momentum_amplitude(packet, k_si)
         self.k_si = k_si
         self.solution = match_at_origin(self.basis, packet.mass, k_si)
+        self.warnings: list[str] = []      # the UserWarnings raised here
         n_failed = int(np.sum(self.solution.failed))
         if n_failed:
-            warnings.warn(f"dropping {n_failed} failed matching nodes from synthesis")
-            w_si = np.where(self.solution.failed, 0.0, w_si)
+            self.warnings.append(f"dropping {n_failed} failed matching nodes from synthesis")
+            warnings.warn(self.warnings[-1])
         lu = self.units.length_unit
         self.k_int = np.asarray(self.units.wavenumber_in(k_si))
         # combined coefficient w * psi in internal units
@@ -544,4 +545,4 @@ def detection_density_discrete(packet: GaussianPacketSpec,
         warnings.warn(message)
     return DiscreteDetectionSeries(times=times, flip_probability=p_flip,
                                    detection_density=w1, recurrence_time=t_rec,
-                                   warnings=warn)
+                                   warnings=synthesis.warnings + warn)

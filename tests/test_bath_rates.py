@@ -7,7 +7,7 @@ drift without a test noticing.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import dawsn, exp1
 
@@ -28,7 +28,13 @@ from spindetect import (
     rate_map_3d,
     scaled_ensemble,
 )
-from spindetect.bath import _exp1, _gauss_legendre, _kernel_quadrature, _kernel_tau_max
+from spindetect.bath import (
+    GL_ORDER,
+    _exp1,
+    _gauss_legendre,
+    _kernel_quadrature,
+    _legendre_rule,
+)
 from spindetect.errors import ConfigurationError, NumericsError
 
 from helpers import (
@@ -118,36 +124,47 @@ def _sharp_cutoff_copy(g2=0.01, cutoff=4.6):
             RectangularBath(coupling=np.sqrt(g2), cutoff=cutoff))
 
 
-@pytest.mark.parametrize("tau", [1e2, 1e4, 3e4, 5e4, pytest.param(None, id="cap")])
+@pytest.mark.parametrize("tau", [
+    1e2, 1e4, 21950.0, 27320.0, 3e4, 43900.0, 45880.0, 5e4, 1e5, 2e5,
+    pytest.param(1e6 / 4.6, id="scan-top")])
 def test_kernel_quadrature_resolves_up_to_its_cap(tau):
-    """Also at the cap itself, where two periods a segment were 4.4e-4 off."""
+    """Up to the top of markov_summary's scan, 1e6/cutoff.  A rule of 20,000
+    fixed segments was 2-4e-8 off at 21,950 to 45,880, 18.5 |kappa| at 2e5."""
     general, sharp = _sharp_cutoff_copy()
-    if tau is None:
-        tau = _kernel_tau_max(general)
     quad = correlation_kernel(general, 1.0, tau)
     closed = correlation_kernel(sharp, 1.0, tau)
     assert abs(quad - closed) < 1e-8 * abs(closed)
 
 
-@pytest.mark.parametrize("tau", [1e5, 2e5])
+def test_kernel_quadrature_converges_delay_by_delay():
+    """A vector of delays in one call: each converges at its own level, none
+    is left at a coarser level than it needs.  With 20,000 fixed segments
+    one delay of this grid was 5.5e-8 off."""
+    general, sharp = _sharp_cutoff_copy()
+    tau = np.concatenate([[0.0, 1.0], np.linspace(2e4, 5e4, 97)])
+    quad = correlation_kernel(general, 1.0, tau)
+    closed = correlation_kernel(sharp, 1.0, tau)
+    assert np.max(np.abs(quad - closed) / np.abs(closed)) < 1e-8
+
+
+@pytest.mark.parametrize("tau", [1e6, 2e6])
 def test_kernel_quadrature_raises_past_its_cap(tau):
-    """At 2e5 the capped rule was 18.5 |kappa| off; it now refuses."""
+    """Past what the finest level resolves the kernel refuses, also when the
+    other delays of the call resolve."""
     general, _ = _sharp_cutoff_copy()
-    with pytest.raises(NumericsError, match="does not resolve"):
+    with pytest.raises(NumericsError, match="not resolved by 32768 segments"):
         correlation_kernel(general, 1.0, np.array([1.0, tau]))
 
 
 def test_markov_summary_of_a_quadrature_kernel_ends_where_it_resolves():
-    """The scan stops at the quadrature's last resolved delay, so the
+    """The whole 600-delay scan, up to 1e6/cutoff, is resolved, so the
     sharp-cutoff copy finds the closed form's correlation time (43.76 at
-    resonance 1) to within one of the 600 geometric scan steps."""
+    resonance 1) on the same scan step."""
     general, sharp = _sharp_cutoff_copy()
     quad = markov_summary(general, 1.0)
     closed = markov_summary(sharp, 1.0)
     assert closed.correlation_time == pytest.approx(43.76, abs=5e-3)
-    step = (1e9) ** (1.0 / 599.0)
-    assert closed.correlation_time / step <= quad.correlation_time
-    assert quad.correlation_time <= closed.correlation_time * step
+    assert quad.correlation_time == closed.correlation_time
     assert quad.ratio_at_50_periods == pytest.approx(closed.ratio_at_50_periods, rel=1e-8)
 
 
@@ -179,14 +196,21 @@ def test_exp1_matches_scipy_on_the_imaginary_axis():
         np.testing.assert_allclose(ours, exp1(sign * 1j * y), rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("order", [10, 12, 64])
+@pytest.mark.parametrize("order", [10, 12, 24, 64])
 def test_gauss_legendre_is_exact_to_its_degree(order):
-    # the orders the kernel, tau and principal-value rules use
+    # 64 is the composite rule of every bath integral, 24 the default polar
+    # order of the sphere rule; 10 and 12 are generic cases
     degree = 2 * order - 1
-    for lo, hi, n_seg in ((0.0, 1.0, 1), (0.5, 2.0, 3)):
-        x, w = _gauss_legendre(lo, hi, n_seg, order)
+    x, w = _legendre_rule(order)
+    for lo, hi in ((0.0, 1.0), (0.5, 2.0)):
         exact = (hi**(degree + 1) - lo**(degree + 1)) / (degree + 1)
-        assert np.sum(w * x**degree) == pytest.approx(exact, rel=1e-14, abs=0.0)
+        nodes = lo + 0.5 * (hi - lo) * (x + 1.0)
+        assert np.sum(0.5 * (hi - lo) * w * nodes**degree) == pytest.approx(
+            exact, rel=1e-14, abs=0.0)
+    if order == GL_ORDER:
+        x, w = _gauss_legendre(0.5, 2.0, 3)
+        assert np.sum(w * x**degree) == pytest.approx(
+            (2.0**(degree + 1) - 0.5**(degree + 1)) / (degree + 1), rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +280,8 @@ def test_generic_bath_gaussian_bump():
 @given(cutoff=st.floats(0.5, 20.0), width=st.floats(1e-3, 0.05),
        line=st.floats(0.0, 1.0), pole=st.floats(0.02, 0.98),
        a=st.floats(0.1, 2.0), b=st.floats(0.0, 1.0))
+# the line falls between the nodes of 1 and 2 segments on [0.04, 1]
+@example(cutoff=1.0, width=0.001, line=0.1953125, pole=0.02, a=1.0, b=1.0)
 def test_frequency_route_matches_dawson_oracle(cutoff, width, line, pole, a, b):
     """A Gaussian line over a flat floor, f = omega (a^2 e^{-(omega-wc)^2/s^2}
     + b^2) on (0, M] with the line at least 8 s inside the support.  The
@@ -278,11 +304,11 @@ def test_frequency_route_matches_dawson_oracle(cutoff, width, line, pole, a, b):
 
 
 def test_unresolved_density_raises():
-    """A density oscillating ~48,000 times over its support cannot be
-    resolved by the capped rule: the shift raises instead of returning a
-    number."""
+    """A density oscillating ~4.8 million times over its support, ~100 times
+    a segment at the finest level, cannot be resolved: the shift raises
+    instead of returning a number."""
     bath = GeneralBath(dispersion=1.0, cutoff=3.0, coupling=lambda w: np.sqrt(
-        1.0 + 0.5 * np.sin(1e5 * np.asarray(w))))
+        1.0 + 0.5 * np.sin(1e7 * np.asarray(w))))
     with pytest.raises(NumericsError, match="not resolved"):
         decay_rate_and_shift(bath, 1.0)
 

@@ -143,6 +143,30 @@ def test_window_off_the_step_grid_warns(tmp_path):
     assert t_last / helpers.make_units().time_unit == pytest.approx(8.01, rel=1e-12)
 
 
+def test_failed_matching_nodes_reach_the_manifest(tmp_path, monkeypatch):
+    """A matching node that fails is dropped from the synthesis; the run
+    says so in its manifest, not only as a Python warning."""
+    from spindetect import discrete
+
+    solve = discrete.match_at_origin
+
+    def first_node_fails(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        solution.failed[0] = True
+        return solution
+
+    monkeypatch.setattr(discrete, "match_at_origin", first_node_fails)
+    cfg = helpers.small_compare_config()
+    cfg["kind"] = "discrete"
+    del cfg["numerics"]["continuum"], cfg["comparison"]
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="failed matching nodes"):
+        assert main(["discrete", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "dropping 1 failed matching nodes from synthesis" in manifest["warnings"]
+
+
 def test_sweep_over_decay_rate(tmp_path):
     cfg = tiny_continuum_config()
     cfg["kind"] = "sweep"

@@ -1,6 +1,6 @@
 """Every module-level import in the package is used (no linter runs here),
-starting a run imports nothing it does not need, and every config key is
-read.
+every import anywhere in it is a declared dependency, starting a run imports
+nothing it does not need, and every config key is read.
 
 A name counts as used when it is read anywhere in its module (as a name or
 as the root of an attribute chain) or listed in the module's __all__.
@@ -48,6 +48,37 @@ def test_guard_sees_an_unused_import():
                      "__all__ = ['m']\nsys.exit\n")
     unused = set(_imported_names(tree)) - _used_names(tree)
     assert unused == {"os"}
+
+
+def _foreign_imports(tree: ast.AST) -> list[tuple[str, int]]:
+    """(top-level package, line) of each import, at any depth, that is none
+    of the standard library, numpy, scipy or the package itself -- the
+    only dependencies pyproject.toml declares."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy", "spindetect"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        found += [(root, node.lineno) for root in roots if root not in allowed]
+    return found
+
+
+def test_guard_sees_a_foreign_import():
+    tree = ast.parse("import os, numpy as np\nfrom . import bath\n"
+                     "def f():\n    import jsonschema\n    from scipy.linalg import lu\n"
+                     "    from hypothesis import given\n")
+    assert _foreign_imports(tree) == [("jsonschema", 4), ("hypothesis", 6)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_are_declared_dependencies(path):
+    foreign = _foreign_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not foreign, f"{path.name}: imports outside numpy, scipy and the " \
+        "standard library: " + ", ".join(f"{name} (line {line})" for name, line in foreign)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
