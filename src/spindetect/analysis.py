@@ -9,6 +9,7 @@ its own integral over the analysis window.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,8 +218,8 @@ def mass_accounting(trajectory, region: tuple[float, float] | None = None
     that does not is a NumericsError.
 
     A residual inside the region above RESIDUAL_WARN means the run stopped
-    before the packet cleared the detector; a warning string is appended to
-    the trajectory's warning list in that case.
+    before the packet cleared the detector, and raises a UserWarning; the
+    trajectory is left unchanged.
     """
     split = mass_fractions(trajectory.final_fields, trajectory.grid,
                            trajectory.region if region is None else region,
@@ -227,7 +228,7 @@ def mass_accounting(trajectory, region: tuple[float, float] | None = None
     if abs(total - 1.0) > 1e-6:
         raise NumericsError(f"mass ledger sums to {total!r}, not 1")
     if split["residual_in_region"] > RESIDUAL_WARN:
-        trajectory.warnings.append(
-            f"residual mass {split['residual_in_region']:.3e} still inside the "
-            "sensitive region at the final time; extend the run to drain it")
+        warnings.warn(f"residual mass {split['residual_in_region']:.3e} still inside "
+                      "the sensitive region at the final time; extend the run to "
+                      "drain it", stacklevel=2)
     return split

@@ -42,7 +42,8 @@ pair), density and norm formulas, and detector region.  Norms are plain
 (pairwise) sums h * sum |psi|^2, as is the mass ledger
 (analysis.mass_accounting), and norm_balance checks the drain identity on
 either model's record.  The norms are computed from the field alone, never
-from the density, so that check stays a real test.
+from the density, so that check stays a real test.  Edge mass and an
+initial norm off 1 raise UserWarnings.
 
 All public inputs and outputs are SI; internally fields and operators are
 rescaled to detector units (see units.UnitSystem) before factoring the
@@ -52,7 +53,7 @@ step matrices.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -214,7 +215,6 @@ class ConditionalTrajectory:
     snapshots: np.ndarray
     final_fields: np.ndarray
     region: tuple[float, float]
-    warnings: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         p0 = self.no_detection_prob
@@ -273,7 +273,7 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
     solver(h_int, dt_int, omega) returns (step, density, norms): the next
     state, the midpoint detection density (1/s), and a tuple of norms led
     by the survival probability, recorded under norm_names.  Edge mass
-    above EDGE_MASS_WARN warns.
+    above EDGE_MASS_WARN raises a UserWarning.
     """
     n = grid.n_points
     if any(np.shape(f) != (n,) for f in fields):
@@ -335,19 +335,15 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
         if k % 32 == 0 or k == n_steps:
             edge_max = max(edge_max, _edge_mass(y, channels, h_int))
 
-    warn_list = []
     if edge_max > EDGE_MASS_WARN:
-        msg = (f"edge mass reached {edge_max:.3e} (> {EDGE_MASS_WARN:g}); "
-               "boundary reflections may contaminate the run")
-        warn_list.append(msg)
-        warnings.warn(msg, stacklevel=3)
+        warnings.warn(f"edge mass reached {edge_max:.3e} (> {EDGE_MASS_WARN:g}); "
+                      "boundary reflections may contaminate the run", stacklevel=3)
     snaps /= scale
     return ConditionalTrajectory(
         grid=grid, times=times, norms=dict(zip(norm_names, recorded)),
         detection_density_times=times[:-1] + 0.5 * dt, detection_density=w1,
         snapshot_times=times[snap_idx], snapshots=snaps,
-        final_fields=y.reshape(n, channels).T / scale, region=region,
-        warnings=warn_list)
+        final_fields=y.reshape(n, channels).T / scale, region=region)
 
 
 def propagate_conditional(psi0: np.ndarray, potential: ComplexPotential,
@@ -363,8 +359,9 @@ def propagate_conditional(psi0: np.ndarray, potential: ComplexPotential,
     potential phase (dt |V|_max / hbar < 0.1), must not exceed
     kinetic_safety * (2 m dx^2 / hbar) * pi, a blunt guard against grossly
     unresolved kinetic phases, and must divide t_span into whole steps.
-    Mass accumulating within EDGE_CELLS of either grid end above 1e-6 is
-    reported as a warning on the trajectory, not an error.
+    Mass accumulating within EDGE_CELLS of either grid end above 1e-6, and
+    an initial norm off 1 by more than 1e-6, raise a UserWarning, not an
+    error.
     """
     grid = potential.grid
 
@@ -385,8 +382,8 @@ def propagate_conditional(psi0: np.ndarray, potential: ComplexPotential,
                       norm_names=("no_detection_prob",), region=potential.region)
     norm0 = float(traj.no_detection_prob[0])
     if abs(norm0 - 1.0) > 1e-6:
-        traj.warnings.insert(
-            0, f"initial norm {norm0!r} differs from 1; mass ledger is renormalized")
+        warnings.warn(f"initial norm {norm0!r} differs from 1; mass ledger is "
+                      "renormalized", stacklevel=2)
     return traj
 
 
@@ -517,8 +514,7 @@ def propagate_two_channel(ground0: np.ndarray, excited0: np.ndarray,
 
 
 def one_channel_limit_potential(rabi_profile: np.ndarray, detuning: float,
-                                linewidth: float, grid: Grid1D,
-                                region: tuple[float, float] | None = None) -> ComplexPotential:
+                                linewidth: float, grid: Grid1D) -> ComplexPotential:
     """Adiabatically eliminated excited channel: the ground field then moves in
 
         V(x) = (hbar * detuning * Omega(x)^2 - i hbar * linewidth * Omega(x)^2 / 2)
@@ -526,7 +522,8 @@ def one_channel_limit_potential(rabi_profile: np.ndarray, detuning: float,
 
     Requires (detuning, linewidth) != (0, 0).  At detuning = 0 the result is
     the purely absorbing -i hbar Omega^2 / (2 linewidth); at linewidth = 0 it
-    is the real light shift hbar Omega^2 / (4 detuning).
+    is the real light shift hbar Omega^2 / (4 detuning).  The potential's
+    region is the lit span of the Rabi profile.
     """
     denom = 4.0 * detuning ** 2 + linewidth ** 2
     if denom == 0.0:
@@ -537,8 +534,7 @@ def one_channel_limit_potential(rabi_profile: np.ndarray, detuning: float,
     shift = 2.0 * detuning * om2 / denom
     values = 0.5 * HBAR * (shift - 1j * decay)
     return ComplexPotential(grid=grid, values=values, decay_profile=decay,
-                            shift_profile=shift,
-                            region=_lit_span(grid, rabi) if region is None else region)
+                            shift_profile=shift, region=_lit_span(grid, rabi))
 
 
 def adiabaticity_ratio(rabi_max: float, detuning: float, linewidth: float,

@@ -53,7 +53,7 @@ surface is SI.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -341,11 +341,9 @@ class ScatteringSynthesis:
         psi = momentum_amplitude(packet, k_si)
         self.k_si = k_si
         self.solution = match_at_origin(self.basis, packet.mass, k_si)
-        self.warnings: list[str] = []      # the UserWarnings raised here
         n_failed = int(np.sum(self.solution.failed))
         if n_failed:
-            self.warnings.append(f"dropping {n_failed} failed matching nodes from synthesis")
-            warnings.warn(self.warnings[-1])
+            warnings.warn(f"dropping {n_failed} failed matching nodes from synthesis")
         lu = self.units.length_unit
         self.k_int = np.asarray(self.units.wavenumber_in(k_si))
         # combined coefficient w * psi in internal units
@@ -495,7 +493,6 @@ class DiscreteDetectionSeries:
     flip_probability: np.ndarray      # P_flip(t)
     detection_density: np.ndarray     # dP_flip/dt, 1/s
     recurrence_time: float            # s
-    warnings: list[str] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
         write_csv(path, ["t_s", "detection_density_per_s", "flip_probability"],
@@ -515,7 +512,8 @@ def detection_density_discrete(packet: GaussianPacketSpec,
 
     times must be uniform (centered differences assume it). x_min/x_max
     bound the region that carries all probability over the window; edge
-    leakage beyond 1e-6 is reported as a warning.
+    leakage beyond 1e-6, and a window longer than twice the recurrence
+    time, raise a UserWarning.
     """
     times = np.asarray(times, dtype=float)
     if len(times) < 5:
@@ -530,19 +528,15 @@ def detection_density_discrete(packet: GaussianPacketSpec,
     p_flip = 1.0 - series["no_flip_mass"]
     w1 = np.gradient(p_flip, times)
     t_rec = bath.recurrence_time()
-    warn: list[str] = []
     window = times[-1] - times[0]
     if window > 2.0 * t_rec:
-        warn.append(f"time window {window:.3e} s exceeds twice the recurrence "
-                    f"time {t_rec:.3e} s; late samples are unphysical")
+        warnings.warn(f"time window {window:.3e} s exceeds twice the recurrence "
+                      f"time {t_rec:.3e} s; late samples are unphysical")
     sigma_x = packet.position_width
     edge_mass = series["edge_density_internal"] * float(
         synthesis.units.length_in(sigma_x))
     if edge_mass > 1e-6:
-        warn.append(f"probability density at the window edges reaches "
-                    f"~{edge_mass:.2e} (fraction scale); widen [x_min, x_max]")
-    for message in warn:
-        warnings.warn(message)
+        warnings.warn(f"probability density at the window edges reaches "
+                      f"~{edge_mass:.2e} (fraction scale); widen [x_min, x_max]")
     return DiscreteDetectionSeries(times=times, flip_probability=p_flip,
-                                   detection_density=w1, recurrence_time=t_rec,
-                                   warnings=synthesis.warnings + warn)
+                                   detection_density=w1, recurrence_time=t_rec)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time as _time
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -129,19 +130,19 @@ def _derived_block(scene: Scene, cfg: dict) -> dict:
     return out
 
 
-def _time_grid(num: dict, unit: float) -> tuple[np.ndarray, list[str]]:
-    """Times over the nearest whole number of steps, and a warning if that
-    moves the end of the window."""
+def _time_grid(num: dict, unit: float) -> np.ndarray:
+    """Times over the nearest whole number of steps; warns if that moves the
+    end of the window."""
     start, stop, step = (num["time_start_t0"], num["time_stop_t0"],
                          num["time_step_t0"])
     n = int(round((stop - start) / step))
     if n < 2:
         raise ConfigurationError("time window spans fewer than two steps")
     end = start + n * step
-    warn = [] if abs(end - stop) <= 1e-9 * max(abs(stop), step) else [
-        f"time window ends at {end:.12g} t0, not the configured {stop:.12g} t0: "
-        f"the span is not a whole number of {step:.12g} t0 steps"]
-    return (start + step * np.arange(n + 1)) * unit, warn
+    if abs(end - stop) > 1e-9 * max(abs(stop), step):
+        warnings.warn(f"time window ends at {end:.12g} t0, not the configured {stop:.12g} "
+                      f"t0: the span is not a whole number of {step:.12g} t0 steps")
+    return (start + step * np.arange(n + 1)) * unit
 
 
 def _space_grid(num: dict, unit: float) -> Grid1D:
@@ -164,13 +165,13 @@ def _run_rates(cfg: dict, scene: Scene, out_dir: Path):
                      "quadrature_decay_rate_per_s", "quadrature_level_shift_per_s",
                      "correlation_time_s", "recurrence_time_s"],
               [np.array([math.nan if v is None else v]) for v in values])
-    return {"rates": "rates.csv"}, {}, []
+    return {"rates": "rates.csv"}, {}
 
 
 def _run_discrete(cfg: dict, scene: Scene, out_dir: Path):
     num = cfg["numerics"]["discrete"]
     u = scene.units
-    times, warn = _time_grid(num, u.time_unit)
+    times = _time_grid(num, u.time_unit)
     x_min = num["x_min_l0"] * u.length_unit
     x_max = num["x_max_l0"] * u.length_unit
     right_points = int(round(num["x_max_l0"] / num["right_spacing_l0"])) + 1
@@ -182,7 +183,7 @@ def _run_discrete(cfg: dict, scene: Scene, out_dir: Path):
     stats = arrival_stats(series.times, series.detection_density)
     summary = {"discrete": {"flip_probability_final": float(series.flip_probability[-1]),
                             "arrival": stats.as_dict()}}
-    return {"w1_disc": "w1_disc.csv"}, summary, warn + series.warnings, series
+    return {"w1_disc": "w1_disc.csv"}, summary, series
 
 
 def _continuum_setup(cfg: dict, scene: Scene, detector):
@@ -190,20 +191,20 @@ def _continuum_setup(cfg: dict, scene: Scene, detector):
     least integer keeping dt |V|max / hbar within PHASE_BUDGET, for the
     continuum and fluorescence runs.  detector(grid) returns the run's
     detector on the grid and its |V|max (joules).
-    Returns (grid, t_span, dt, psi0, detector, warnings)."""
+    Returns (grid, t_span, dt, psi0, detector)."""
     num = cfg["numerics"]["continuum"]
     u = scene.units
     grid = _space_grid(num, u.length_unit)
-    times, warn = _time_grid(num, u.time_unit)
+    times = _time_grid(num, u.time_unit)
     t0, t1 = float(times[0]), float(times[-1])
     dt = num["time_step_t0"] * u.time_unit
     built, vmax = detector(grid)
     refine = max(1, math.ceil(dt * vmax / (HBAR * PHASE_BUDGET))) if vmax > 0.0 else 1
     if refine > 1:
-        warn.append(f"time step refined x{refine} to respect the potential "
-                    "phase bound dt|V|/hbar < 0.1")
+        warnings.warn(f"time step refined x{refine} to respect the potential "
+                      "phase bound dt|V|/hbar < 0.1")
     psi0 = free_evolved_packet(scene.packet, t0, grid)
-    return grid, (t0, t1), dt / refine, psi0, built, warn
+    return grid, (t0, t1), dt / refine, psi0, built
 
 
 def _run_continuum(cfg: dict, scene: Scene, out_dir: Path):
@@ -215,7 +216,7 @@ def _run_continuum(cfg: dict, scene: Scene, out_dir: Path):
             scene.geometry.sensitivity, grid, include_shift=cfg["include_shift"])
         return potential, potential.max_magnitude
 
-    _, span, dt, psi0, potential, warn = _continuum_setup(cfg, scene, detector)
+    _, span, dt, psi0, potential = _continuum_setup(cfg, scene, detector)
     traj = propagate_conditional(
         psi0, potential, span, dt, mass=scene.packet.mass,
         reference_frequency=scene.units.reference_frequency,
@@ -230,8 +231,7 @@ def _run_continuum(cfg: dict, scene: Scene, out_dir: Path):
     summary = {"continuum": {"mass_split": split, "arrival": stats.as_dict(),
                              "survival_final": traj.final_survival,
                              "norm_balance": norm_balance(traj)}}
-    warn.extend(traj.warnings)
-    return outputs, summary, warn, traj
+    return outputs, summary, traj
 
 
 def _comparison_window(cfg: dict, scene: Scene) -> tuple[float, float] | None:
@@ -242,8 +242,8 @@ def _comparison_window(cfg: dict, scene: Scene) -> tuple[float, float] | None:
 
 
 def _run_compare(cfg: dict, scene: Scene, out_dir: Path):
-    out_d, sum_d, warn_d, series = _run_discrete(cfg, scene, out_dir)
-    out_c, sum_c, warn_c, traj = _run_continuum(cfg, scene, out_dir)
+    out_d, sum_d, series = _run_discrete(cfg, scene, out_dir)
+    out_c, sum_c, traj = _run_continuum(cfg, scene, out_dir)
     window = _comparison_window(cfg, scene)
     cc = compare_curves(series.times, series.detection_density,
                         traj.detection_density_times, traj.detection_density,
@@ -254,7 +254,7 @@ def _run_compare(cfg: dict, scene: Scene, out_dir: Path):
     write_json(out_dir / "comparison.json", payload)
     outputs = {**out_d, **out_c, "comparison": "comparison.json"}
     summary = {**sum_d, **sum_c, "comparison": cc.as_dict()}
-    return outputs, summary, warn_d + warn_c
+    return outputs, summary
 
 
 def _run_fluorescence(cfg: dict, scene: Scene, out_dir: Path):
@@ -271,15 +271,14 @@ def _run_fluorescence(cfg: dict, scene: Scene, out_dir: Path):
         return rabi, HBAR * max(np.max(rabi) / 2.0,
                                 0.5 * abs(2.0 * detuning + 1j * linewidth))
 
-    grid, span, dt, psi0, rabi, warn = _continuum_setup(cfg, scene, lit_region)
+    grid, span, dt, psi0, rabi = _continuum_setup(cfg, scene, lit_region)
     two = propagate_two_channel(psi0, np.zeros_like(psi0), rabi, detuning, linewidth,
                                 grid, span, dt, mass=scene.packet.mass,
                                 snapshots=num["snapshots"],
                                 kinetic_safety=num["kinetic_safety"])
     two.to_csv(out_dir / "w1_fluor.csv")
 
-    potential = one_channel_limit_potential(rabi, detuning, linewidth, grid,
-                                            region=(lo, hi))
+    potential = one_channel_limit_potential(rabi, detuning, linewidth, grid)
     traj = propagate_conditional(
         psi0, potential, span, dt, mass=scene.packet.mass,
         reference_frequency=u.reference_frequency, snapshots=num["snapshots"],
@@ -310,9 +309,7 @@ def _run_fluorescence(cfg: dict, scene: Scene, out_dir: Path):
     write_json(out_dir / "comparison.json", payload)
     outputs = {"w1_fluor": "w1_fluor.csv", "w1_limit": "w1_limit.csv",
                "comparison": "comparison.json"}
-    warn.extend(two.warnings)
-    warn.extend(traj.warnings)
-    return outputs, {"fluorescence": payload}, warn
+    return outputs, {"fluorescence": payload}
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +383,6 @@ def _run_sweep(cfg: dict, out_dir: Path, jobs: int):
             ("value", "status_ok", "detected", "reflected",
              "mean_arrival_s", "std_arrival_s")}
     sub_reports = []
-    warn = []
     failed = 0
     for (i, row, sub_warn, error), value in zip(results, values):
         cols["value"][i] = value
@@ -398,7 +394,8 @@ def _run_sweep(cfg: dict, out_dir: Path, jobs: int):
             for key in ("detected", "reflected", "mean_arrival_s", "std_arrival_s"):
                 cols[key][i] = row[key]
             sub_reports.append({"index": i, "value": value, "error": None})
-        warn.extend(f"run_{i:03d}: {w}" for w in sub_warn)
+        for w in sub_warn:
+            warnings.warn(f"run_{i:03d}: {w}")
 
     write_csv(out_dir / "summary.csv",
               ["value", "status_ok", "detected", "reflected",
@@ -407,7 +404,7 @@ def _run_sweep(cfg: dict, out_dir: Path, jobs: int):
                                  "mean_arrival_s", "std_arrival_s")])
     summary = {"sweep": {"parameter": path, "values": values,
                          "failed": failed, "runs": sub_reports}}
-    return {"summary": "summary.csv"}, summary, warn, failed
+    return {"summary": "summary.csv"}, summary, failed
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +414,9 @@ def _run_sweep(cfg: dict, out_dir: Path, jobs: int):
 def run_config(raw_cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
     """Execute a config and write its artifacts under out_dir.  Returns the
     manifest dict (also written to out_dir/manifest.json).  Sweep sub-run
-    failures are recorded in the manifest, not raised."""
+    failures are recorded in the manifest, not raised.  Warnings raised
+    during the run are listed in manifest["warnings"] instead of shown, each
+    UserWarning as often as it is raised."""
     started = _time.perf_counter()
     cfg = resolve_config(raw_cfg)
     out_dir = Path(out_dir)
@@ -425,24 +424,26 @@ def run_config(raw_cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
     kind = cfg["kind"]
 
     failed = 0
-    if kind == "sweep":
-        outputs, summary, warn, failed = _run_sweep(cfg, out_dir, jobs)
-        derived = {}
-    else:
-        scene = build_scene(cfg)
-        derived = _derived_block(scene, cfg)
-        if kind == "rates":
-            outputs, summary, warn = _run_rates(cfg, scene, out_dir)
-        elif kind == "discrete":
-            outputs, summary, warn, _ = _run_discrete(cfg, scene, out_dir)
-        elif kind == "continuum":
-            outputs, summary, warn, _ = _run_continuum(cfg, scene, out_dir)
-        elif kind == "compare":
-            outputs, summary, warn = _run_compare(cfg, scene, out_dir)
-        elif kind == "fluorescence":
-            outputs, summary, warn = _run_fluorescence(cfg, scene, out_dir)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        if kind == "sweep":
+            outputs, summary, failed = _run_sweep(cfg, out_dir, jobs)
+            derived = {}
         else:
-            raise ConfigurationError(f"unhandled run kind {kind!r}")
+            scene = build_scene(cfg)
+            derived = _derived_block(scene, cfg)
+            if kind == "rates":
+                outputs, summary = _run_rates(cfg, scene, out_dir)
+            elif kind == "discrete":
+                outputs, summary, _ = _run_discrete(cfg, scene, out_dir)
+            elif kind == "continuum":
+                outputs, summary, _ = _run_continuum(cfg, scene, out_dir)
+            elif kind == "compare":
+                outputs, summary = _run_compare(cfg, scene, out_dir)
+            elif kind == "fluorescence":
+                outputs, summary = _run_fluorescence(cfg, scene, out_dir)
+            else:
+                raise ConfigurationError(f"unhandled run kind {kind!r}")
 
     manifest = {
         "tool": "spindetect",
@@ -453,7 +454,7 @@ def run_config(raw_cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
         "derived": derived,
         "outputs": outputs,
         "summary": summary,
-        "warnings": warn,
+        "warnings": [str(w.message) for w in caught],
         "failed_sub_runs": failed,
         "wall_clock_s": _time.perf_counter() - started,
         "created_utc": datetime.now(timezone.utc).isoformat(),

@@ -178,28 +178,33 @@ def short_absorbing_run():
         0.3 * u.reference_frequency, 0.0,
         IntervalSensitivity(10.0 * u.length_unit, start=-5.0 * u.length_unit), grid)
     psi0 = free_evolved_packet(packet, 0.0, grid)
-    return propagate_conditional(psi0, pot, (0.0, 1.0 * u.time_unit),
-                                 0.01 * u.time_unit, mass=packet.mass)
+    # the +-60 l0 grid cuts off the launch state's far tails
+    with pytest.warns(UserWarning, match="initial norm"):
+        return propagate_conditional(psi0, pot, (0.0, 1.0 * u.time_unit),
+                                     0.01 * u.time_unit, mass=packet.mass)
 
 
 def test_mass_accounting_matches_run_ledger(short_absorbing_run):
     traj = short_absorbing_run
-    split = mass_accounting(traj)
+    # the packet is still draining, so the ledger warns of a residual
+    with pytest.warns(UserWarning, match="residual mass") as record:
+        split = mass_accounting(traj)
+    assert len(record) == 1
     assert split == mass_fractions(traj.final_fields[0], traj.grid, traj.region,
                                    traj.no_detection_prob, traj.detection_density)
     assert set(split) == {"reflected", "transmitted_undetected",
                           "residual_in_region", "detected"}
     assert sum(split.values()) == pytest.approx(1.0, abs=1e-7)
-    # the packet is still draining, so the run reports a residual warning
-    assert any("residual mass" in w for w in traj.warnings)
 
 
 def test_mass_accounting_region_override(short_absorbing_run):
     traj = short_absorbing_run
     u = make_units()
-    wide = mass_accounting(traj, region=(-30.0 * u.length_unit,
-                                         30.0 * u.length_unit))
-    base = mass_accounting(traj)
+    with pytest.warns(UserWarning, match="residual mass") as record:
+        wide = mass_accounting(traj, region=(-30.0 * u.length_unit,
+                                             30.0 * u.length_unit))
+        base = mass_accounting(traj)
+    assert len(record) == 2
     assert wide["residual_in_region"] > base["residual_in_region"]
     assert wide["reflected"] < base["reflected"]
     assert sum(wide.values()) == pytest.approx(1.0, abs=1e-7)
@@ -249,12 +254,8 @@ def test_edge_wall_run_keeps_one_ledger(tmp_path, grid, edge_wall):
     del cfg["bath"]
     cfg["rates_override"] = {"decay_per_s": 0.0}
     cfg["numerics"]["continuum"].update(grid)
-    if edge_wall:
-        with pytest.warns(UserWarning, match="edge mass"):
-            manifest = run_config(cfg, tmp_path)
-    else:
-        manifest = run_config(cfg, tmp_path)
-    assert any("edge mass" in w for w in manifest["warnings"]) == edge_wall
+    manifest = run_config(cfg, tmp_path)
+    assert sum("edge mass" in w for w in manifest["warnings"]) == edge_wall
     split = manifest["summary"]["continuum"]["mass_split"]
     assert split["detected"] == 0.0
     assert abs(sum(split.values()) - 1.0) <= 1e-12

@@ -34,6 +34,7 @@ from spindetect.bath import (
     _gauss_legendre,
     _kernel_quadrature,
     _legendre_rule,
+    _pv_transform,
 )
 from spindetect.errors import ConfigurationError, NumericsError
 
@@ -52,6 +53,9 @@ from helpers import (
 )
 
 CUTOFF = CUTOFF_RATIO * RESONANCE
+# 1/e half-width, of the support, of the narrowest Gaussian line that the
+# docstring of bath._converged_integral says the composite rule resolves
+NARROWEST_LINE = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +108,20 @@ def test_kernel_at_zero_delay():
     # kappa(0) = (1/2pi) integral of the density = G^2 omega_M / 2
     k0 = correlation_kernel(bath, RESONANCE, 0.0)
     assert k0 == pytest.approx(COUPLING**2 * CUTOFF / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("centre", [0.1, 0.2371, 0.5, 0.7777, 0.9])
+def test_kernel_at_zero_delay_resolves_the_narrowest_line(centre):
+    """A Gaussian line NARROWEST_LINE of the support wide over a flat floor,
+    f = omega (e^{-((omega - wc)/s)^2} + 1) on (0, 1]: kappa(0), the plain
+    integral of f over 2 pi, must equal (wc s sqrt(pi) + 1/2)/(2 pi), exact
+    up to the Gaussian's tails beyond 100 s (e^-10^4)."""
+    s = NARROWEST_LINE
+    bath = GeneralBath(dispersion=1.0, cutoff=1.0, coupling=lambda w: np.sqrt(
+        np.exp(-(((np.asarray(w) - centre) / s) ** 2)) + 1.0))
+    k0 = correlation_kernel(bath, 0.5, 0.0)
+    assert k0 == pytest.approx((centre * s * np.sqrt(np.pi) + 0.5) / (2.0 * np.pi),
+                              rel=1e-13)
 
 
 def test_kernel_closed_form_matches_quadrature():
@@ -277,15 +295,19 @@ def test_generic_bath_gaussian_bump():
 
 
 @PROPERTY_SETTINGS
-@given(cutoff=st.floats(0.5, 20.0), width=st.floats(1e-3, 0.05),
+@given(cutoff=st.floats(0.5, 20.0), width=st.floats(NARROWEST_LINE, 0.05),
        line=st.floats(0.0, 1.0), pole=st.floats(0.02, 0.98),
        a=st.floats(0.1, 2.0), b=st.floats(0.0, 1.0))
 # the line falls between the nodes of 1 and 2 segments on [0.04, 1]
 @example(cutoff=1.0, width=0.001, line=0.1953125, pole=0.02, a=1.0, b=1.0)
+# poles 1e-7 of the support from either end
+@example(cutoff=4.6, width=0.01, line=0.5, pole=1e-7, a=1.0, b=1.0)
+@example(cutoff=4.6, width=0.01, line=0.5, pole=1.0 - 1e-7, a=1.0, b=1.0)
 def test_frequency_route_matches_dawson_oracle(cutoff, width, line, pole, a, b):
     """A Gaussian line over a flat floor, f = omega (a^2 e^{-(omega-wc)^2/s^2}
-    + b^2) on (0, M] with the line at least 8 s inside the support.  The
-    shift has a closed form through Dawson's integral D:
+    + b^2) on (0, M] with the line at least 8 s inside the support, s no
+    narrower than NARROWEST_LINE.  The shift has a closed form through
+    Dawson's integral D:
     -pi delta = a^2 (s sqrt(pi) - 2 sqrt(pi) w0 D((w0 - wc)/s))
                 + b^2 (M + w0 ln((M - w0)/w0)),
     exact up to the Gaussian's tails beyond 8 s (e^-64)."""
@@ -317,18 +339,42 @@ def test_frequency_pv_route_matches_sharp_cutoff_closed_forms():
     """The sharp-cutoff density rebuilt as a GeneralBath: the frequency
     route, A = f(w0) and the principal-value shift, must equal the closed
     forms, and stay far from the 773 MB that an earlier kernel-decay scan
-    took on this bath."""
-    g2, cutoff, w0 = 0.01, 4.6, 1.0
+    took on this bath.  The second resonance, 1e-5 below the cutoff, once
+    raised: the pole sat next to the end of a piece of the support."""
+    g2, cutoff = 0.01, 4.6
     amp = np.sqrt(2.0 * np.pi * g2 / cutoff)
     bath = GeneralBath(dispersion=1.0, cutoff=cutoff,
                        coupling=lambda w: np.full(np.shape(w), amp))
-    res, peak_mb = peak_alloc_mb(lambda: decay_rate_and_shift(bath, w0))
-    assert peak_mb < 128.0
-    assert res.method == "frequency_pv"
-    a_ref = 2.0 * np.pi * g2 * w0 / cutoff
-    d_ref = 2.0 * g2 * ((w0 / cutoff) * np.log(w0 / (cutoff - w0)) - 1.0)
-    assert res.decay_rate == pytest.approx(a_ref, rel=1e-12)
-    assert res.level_shift == pytest.approx(d_ref, rel=1e-12)
+    for w0 in (1.0, 0.99999 * cutoff):
+        res, peak_mb = peak_alloc_mb(lambda: decay_rate_and_shift(bath, w0))
+        assert peak_mb < 128.0
+        assert res.method == "frequency_pv"
+        a_ref = 2.0 * np.pi * g2 * w0 / cutoff
+        d_ref = 2.0 * g2 * ((w0 / cutoff) * np.log(w0 / (cutoff - w0)) - 1.0)
+        assert res.decay_rate == pytest.approx(a_ref, rel=1e-12)
+        assert res.level_shift == pytest.approx(d_ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("pole", [0.0, 4.6])
+def test_principal_value_with_a_pole_at_an_end_raises_at_once(pole):
+    """f(pole) / (omega - pole) is not integrable at an end of the support:
+    the transform refuses it from f(pole) alone, without a quadrature."""
+    calls = []
+
+    def flat(w):
+        calls.append(np.size(w))
+        return np.ones(np.shape(w))
+
+    with pytest.raises(NumericsError, match="diverges"):
+        _pv_transform(flat, pole, 4.6)
+    assert calls == [1]
+
+
+def test_principal_value_beyond_the_support():
+    """A pole past the support needs no principal value: f = omega on (0, 2]
+    about 2.5 gives -(2 + 2.5 ln(0.5/2.5))/pi."""
+    pv = _pv_transform(lambda w: np.asarray(w, dtype=float), 2.5, 2.0)
+    assert pv == pytest.approx(-(2.0 + 2.5 * np.log(0.2)) / np.pi, rel=1e-15)
 
 
 @pytest.mark.parametrize("with_derivative,rtol", [(True, 1e-13), (False, 1e-9)])

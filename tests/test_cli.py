@@ -1,10 +1,16 @@
 """End-to-end command line runs on small configurations."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spindetect import runner
 from spindetect.cli import main
 from spindetect.output import read_csv
 
@@ -143,9 +149,9 @@ def test_window_off_the_step_grid_warns(tmp_path):
     assert t_last / helpers.make_units().time_unit == pytest.approx(8.01, rel=1e-12)
 
 
-def test_failed_matching_nodes_reach_the_manifest(tmp_path, monkeypatch):
+def test_failed_matching_nodes_reach_the_manifest(tmp_path, monkeypatch, capsys):
     """A matching node that fails is dropped from the synthesis; the run
-    says so in its manifest, not only as a Python warning."""
+    says so once in its manifest and once on stderr."""
     from spindetect import discrete
 
     solve = discrete.match_at_origin
@@ -160,11 +166,54 @@ def test_failed_matching_nodes_reach_the_manifest(tmp_path, monkeypatch):
     cfg["kind"] = "discrete"
     del cfg["numerics"]["continuum"], cfg["comparison"]
     out = tmp_path / "out"
-    with pytest.warns(UserWarning, match="failed matching nodes"):
-        assert main(["discrete", "--config", str(write_config(tmp_path, cfg)),
-                     "--out", str(out)]) == 0
+    assert main(["discrete", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert "dropping 1 failed matching nodes from synthesis" in manifest["warnings"]
+    message = "dropping 1 failed matching nodes from synthesis"
+    assert manifest["warnings"].count(message) == 1
+    assert capsys.readouterr().err.count(message) == 1
+
+
+def test_cli_prints_each_run_warning_once(tmp_path):
+    """A zero-decay run whose packet reaches the right wall raises the
+    initial-norm, edge-mass and residual-mass warnings.  Run as its own
+    process, so that nothing else catches the warnings: stderr has one
+    "warning:" line per manifest entry and no other copy of any of them."""
+    cfg = small_continuum_config()
+    del cfg["bath"]
+    cfg["rates_override"] = {"decay_per_s": 0.0}
+    cfg["numerics"]["continuum"].update(
+        x_min_l0=-80.0, x_max_l0=60.0, grid_spacing_l0=0.1, time_start_t0=-6.0,
+        time_stop_t0=11.0, time_step_t0=0.01)
+    out = tmp_path / "out"
+    src = str(Path(runner.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "spindetect.cli", "continuum",
+                           "--config", str(write_config(tmp_path, cfg)), "--out", str(out)],
+                          env=env, capture_output=True, text=True, check=True)
+    listed = json.loads((out / "manifest.json").read_text())["warnings"]
+    assert [sum(phrase in w for w in listed)
+            for phrase in ("initial norm", "edge mass", "residual mass")] == [1, 1, 1]
+    assert done.stderr.splitlines() == [f"warning: {w}" for w in listed]
+
+
+def test_any_warning_raised_during_a_run_reaches_the_manifest(tmp_path, monkeypatch):
+    """run_config records every UserWarning raised inside it, wherever it
+    comes from and each time it is raised, and does not let it escape to
+    the caller."""
+    stats = runner.arrival_stats
+
+    def warning_stats(*args, **kwargs):
+        for _ in range(2):
+            warnings.warn("a probe warning from arrival_stats")
+        return stats(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "arrival_stats", warning_stats)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        manifest = runner.run_config(tiny_continuum_config(), tmp_path)
+    assert manifest["warnings"].count("a probe warning from arrival_stats") == 2
 
 
 def test_sweep_over_decay_rate(tmp_path):
@@ -183,8 +232,12 @@ def test_sweep_over_decay_rate(tmp_path):
     assert abs(cols["detected"][0]) < 1e-10
     assert np.isnan(cols["mean_arrival_s"][0])
     assert cols["detected"][1] > 0.01
-    assert (out / "run_000" / "manifest.json").exists()
     assert (out / "run_001" / "w1_cont.csv").exists()
+    # the sweep re-raises each sub-run's warnings under its run_### prefix
+    listed = [f"run_{i:03d}: {w}" for i in range(2) for w in json.loads(
+        (out / f"run_{i:03d}" / "manifest.json").read_text())["warnings"]]
+    assert listed
+    assert json.loads((out / "manifest.json").read_text())["warnings"] == listed
 
 
 def test_config_file_must_exist(capsys):

@@ -1,6 +1,8 @@
 """Conditional propagation: complex potential, Cayley stepping, norm drain,
 and the two-channel fluorescence analog."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -210,7 +212,8 @@ def test_drain_identity_is_exact(absorbing_run):
 
 def test_mass_split_is_consistent(absorbing_run):
     _, _, _, traj = absorbing_run
-    split = mass_accounting(traj)
+    with pytest.warns(UserWarning, match="residual mass"):
+        split = mass_accounting(traj)
     assert set(split) == {"reflected", "transmitted_undetected",
                           "residual_in_region", "detected"}
     assert sum(split.values()) == pytest.approx(1.0, abs=1e-9)
@@ -286,21 +289,24 @@ def test_initial_norm_mismatch_is_flagged(absorbing_run):
     # a deliberately under-normalized launch state (an over-normalized one
     # would put the survival series above 1, which is rejected outright)
     psi0 = 0.9 * free_evolved_packet(packet, 0.0, grid)
-    traj = propagate_conditional(psi0, pot, (0.0, 0.1 * T0), 0.005 * T0,
-                                 mass=packet.mass)
-    assert any("renormalized" in w for w in traj.warnings)
-    assert sum(mass_accounting(traj).values()) == pytest.approx(1.0, abs=1e-9)
+    with pytest.warns(UserWarning, match="renormalized"):
+        traj = propagate_conditional(psi0, pot, (0.0, 0.1 * T0), 0.005 * T0,
+                                     mass=packet.mass)
+    with pytest.warns(UserWarning, match="residual mass"):
+        assert sum(mass_accounting(traj).values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_edge_mass_triggers_warning():
+    """The packet reaches the ends of a +-20 l0 grid, which also cuts off
+    its launch tails: one edge-mass and one initial-norm warning."""
     packet = slow_packet()
     grid = internal_grid(-20.0, 20.0, 0.05)
     pot = build_conditional_potential(0.0, 0.0, HalfLineSensitivity(), grid)
     psi0 = free_evolved_packet(packet, 0.0, grid)
-    with pytest.warns(UserWarning, match="edge mass"):
-        traj = propagate_conditional(psi0, pot, (0.0, 0.5 * T0), 0.01 * T0,
-                                     mass=packet.mass)
-    assert any("edge mass" in w for w in traj.warnings)
+    with pytest.warns(UserWarning) as record:
+        propagate_conditional(psi0, pot, (0.0, 0.5 * T0), 0.01 * T0, mass=packet.mass)
+    first, second = sorted(str(w.message) for w in record)
+    assert first.startswith("edge mass reached") and second.startswith("initial norm")
 
 
 def test_propagation_guards():
@@ -387,11 +393,13 @@ def test_two_channel_balance_and_drain():
     grid = internal_grid(-90.0, 90.0, 0.1)
     rabi = _lit_region(grid, 0.0, 20.0, 0.3 * u.reference_frequency)
     ground0 = free_evolved_packet(packet, -2.0 * T0, grid)
-    traj = propagate_two_channel(ground0, np.zeros_like(ground0), rabi,
-                                 0.1 * u.reference_frequency,
-                                 0.5 * u.reference_frequency,
-                                 grid, (-2.0 * T0, 2.0 * T0), 0.02 * T0,
-                                 mass=packet.mass)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = propagate_two_channel(ground0, np.zeros_like(ground0), rabi,
+                                     0.1 * u.reference_frequency,
+                                     0.5 * u.reference_frequency,
+                                     grid, (-2.0 * T0, 2.0 * T0), 0.02 * T0,
+                                     mass=packet.mass)
     dt = traj.times[1] - traj.times[0]
     p0 = traj.no_detection_prob
     drain = -np.diff(p0) / dt
@@ -401,10 +409,10 @@ def test_two_channel_balance_and_drain():
     emitted = np.sum(traj.detection_density) * dt
     assert p0[0] - p0[-1] == pytest.approx(emitted, abs=1e-12)
     assert np.all(traj.norms["excited_mass"] <= p0 + 1e-15)
-    assert traj.warnings == []
     # the ledger counts the excited channel's mass too (0.055 of it here)
     assert traj.norms["excited_mass"][-1] > 0.05
-    split = mass_accounting(traj)
+    with pytest.warns(UserWarning, match="residual mass"):
+        split = mass_accounting(traj)
     assert sum(split.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -434,14 +442,15 @@ def test_two_channel_csv_and_snapshots(tmp_path):
     grid = internal_grid(-90.0, 90.0, 0.2)
     rabi = _lit_region(grid, 0.0, 10.0, 0.2 * u.reference_frequency)
     ground0 = free_evolved_packet(packet, 0.0, grid)
-    traj = propagate_two_channel(ground0, np.zeros_like(ground0), rabi,
-                                 0.0, 2.0 * u.reference_frequency, grid,
-                                 (0.0, 1.0 * T0), 0.02 * T0,
-                                 mass=packet.mass, snapshots=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = propagate_two_channel(ground0, np.zeros_like(ground0), rabi,
+                                     0.0, 2.0 * u.reference_frequency, grid,
+                                     (0.0, 1.0 * T0), 0.02 * T0,
+                                     mass=packet.mass, snapshots=4)
     assert traj.snapshots.shape == (2, 4, grid.n_points)
     assert traj.final_fields.shape == (2, grid.n_points)
     np.testing.assert_array_equal(traj.snapshots[:, -1], traj.final_fields)
-    assert traj.warnings == []
     # the region is the lit span, as one_channel_limit_potential defaults it
     assert traj.region == one_channel_limit_potential(rabi, 0.0, 1.0, grid).region
     assert traj.region[0] >= 0.0 and traj.region[1] <= 10.0 * L0
@@ -561,8 +570,6 @@ def test_one_channel_region_defaults_to_lit_extent():
     rabi[2:6] = 1.0
     pot = one_channel_limit_potential(rabi, 0.0, 1.0, grid)
     assert pot.region == (x[2], x[5])
-    override = one_channel_limit_potential(rabi, 0.0, 1.0, grid, region=(0.0, 1.0))
-    assert override.region == (0.0, 1.0)
 
 
 def test_adiabaticity_ratio_definition():
