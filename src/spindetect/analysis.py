@@ -219,7 +219,10 @@ def mass_accounting(trajectory, region: tuple[float, float] | None = None
 
     A residual inside the region above RESIDUAL_WARN means the run stopped
     before the packet cleared the detector, and raises a UserWarning; the
-    trajectory is left unchanged.
+    trajectory is left unchanged.  A half-line region (start, inf) has
+    nothing right of it, so transmitted_undetected is 0 and
+    residual_in_region is the undetected mass still travelling inside the
+    detector: the warning then says that w1 has not drained.
     """
     split = mass_fractions(trajectory.final_fields, trajectory.grid,
                            trajectory.region if region is None else region,

@@ -45,6 +45,10 @@ either model's record.  The norms are computed from the field alone, never
 from the density, so that check stays a real test.  Edge mass and an
 initial norm off 1 raise UserWarnings.
 
+dt is the requested step.  The core divides it by the least integer that
+keeps the potential phase per step dt |V|max / hbar within PHASE_BUDGET,
+with a UserWarning when it divides; the step used is the record's dt.
+
 All public inputs and outputs are SI; internally fields and operators are
 rescaled to detector units (see units.UnitSystem) before factoring the
 step matrices.
@@ -52,6 +56,7 @@ step matrices.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -80,6 +85,9 @@ __all__ = [
 # flagged as contaminated by boundary reflections.
 EDGE_MASS_WARN = 1e-6
 EDGE_CELLS = 5
+# largest potential phase per step, dt |V|max / hbar; a larger requested
+# step is divided down to it
+PHASE_BUDGET = 0.09
 # rounding of a per-step survival drop P0(n) - P0(n+1), relative to P0(0):
 # plain sums of up to ~1e5 terms each carry a few ulp
 DRAIN_ROUNDOFF = 64 * np.finfo(float).eps
@@ -89,22 +97,19 @@ DRAIN_TOLERANCE = 1e-3
 
 @dataclass(frozen=True)
 class ComplexPotential:
-    """Complex detector potential sampled on a grid.
-
-    values[j] = (hbar/2) * (shift_profile[j] - 1j * decay_profile[j]) in
-    joules; decay_profile (1/s) is kept separately because the detection
-    density needs it without the factor hbar/2.
+    """Complex detector potential sampled on a grid: the decay and shift
+    profiles (1/s), from which values (joules) follows.  A nonnegative
+    decay profile is Im V <= 0 everywhere.
     """
 
     grid: Grid1D
-    values: np.ndarray
     decay_profile: np.ndarray
     shift_profile: np.ndarray
     region: tuple[float, float]
 
     def __post_init__(self):
         n = self.grid.n_points
-        for name in ("values", "decay_profile", "shift_profile"):
+        for name in ("decay_profile", "shift_profile"):
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise ConfigurationError(f"{name} must have shape ({n},)")
@@ -112,8 +117,11 @@ class ComplexPotential:
             raise ConfigurationError("decay profile must be finite")
         if np.any(self.decay_profile < 0.0):
             raise ConfigurationError("decay profile must be nonnegative")
-        if np.any(self.values.imag > 1e-300):
-            raise ConfigurationError("Im V must be <= 0 everywhere")
+
+    @property
+    def values(self) -> np.ndarray:
+        """V[j] = (hbar/2) * (shift_profile[j] - 1j * decay_profile[j])."""
+        return 0.5 * HBAR * (self.shift_profile - 1j * self.decay_profile)
 
     @property
     def max_magnitude(self) -> float:
@@ -151,9 +159,8 @@ def build_conditional_potential(decay_rate, level_shift, sensitivity: Sensitivit
         shift = shift.copy()
     if not include_shift:
         shift = np.zeros_like(shift)
-    values = 0.5 * HBAR * (shift - 1j * decay)
     lo, hi = sensitivity.support
-    return ComplexPotential(grid=grid, values=values, decay_profile=decay,
+    return ComplexPotential(grid=grid, decay_profile=decay,
                             shift_profile=shift, region=(float(lo), float(hi)))
 
 
@@ -200,7 +207,8 @@ class ConditionalTrajectory:
     midpoints (`detection_density_times`), where the scheme satisfies
     [P0(n) - P0(n+1)]/dt = w1(midpoint) exactly.  Sampling it at the nodes
     instead would bias it against the P0 drain by the factor 1 + (E dt)^2/4
-    from the fast kinetic phase.  snapshots are (channel, index, x) and
+    from the fast kinetic phase.  dt is the step used, the requested one
+    divided down to PHASE_BUDGET.  snapshots are (channel, index, x) and
     final_fields (channel, x), in SI; channel 0 is the ground field.  region
     is the detector's extent, which the mass ledger splits the final field
     around.
@@ -208,6 +216,7 @@ class ConditionalTrajectory:
 
     grid: Grid1D
     times: np.ndarray
+    dt: float
     norms: dict[str, np.ndarray]
     detection_density_times: np.ndarray
     detection_density: np.ndarray
@@ -268,7 +277,10 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
     """Shared core of the conditional propagators; checks every input first.
 
     The channel fields (SI) are interleaved into one state y, channel c at
-    y[c::len(fields)].  vmax (joules) meets the phase bound; positive
+    y[c::len(fields)].  dt is the requested step: it is divided by the least
+    integer N keeping dt |V|max / hbar within PHASE_BUDGET, vmax being
+    |V|max in joules, and N > 1 raises a UserWarning.  The record's dt is
+    the step used; the kinetic and whole-step checks apply to it.  Positive
     frequency_scales (1/s) may raise the default reference frequency.
     solver(h_int, dt_int, omega) returns (step, density, norms): the next
     state, the midpoint detection density (1/s), and a tuple of norms led
@@ -281,13 +293,17 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ConfigurationError("t_span must be increasing")
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ConfigurationError("dt must be positive")
     if mass <= 0.0:
         raise ConfigurationError("mass must be positive")
-    if vmax > 0.0 and dt * vmax / HBAR >= 0.1:
-        raise ConfigurationError(
-            f"dt*|V|max/hbar = {dt * vmax / HBAR:.3g} >= 0.1: reduce dt")
+    if not np.isfinite(vmax):
+        raise ConfigurationError("|V|max must be finite")
+    refine = max(1, math.ceil(dt * vmax / (HBAR * PHASE_BUDGET)))
+    if refine > 1:
+        warnings.warn(f"time step refined x{refine} to respect the potential "
+                      "phase bound dt|V|/hbar < 0.1", stacklevel=3)
+        dt /= refine
     kinetic_scale = 2.0 * mass * grid.spacing ** 2 / HBAR * np.pi
     if dt >= kinetic_safety * kinetic_scale:
         raise ConfigurationError(
@@ -340,7 +356,7 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
                       "boundary reflections may contaminate the run", stacklevel=3)
     snaps /= scale
     return ConditionalTrajectory(
-        grid=grid, times=times, norms=dict(zip(norm_names, recorded)),
+        grid=grid, times=times, dt=dt, norms=dict(zip(norm_names, recorded)),
         detection_density_times=times[:-1] + 0.5 * dt, detection_density=w1,
         snapshot_times=times[snap_idx], snapshots=snaps,
         final_fields=y.reshape(n, channels).T / scale, region=region)
@@ -352,11 +368,13 @@ def propagate_conditional(psi0: np.ndarray, potential: ComplexPotential,
                           snapshots: int = 512, kinetic_safety: float = 64.0
                           ) -> ConditionalTrajectory:
     """Propagate psi0 (SI, units m^-1/2) under p^2/2m + V from t_span[0] to
-    t_span[1] in uniform steps dt, recording the survival probability at
+    t_span[1] in uniform steps, recording the survival probability at
     every step boundary and the detection density at every step midpoint.
 
-    Preconditions enforced as configuration errors: dt must resolve the
-    potential phase (dt |V|_max / hbar < 0.1), must not exceed
+    dt is the requested step.  It is divided by the least integer keeping
+    dt |V|max / hbar within PHASE_BUDGET, with a UserWarning when it is
+    divided; the step used is traj.dt.  Preconditions enforced as
+    configuration errors, on the step used: it must not exceed
     kinetic_safety * (2 m dx^2 / hbar) * pi, a blunt guard against grossly
     unresolved kinetic phases, and must divide t_span into whole steps.
     Mass accumulating within EDGE_CELLS of either grid end above 1e-6, and
@@ -469,8 +487,10 @@ def propagate_two_channel(ground0: np.ndarray, excited0: np.ndarray,
     block (hbar/2) [[0, Omega(x)], [Omega(x), -2*detuning - i*linewidth]];
     spontaneous emission drains the excited channel at rate linewidth, and
     the emission density is w1 = linewidth * ||excited||^2, balancing the
-    combined norm loss.  dt is checked as in propagate_conditional, with
-    |V|max the larger of hbar*Omega/2 and hbar|2*detuning + i*linewidth|/2.
+    combined norm loss.  dt is the requested step, refined to PHASE_BUDGET
+    and checked as in propagate_conditional (the step used is traj.dt),
+    with |V|max the larger of hbar*Omega/2 and hbar|2*detuning +
+    i*linewidth|/2.
     The record's norms are the combined norm P0 and the excited mass; its
     region is the lit span of the Rabi profile.
     """
@@ -532,8 +552,7 @@ def one_channel_limit_potential(rabi_profile: np.ndarray, detuning: float,
     om2 = rabi ** 2
     decay = linewidth * om2 / denom
     shift = 2.0 * detuning * om2 / denom
-    values = 0.5 * HBAR * (shift - 1j * decay)
-    return ComplexPotential(grid=grid, values=values, decay_profile=decay,
+    return ComplexPotential(grid=grid, decay_profile=decay,
                             shift_profile=shift, region=_lit_span(grid, rabi))
 
 

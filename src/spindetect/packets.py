@@ -101,8 +101,7 @@ def momentum_amplitude(spec: GaussianPacketSpec, k) -> np.ndarray:
     return amp * np.exp(1j * phase)
 
 
-def free_evolved_packet(spec: GaussianPacketSpec, t: float, grid: Grid1D,
-                        *, resolution_check: bool = True) -> np.ndarray:
+def free_evolved_packet(spec: GaussianPacketSpec, t: float, grid: Grid1D) -> np.ndarray:
     """Closed-form freely evolved packet psi(x, t) on the grid, m^(-1/2).
 
     Chirped Gaussian: with sigma_k = dp/hbar, b = 1/(4 sigma_k^2) + i theta/2,
@@ -110,16 +109,19 @@ def free_evolved_packet(spec: GaussianPacketSpec, t: float, grid: Grid1D,
 
         psi = (2 pi sigma_k^2)^(-1/4) (2 b)^(-1/2)
               * exp(-(X - theta k0)^2/(4 b)) * exp(i k0 X - i theta k0^2/2)
+
+    The grid must resolve k_max = k0 + 8 sigma_k: spacing < pi/k_max.  A
+    broad packet is fine here; only the discrete route needs k0 - 8 sigma_k
+    > 0.
     """
-    if resolution_check:
-        k_hi = spec.wavenumber_window()[1]
-        if grid.spacing >= np.pi / k_hi:
-            raise ConfigurationError(
-                f"grid spacing {grid.spacing:.3e} m does not resolve the packet "
-                f"(needs < pi/k_max = {np.pi / k_hi:.3e} m)")
-    x = grid.points()
     sk = spec.wavenumber_width
     k0 = spec.mean_wavenumber
+    k_hi = k0 + 8.0 * sk
+    if grid.spacing >= np.pi / k_hi:
+        raise ConfigurationError(
+            f"grid spacing {grid.spacing:.3e} m does not resolve the packet "
+            f"(needs < pi/k_max = {np.pi / k_hi:.3e} m)")
+    x = grid.points()
     theta = HBAR * (t - spec.focus_time) / spec.mass
     big_x = x - spec.focus_position
     b = 1.0 / (4.0 * sk**2) + 0.5j * theta

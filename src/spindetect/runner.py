@@ -41,9 +41,6 @@ except Exception:
 
 __all__ = ["Scene", "build_scene", "run_config"]
 
-# phase-per-step ceiling used when auto-refining dt against dt |V| / hbar < 0.1
-PHASE_BUDGET = 0.09
-
 
 @dataclass
 class Scene:
@@ -186,37 +183,25 @@ def _run_discrete(cfg: dict, scene: Scene, out_dir: Path):
     return {"w1_disc": "w1_disc.csv"}, summary, series
 
 
-def _continuum_setup(cfg: dict, scene: Scene, detector):
-    """Grid, time window, launch packet and the time step divided by the
-    least integer keeping dt |V|max / hbar within PHASE_BUDGET, for the
-    continuum and fluorescence runs.  detector(grid) returns the run's
-    detector on the grid and its |V|max (joules).
-    Returns (grid, t_span, dt, psi0, detector)."""
+def _continuum_setup(cfg: dict, scene: Scene):
+    """Grid, time window, requested time step and launch packet of the
+    continuum and fluorescence runs; the propagators refine the step.
+    Returns (grid, t_span, dt, psi0)."""
     num = cfg["numerics"]["continuum"]
     u = scene.units
     grid = _space_grid(num, u.length_unit)
     times = _time_grid(num, u.time_unit)
     t0, t1 = float(times[0]), float(times[-1])
-    dt = num["time_step_t0"] * u.time_unit
-    built, vmax = detector(grid)
-    refine = max(1, math.ceil(dt * vmax / (HBAR * PHASE_BUDGET))) if vmax > 0.0 else 1
-    if refine > 1:
-        warnings.warn(f"time step refined x{refine} to respect the potential "
-                      "phase bound dt|V|/hbar < 0.1")
     psi0 = free_evolved_packet(scene.packet, t0, grid)
-    return grid, (t0, t1), dt / refine, psi0, built
+    return grid, (t0, t1), num["time_step_t0"] * u.time_unit, psi0
 
 
 def _run_continuum(cfg: dict, scene: Scene, out_dir: Path):
     num = cfg["numerics"]["continuum"]
-
-    def detector(grid):
-        potential = build_conditional_potential(
-            scene.rates.decay_rate, scene.rates.level_shift,
-            scene.geometry.sensitivity, grid, include_shift=cfg["include_shift"])
-        return potential, potential.max_magnitude
-
-    _, span, dt, psi0, potential = _continuum_setup(cfg, scene, detector)
+    grid, span, dt, psi0 = _continuum_setup(cfg, scene)
+    potential = build_conditional_potential(
+        scene.rates.decay_rate, scene.rates.level_shift,
+        scene.geometry.sensitivity, grid, include_shift=cfg["include_shift"])
     traj = propagate_conditional(
         psi0, potential, span, dt, mass=scene.packet.mass,
         reference_frequency=scene.units.reference_frequency,
@@ -264,14 +249,9 @@ def _run_fluorescence(cfg: dict, scene: Scene, out_dir: Path):
     lo = fl["region"]["start_l0"] * u.length_unit
     hi = lo + fl["region"]["width_l0"] * u.length_unit
     detuning, linewidth = fl["detuning_per_s"], fl["linewidth_per_s"]
-
-    def lit_region(grid):
-        x = grid.points()
-        rabi = np.where((x >= lo) & (x <= hi), fl["rabi_per_s"], 0.0)
-        return rabi, HBAR * max(np.max(rabi) / 2.0,
-                                0.5 * abs(2.0 * detuning + 1j * linewidth))
-
-    grid, span, dt, psi0, rabi = _continuum_setup(cfg, scene, lit_region)
+    grid, span, dt, psi0 = _continuum_setup(cfg, scene)
+    x = grid.points()
+    rabi = np.where((x >= lo) & (x <= hi), fl["rabi_per_s"], 0.0)
     two = propagate_two_channel(psi0, np.zeros_like(psi0), rabi, detuning, linewidth,
                                 grid, span, dt, mass=scene.packet.mass,
                                 snapshots=num["snapshots"],
@@ -279,8 +259,11 @@ def _run_fluorescence(cfg: dict, scene: Scene, out_dir: Path):
     two.to_csv(out_dir / "w1_fluor.csv")
 
     potential = one_channel_limit_potential(rabi, detuning, linewidth, grid)
+    # the two-channel leg's step, so both densities share one time grid; the
+    # limit potential's |V|max is below the two-channel one when Omega <=
+    # |2 detuning + i linewidth|, else the limit leg refines further
     traj = propagate_conditional(
-        psi0, potential, span, dt, mass=scene.packet.mass,
+        psi0, potential, span, two.dt, mass=scene.packet.mass,
         reference_frequency=u.reference_frequency, snapshots=num["snapshots"],
         kinetic_safety=num["kinetic_safety"])
     traj.to_csv(out_dir / "w1_limit.csv")

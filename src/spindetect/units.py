@@ -48,11 +48,6 @@ class UnitSystem:
         """L0 in meters."""
         return np.sqrt(HBAR / (self.mass * self.reference_frequency))
 
-    @property
-    def energy_unit(self) -> float:
-        """E0 in joules."""
-        return HBAR * self.reference_frequency
-
     # --- SI -> internal -------------------------------------------------
     def time_in(self, t_si):
         return np.asarray(t_si) * self.reference_frequency
@@ -62,13 +57,3 @@ class UnitSystem:
 
     def wavenumber_in(self, k_si):
         return np.asarray(k_si) * self.length_unit
-
-    def frequency_in(self, omega_si):
-        """Angular frequencies and rates alike (1/s)."""
-        return np.asarray(omega_si) / self.reference_frequency
-
-    def energy_in(self, e_si):
-        return np.asarray(e_si) / self.energy_unit
-
-    def velocity_in(self, v_si):
-        return np.asarray(v_si) * self.time_unit / self.length_unit

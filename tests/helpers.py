@@ -73,6 +73,12 @@ def internal_grid(x_min_l0, x_max_l0, spacing_l0, units=None):
     return Grid1D(x_min_l0 * u.length_unit, x_max_l0 * u.length_unit, n)
 
 
+def two_channel_vmax(rabi_max, detuning, linewidth):
+    """|V|max of the fluorescence block (hbar/2)[[0, Omega], [Omega,
+    -2 detuning - i linewidth]], joules."""
+    return HBAR * max(rabi_max / 2.0, 0.5 * abs(2.0 * detuning + 1j * linewidth))
+
+
 def l2_distance(grid, a, b):
     """Discrete L2 distance sqrt(h sum |a - b|^2) on a shared grid."""
     return float(np.sqrt(grid.spacing * np.sum(np.abs(np.asarray(a)

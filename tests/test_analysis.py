@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spindetect import (
     ArrivalStats,
+    HalfLineSensitivity,
     IntervalSensitivity,
     arrival_stats,
     build_conditional_potential,
@@ -221,6 +222,27 @@ def test_mass_accounting_rejects_tampered_field(short_absorbing_run):
         traj.final_fields[:] = original
 
 
+def test_half_line_ledger_has_nothing_transmitted():
+    """Right of a half-line detector (start, inf) there is no grid, so
+    transmitted_undetected is exactly 0: the undetected mass past the start
+    is residual_in_region, still travelling inside the detector, and the
+    residual-mass warning says so."""
+    u = make_units()
+    packet = slow_packet()
+    grid = internal_grid(-60.0, 60.0, 0.1)
+    pot = build_conditional_potential(0.01 * u.reference_frequency, 0.0,
+                                      HalfLineSensitivity(), grid)
+    psi0 = free_evolved_packet(packet, 0.0, grid)
+    with pytest.warns(UserWarning, match="initial norm"):
+        traj = propagate_conditional(psi0, pot, (0.0, 1.0 * u.time_unit),
+                                     0.01 * u.time_unit, mass=packet.mass)
+    assert traj.region == (0.0, np.inf)
+    with pytest.warns(UserWarning, match="residual mass"):
+        split = mass_accounting(traj)
+    assert split["transmitted_undetected"] == 0.0
+    assert split["residual_in_region"] > 0.4
+
+
 def test_mass_accounting_rejects_a_ledger_off_one():
     """A record whose final field and survival series disagree: half the
     mass transmitted plus 0.2 detected is not the launched 1."""
@@ -228,7 +250,7 @@ def test_mass_accounting_rejects_a_ledger_off_one():
     field = np.zeros((1, grid.n_points), dtype=complex)
     field[0, -1] = np.sqrt(0.5 / grid.spacing)
     traj = ConditionalTrajectory(
-        grid=grid, times=np.arange(3.0),
+        grid=grid, times=np.arange(3.0), dt=1.0,
         norms={"no_detection_prob": np.array([1.0, 0.9, 0.8])},
         detection_density_times=np.array([0.5, 1.5]),
         detection_density=np.array([0.1, 0.1]),

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -214,6 +215,57 @@ def test_any_warning_raised_during_a_run_reaches_the_manifest(tmp_path, monkeypa
         warnings.simplefilter("error")
         manifest = runner.run_config(tiny_continuum_config(), tmp_path)
     assert manifest["warnings"].count("a probe warning from arrival_stats") == 2
+
+
+def refined_fluorescence_config():
+    """The fluorescence pair on a coarse grid at dt = 0.05 t0, 2.8x the phase
+    budget for |V|max = hbar linewidth / 2 = 5 hbar/t0: refined x3 (~1 s)."""
+    cfg = helpers.fluorescence_config()
+    cfg["numerics"]["continuum"].update(
+        x_min_l0=-90.0, x_max_l0=100.0, grid_spacing_l0=0.15, time_start_t0=-55.0,
+        time_stop_t0=15.0, time_step_t0=0.05)
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def refined_fluorescence(tmp_path_factory):
+    out = tmp_path_factory.mktemp("refined_fluorescence")
+    return out, runner.run_config(refined_fluorescence_config(), out)
+
+
+def test_refinement_is_one_manifest_warning(refined_fluorescence):
+    """The benchmark reads the refinement factor N from the manifest entry
+    "time step refined xN ..."; the run lists it once, for the two-channel
+    leg."""
+    _, manifest = refined_fluorescence
+    refined = [w for w in manifest["warnings"] if w.startswith("time step refined")]
+    assert refined == ["time step refined x3 to respect the potential phase bound "
+                       "dt|V|/hbar < 0.1"]
+    assert int(re.search(r"refined x(\d+)", refined[0]).group(1)) == 3
+
+
+def test_fluorescence_legs_share_the_refined_time_grid(refined_fluorescence):
+    """The one-channel limit leg runs at the two-channel leg's refined step,
+    not at the requested one, which its smaller |V|max would not refine."""
+    out, _ = refined_fluorescence
+    t_fluor = read_csv(out / "w1_fluor.csv")["t_s"]
+    np.testing.assert_array_equal(t_fluor, read_csv(out / "w1_limit.csv")["t_s"])
+    step = (t_fluor[-1] - t_fluor[0]) / (t_fluor.size - 1)
+    assert step == pytest.approx(0.05 / 3 * helpers.make_units().time_unit, rel=1e-9)
+
+
+def test_broad_packet_runs_on_the_continuum_route(tmp_path):
+    """k0/sigma_k = 5 is too broad for the discrete route's momentum window
+    (k0 - 8 sigma_k <= 0), not for the continuum route."""
+    cfg = small_continuum_config()
+    packet = cfg["packet"]
+    k0 = packet["mass_kg"] * packet["mean_velocity_m_per_s"] / helpers.HBAR
+    packet["momentum_width_hbar_per_m"] = k0 / 5.0
+    manifest = runner.run_config(cfg, tmp_path)
+    cont = manifest["summary"]["continuum"]
+    assert cont["mass_split"]["detected"] == pytest.approx(0.3511, abs=1e-3)
+    assert cont["norm_balance"]["continuity_residual_relative"] < 1e-9
+    assert [w for w in manifest["warnings"] if "residual mass" not in w] == []
 
 
 def test_sweep_over_decay_rate(tmp_path):

@@ -19,11 +19,12 @@ from spindetect import (
     propagate_conditional,
     propagate_two_channel,
 )
-from spindetect.conditional import ConditionalTrajectory, CrankNicolson1D, norm_balance
+from spindetect.conditional import (PHASE_BUDGET, ConditionalTrajectory, CrankNicolson1D,
+                                    norm_balance)
 from spindetect.errors import ConfigurationError, NumericsError
 from spindetect.output import read_csv
 
-from helpers import internal_grid, l2_distance, make_units, slow_packet
+from helpers import internal_grid, l2_distance, make_units, slow_packet, two_channel_vmax
 
 
 T0 = make_units().time_unit
@@ -263,6 +264,65 @@ def test_dt_refinement_is_converged(absorbing_run):
     assert l2_distance(grid, fine.final_fields[0], traj.final_fields[0]) < 1e-4
 
 
+def _assert_refined(run, dt, vmax):
+    """run() at requested step dt over the phase budget: one refinement
+    warning, and the step used is dt/N for the least N within the budget."""
+    with pytest.warns(UserWarning) as record:
+        traj = run()
+    refined = [str(w.message) for w in record if "time step refined" in str(w.message)]
+    n = int(np.ceil(dt * vmax / (HBAR * PHASE_BUDGET)))
+    assert n > 1
+    assert refined == [f"time step refined x{n} to respect the potential phase bound "
+                       "dt|V|/hbar < 0.1"]
+    assert traj.dt == dt / n
+    return traj
+
+
+def _assert_same_run(a, b):
+    for name in ("times", "detection_density_times", "detection_density",
+                 "snapshot_times", "snapshots", "final_fields"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.norms.keys() == b.norms.keys()
+    for key in a.norms:
+        np.testing.assert_array_equal(a.norms[key], b.norms[key])
+
+
+def test_step_over_the_budget_is_the_run_at_the_refined_step(absorbing_run):
+    """Requested at 2.4x the phase budget, the step is divided by 3 with one
+    warning, and the run equals the direct run at dt/3 bit for bit."""
+    packet, grid, pot, _ = absorbing_run
+    psi0 = free_evolved_packet(packet, 0.0, grid)
+    dt = 2.4 * PHASE_BUDGET * HBAR / pot.max_magnitude
+    span = (0.0, 4.0 * dt)
+    coarse = _assert_refined(
+        lambda: propagate_conditional(psi0, pot, span, dt, mass=packet.mass), dt,
+        pot.max_magnitude)
+    fine = propagate_conditional(psi0, pot, span, dt / 3, mass=packet.mass)
+    assert coarse.dt == fine.dt == dt / 3
+    _assert_same_run(coarse, fine)
+
+
+def test_two_channel_step_over_the_budget_is_the_run_at_the_refined_step():
+    u = make_units()
+    packet = slow_packet()
+    grid = internal_grid(-90.0, 90.0, 0.2)
+    rabi = _lit_region(grid, 0.0, 20.0, 0.3 * u.reference_frequency)
+    detuning, linewidth = 0.1 * u.reference_frequency, 0.5 * u.reference_frequency
+    vmax = two_channel_vmax(np.max(rabi), detuning, linewidth)
+    ground0 = free_evolved_packet(packet, -2.0 * T0, grid)
+
+    def run(dt):
+        return propagate_two_channel(ground0, np.zeros_like(ground0), rabi, detuning,
+                                     linewidth, grid, (-2.0 * T0, -2.0 * T0 + 4.0 * dt0),
+                                     dt, mass=packet.mass)
+
+    dt0 = 2.4 * PHASE_BUDGET * HBAR / vmax
+    coarse = _assert_refined(lambda: run(dt0), dt0, vmax)
+    fine = run(dt0 / 3)
+    assert fine.dt == dt0 / 3
+    _assert_same_run(coarse, fine)
+
+
 def test_snapshots_and_csv(absorbing_run, tmp_path):
     packet, grid, pot, traj = absorbing_run
     psi0 = free_evolved_packet(packet, 0.0, grid)
@@ -315,8 +375,14 @@ def test_propagation_guards():
     pot = build_conditional_potential(0.0, 0.0, HalfLineSensitivity(), grid)
     psi0 = free_evolved_packet(packet, 0.0, grid)
     hot = build_conditional_potential(1.0e12, 0.0, HalfLineSensitivity(), grid)
-    with pytest.raises(ConfigurationError, match="reduce dt"):
-        propagate_conditional(psi0, hot, (0.0, 1.0 * T0), 0.01 * T0,
+    # a step over the phase budget is refined, not rejected
+    _assert_refined(lambda: propagate_conditional(psi0, hot, (0.0, 0.1 * T0), 0.01 * T0,
+                                                  mass=packet.mass),
+                    0.01 * T0, hot.max_magnitude)
+    # an infinite shift makes |V|max inf: an error, not an unbounded refinement
+    with np.errstate(invalid="ignore"), pytest.raises(ConfigurationError, match="finite"):
+        unbounded = build_conditional_potential(0.0, np.inf, HalfLineSensitivity(), grid)
+        propagate_conditional(psi0, unbounded, (0.0, 1.0 * T0), 0.01 * T0,
                               mass=packet.mass)
     with pytest.raises(ConfigurationError, match="kinetic"):
         propagate_conditional(psi0, pot, (0.0, 16.0 * T0), 8.0 * T0,
@@ -342,7 +408,7 @@ def _fake_trajectory(p0, norms=()):
     grid = internal_grid(-2.0, 2.0, 0.5)
     n = len(p0) - 1
     return ConditionalTrajectory(
-        grid=grid, times=np.arange(n + 1, dtype=float),
+        grid=grid, times=np.arange(n + 1, dtype=float), dt=1.0,
         norms={"no_detection_prob": np.asarray(p0, dtype=float), **dict(norms)},
         detection_density_times=np.arange(n) + 0.5,
         detection_density=np.zeros(n),
@@ -479,9 +545,11 @@ def test_two_channel_validation():
     with pytest.raises(ConfigurationError, match="nonnegative"):
         propagate_two_channel(psi, zeros, good, 0.0, -1.0, grid,
                               (0.0, 1.0 * T0), 0.01 * T0, mass=packet.mass)
-    with pytest.raises(ConfigurationError, match="reduce dt"):
-        propagate_two_channel(psi, zeros, good, 0.0, 100.0 * u.reference_frequency,
-                              grid, (0.0, 1.0 * T0), 0.05 * T0, mass=packet.mass)
+    # a step over the phase budget is refined, not rejected
+    _assert_refined(lambda: propagate_two_channel(
+        psi, zeros, good, 0.0, 100.0 * u.reference_frequency, grid, (0.0, 1.0 * T0),
+        0.05 * T0, mass=packet.mass),
+        0.05 * T0, two_channel_vmax(0.0, 0.0, 100.0 * u.reference_frequency))
 
 
 def test_two_channel_record_bounds_the_survival():
@@ -512,8 +580,8 @@ def test_two_channel_guards():
         return propagate_two_channel(ground, zeros, dark, 0.0, linewidth, grid, span, dt,
                                      mass=packet.mass, **kw)
 
-    with pytest.raises(ConfigurationError, match="reduce dt"):
-        run(linewidth=1.0e12)
+    _assert_refined(lambda: run(linewidth=1.0e12, span=(0.0, 0.1 * T0)),
+                    0.01 * T0, two_channel_vmax(0.0, 0.0, 1.0e12))
     with pytest.raises(ConfigurationError, match="kinetic"):
         run(span=(0.0, 16.0 * T0), dt=8.0 * T0, linewidth=0.0)
     with pytest.raises(ConfigurationError, match="kinetic"):
@@ -528,6 +596,10 @@ def test_two_channel_guards():
         run(dt=0.0)
     with pytest.raises(ConfigurationError, match="positive"):
         run(dt=-0.01 * T0)
+    with pytest.raises(ConfigurationError, match="positive"):
+        run(dt=np.nan)
+    with pytest.raises(ConfigurationError, match="finite"):
+        run(linewidth=np.inf)
     with pytest.raises(ConfigurationError, match="zero norm"):
         run(ground=zeros, span=(0.0, 0.1 * T0))
     with pytest.raises(ConfigurationError, match="mass"):

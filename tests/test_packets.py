@@ -83,10 +83,19 @@ def test_focus_shifts_packet():
 def test_resolution_check_rejects_coarse_grid():
     p = fig1_packet()
     coarse = Grid1D(-1e-6, 1e-6, 64)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="does not resolve"):
         free_evolved_packet(p, 0.0, coarse)
-    # the escape hatch skips the guard
-    free_evolved_packet(p, 0.0, coarse, resolution_check=False)
+    # a broad packet, k0/sigma_k = 5, has no discrete momentum window
+    # (k0 - 8 sigma_k <= 0); the grid need only resolve k0 + 8 sigma_k
+    broad = fig1_packet(momentum_width=HBAR * p.mean_wavenumber / 5.0)
+    with pytest.raises(ConfigurationError, match="momentum window"):
+        broad.wavenumber_window()
+    cells = 4e-8 * 13.0 * broad.wavenumber_width / np.pi
+    fine = Grid1D(-2e-8, 2e-8, int(cells) + 2)
+    dens = np.abs(free_evolved_packet(broad, 0.0, fine)) ** 2
+    assert np.sum(dens) * fine.spacing == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(ConfigurationError, match="does not resolve"):
+        free_evolved_packet(broad, 0.0, Grid1D(-2e-8, 2e-8, int(cells)))
 
 
 def test_invalid_packets_rejected():

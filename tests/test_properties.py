@@ -1,11 +1,14 @@
 """Property tests of both routes.  Conditional propagators: for random
-detectors and steps inside the phase and kinetic bounds, the survival
-probability never rises and the recorded density balances its drain
-(norm_balance).  Mode ladder: for random (N, G, cutoff) baths the interior
-eigenbasis is unitary and the matching at x = 0 conserves flux."""
+detectors and steps inside the kinetic bound and up to about 4x the phase
+budget, the step is refined exactly when it is over the budget, the step
+used is within it, the survival probability never rises and the recorded
+density balances its drain (norm_balance).  Mode ladder: for random (N, G,
+cutoff) baths the interior eigenbasis is unitary and the matching at x = 0
+conserves flux."""
+
+import warnings
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -20,16 +23,14 @@ from spindetect import (
     propagate_conditional,
     propagate_two_channel,
 )
+from spindetect.conditional import PHASE_BUDGET
 
 from helpers import (COUPLING, PROPERTY_SETTINGS, RESONANCE, fig1_geometry, fig1_packet,
-                     internal_grid, make_units)
+                     internal_grid, make_units, two_channel_vmax)
 
 U = make_units()
 OMEGA = U.reference_frequency
 KINETIC_SAFETY = 64.0
-
-# random fields may reach the grid ends; the warning is beside the point here
-QUIET_EDGES = pytest.mark.filterwarnings("ignore:edge mass")
 
 
 @st.composite
@@ -56,9 +57,28 @@ def _packet_on_peak(grid, profile, k0_int, width_cells):
 
 
 def _step_within_bounds(grid, vmax, fraction):
-    phase_bound = 0.1 * HBAR / vmax
+    """fraction of the smaller of about 4x the phase budget and the kinetic
+    bound: the draws reach steps the propagators refine."""
+    phase_bound = 4.0 * PHASE_BUDGET * HBAR / vmax
     kinetic_bound = KINETIC_SAFETY * 2.0 * U.mass * grid.spacing ** 2 / HBAR * np.pi
     return fraction * min(phase_bound, kinetic_bound)
+
+
+def _run_refined(propagate, dt, vmax):
+    """propagate() at requested step dt: a refinement warning appears exactly
+    when dt vmax / hbar exceeds PHASE_BUDGET, and the step used is within it
+    (to the rounding of dividing by the refinement factor).  Random fields
+    may reach the grid ends; that warning is beside the point here."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traj = propagate()
+    messages = [str(w.message) for w in caught
+                if not str(w.message).startswith("edge mass")]
+    over = dt * vmax / (HBAR * PHASE_BUDGET) > 1.0
+    assert len(messages) == int(over)
+    assert all(m.startswith("time step refined x") for m in messages)
+    assert traj.dt * vmax / HBAR <= PHASE_BUDGET * (1.0 + 4.0 * np.finfo(float).eps)
+    return traj
 
 
 def _assert_properties(traj, survival):
@@ -70,13 +90,11 @@ def _assert_properties(traj, survival):
     """
     eps = np.finfo(float).eps
     assert np.all(np.diff(survival) <= 64 * eps * survival[0])
-    dt = traj.times[1] - traj.times[0]
-    peak_loss = dt * np.max(traj.detection_density)
+    peak_loss = traj.dt * np.max(traj.detection_density)
     residual_loss = norm_balance(traj)["continuity_residual_relative"] * peak_loss
     assert residual_loss <= max(1e-10 * peak_loss, 16 * eps * survival[0])
 
 
-@QUIET_EDGES
 @PROPERTY_SETTINGS
 @given(shape=profiles(),
        decay=st.floats(0.01, 5.0), shift=st.floats(-5.0, 5.0),
@@ -87,18 +105,19 @@ def test_one_channel_contracts_and_balances(shape, decay, shift, k0, width,
     grid, profile = shape
     decay_profile = decay * OMEGA * profile
     shift_profile = shift * OMEGA * profile
-    potential = ComplexPotential(
-        grid=grid, values=0.5 * HBAR * (shift_profile - 1j * decay_profile),
-        decay_profile=decay_profile, shift_profile=shift_profile,
-        region=(grid.x_min, grid.x_max))
-    dt = _step_within_bounds(grid, potential.max_magnitude, fraction)
+    potential = ComplexPotential(grid=grid, decay_profile=decay_profile,
+                                 shift_profile=shift_profile,
+                                 region=(grid.x_min, grid.x_max))
+    vmax = potential.max_magnitude
+    dt = _step_within_bounds(grid, vmax, fraction)
     psi0 = _packet_on_peak(grid, profile, k0, width)
-    traj = propagate_conditional(psi0, potential, (0.0, n_steps * dt), dt,
-                                 mass=U.mass, kinetic_safety=KINETIC_SAFETY)
+    traj = _run_refined(
+        lambda: propagate_conditional(psi0, potential, (0.0, n_steps * dt), dt,
+                                      mass=U.mass, kinetic_safety=KINETIC_SAFETY),
+        dt, vmax)
     _assert_properties(traj, traj.no_detection_prob)
 
 
-@QUIET_EDGES
 @PROPERTY_SETTINGS
 @given(shape=profiles(),
        # a subnormal linewidth underflows the density itself
@@ -110,14 +129,15 @@ def test_two_channel_contracts_and_balances(shape, rabi, linewidth, detuning, k0
                                             width, fraction, n_steps):
     grid, profile = shape
     rabi_profile = rabi * OMEGA * profile
-    vmax = HBAR * max(rabi * OMEGA / 2.0,
-                      0.5 * abs(2.0 * detuning + 1j * linewidth) * OMEGA)
+    vmax = two_channel_vmax(np.max(rabi_profile), detuning * OMEGA, linewidth * OMEGA)
     dt = _step_within_bounds(grid, vmax, fraction)
     ground0 = _packet_on_peak(grid, profile, k0, width)
-    traj = propagate_two_channel(ground0, np.zeros_like(ground0), rabi_profile,
-                                 detuning * OMEGA, linewidth * OMEGA, grid,
-                                 (0.0, n_steps * dt), dt, mass=U.mass,
-                                 kinetic_safety=KINETIC_SAFETY)
+    traj = _run_refined(
+        lambda: propagate_two_channel(ground0, np.zeros_like(ground0), rabi_profile,
+                                      detuning * OMEGA, linewidth * OMEGA, grid,
+                                      (0.0, n_steps * dt), dt, mass=U.mass,
+                                      kinetic_safety=KINETIC_SAFETY),
+        dt, vmax)
     _assert_properties(traj, traj.no_detection_prob)
 
 
