@@ -1,8 +1,11 @@
 """Command line interface.
 
     spindetect <kind> (--config cfg.json | --preset figure1) [--out DIR]
-               [--jobs N] [--no-shift] [--snapshots N] [--fields]
+               [--jobs N]
     spindetect validate (--config cfg.json | --preset figure1)
+
+Every option of a run lives in its config; the flags only pick the config,
+the output directory and the number of sweep worker processes.
 
 Exit codes: 0 success, 1 runtime failure (including partially failed
 sweeps), 2 configuration or usage error.
@@ -19,6 +22,13 @@ from .config import RUN_KINDS, config_from_file, load_preset, resolve_config
 from .errors import ConfigurationError, SpindetectError
 
 __all__ = ["main", "build_parser"]
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,14 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", type=Path, default=Path("spindetect-out"),
                            metavar="DIR", help="output directory "
                            "(default: ./spindetect-out)")
-            p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                           metavar="N", help="sweep worker processes")
-            p.add_argument("--no-shift", action="store_true",
-                           help="drop the real level shift from the potential")
-            p.add_argument("--snapshots", type=int, metavar="N",
-                           help="override the stored field snapshot count")
-            p.add_argument("--fields", action="store_true",
-                           help="also write field snapshot CSVs")
+            p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
+                           metavar="N", help="sweep worker processes (at least 1)")
     return parser
 
 
@@ -55,20 +59,6 @@ def _load_config(args) -> dict:
     if args.preset is not None:
         return load_preset(args.preset)
     return config_from_file(args.config)
-
-
-def _apply_flag_overrides(cfg: dict, args) -> dict:
-    if getattr(args, "no_shift", False):
-        cfg["include_shift"] = False
-    snapshots = getattr(args, "snapshots", None)
-    fields = getattr(args, "fields", False)
-    if snapshots is not None or fields:
-        cont = cfg.setdefault("numerics", {}).setdefault("continuum", {})
-        if snapshots is not None:
-            cont["snapshots"] = int(snapshots)
-        if fields:
-            cont["write_fields"] = True
-    return cfg
 
 
 def main(argv=None) -> int:
@@ -92,7 +82,6 @@ def main(argv=None) -> int:
         return 0
     kind = args.command
 
-    raw = _apply_flag_overrides(raw, args)
     try:
         cfg = resolve_config(raw, kind=kind)
     except ConfigurationError as exc:
@@ -101,7 +90,7 @@ def main(argv=None) -> int:
 
     from .runner import run_config
     try:
-        manifest = run_config(cfg, args.out, jobs=max(1, args.jobs))
+        manifest = run_config(cfg, args.out, jobs=args.jobs)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -88,6 +88,9 @@ EDGE_CELLS = 5
 # largest potential phase per step, dt |V|max / hbar; a larger requested
 # step is divided down to it
 PHASE_BUDGET = 0.09
+# largest step used, in units of the grid kinetic time 2 m dx^2 pi / hbar:
+# a blunt guard against grossly unresolved kinetic phases
+KINETIC_SAFETY = 64.0
 # rounding of a per-step survival drop P0(n) - P0(n+1), relative to P0(0):
 # plain sums of up to ~1e5 terms each carry a few ulp
 DRAIN_ROUNDOFF = 64 * np.finfo(float).eps
@@ -272,7 +275,7 @@ def _edge_mass(y: np.ndarray, channels: int, spacing: float) -> float:
 
 def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
                mass: float, vmax: float, frequency_scales, reference_frequency,
-               snapshots: int, kinetic_safety: float, solver, norm_names,
+               snapshots: int, solver, norm_names,
                region: tuple[float, float]) -> ConditionalTrajectory:
     """Shared core of the conditional propagators; checks every input first.
 
@@ -305,10 +308,10 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
                       "phase bound dt|V|/hbar < 0.1", stacklevel=3)
         dt /= refine
     kinetic_scale = 2.0 * mass * grid.spacing ** 2 / HBAR * np.pi
-    if dt >= kinetic_safety * kinetic_scale:
+    if dt >= KINETIC_SAFETY * kinetic_scale:
         raise ConfigurationError(
-            f"dt = {dt:.3g} s exceeds {kinetic_safety:g} x the grid kinetic time "
-            f"{kinetic_scale:.3g} s; reduce dt or relax kinetic_safety")
+            f"dt = {dt:.3g} s exceeds {KINETIC_SAFETY:g} x the grid kinetic time "
+            f"{kinetic_scale:.3g} s; reduce dt")
     n_steps = int(round((t1 - t0) / dt))
     if abs(t0 + n_steps * dt - t1) > 1e-9 * max(abs(t1), dt):
         raise ConfigurationError("t_span length must be an integer number of dt steps")
@@ -365,8 +368,7 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
 def propagate_conditional(psi0: np.ndarray, potential: ComplexPotential,
                           t_span: tuple[float, float], dt: float, *, mass: float,
                           reference_frequency: float | None = None,
-                          snapshots: int = 512, kinetic_safety: float = 64.0
-                          ) -> ConditionalTrajectory:
+                          snapshots: int = 512) -> ConditionalTrajectory:
     """Propagate psi0 (SI, units m^-1/2) under p^2/2m + V from t_span[0] to
     t_span[1] in uniform steps, recording the survival probability at
     every step boundary and the detection density at every step midpoint.
@@ -374,9 +376,9 @@ def propagate_conditional(psi0: np.ndarray, potential: ComplexPotential,
     dt is the requested step.  It is divided by the least integer keeping
     dt |V|max / hbar within PHASE_BUDGET, with a UserWarning when it is
     divided; the step used is traj.dt.  Preconditions enforced as
-    configuration errors, on the step used: it must not exceed
-    kinetic_safety * (2 m dx^2 / hbar) * pi, a blunt guard against grossly
-    unresolved kinetic phases, and must divide t_span into whole steps.
+    configuration errors, on the step used: it must stay below
+    KINETIC_SAFETY grid kinetic times (2 m dx^2 / hbar) * pi and must divide
+    t_span into whole steps.
     Mass accumulating within EDGE_CELLS of either grid end above 1e-6, and
     an initial norm off 1 by more than 1e-6, raise a UserWarning, not an
     error.
@@ -396,7 +398,7 @@ def propagate_conditional(psi0: np.ndarray, potential: ComplexPotential,
 
     traj = _propagate((psi0,), grid, t_span, dt, mass=mass, vmax=potential.max_magnitude,
                       frequency_scales=(), reference_frequency=reference_frequency,
-                      snapshots=snapshots, kinetic_safety=kinetic_safety, solver=solver,
+                      snapshots=snapshots, solver=solver,
                       norm_names=("no_detection_prob",), region=potential.region)
     norm0 = float(traj.no_detection_prob[0])
     if abs(norm0 - 1.0) > 1e-6:
@@ -479,8 +481,7 @@ def propagate_two_channel(ground0: np.ndarray, excited0: np.ndarray,
                           rabi_profile: np.ndarray, detuning: float, linewidth: float,
                           grid: Grid1D, t_span: tuple[float, float], dt: float, *,
                           mass: float, reference_frequency: float | None = None,
-                          snapshots: int = 128, kinetic_safety: float = 64.0
-                          ) -> ConditionalTrajectory:
+                          snapshots: int = 128) -> ConditionalTrajectory:
     """Propagate the coupled ground/excited fields of the fluorescence model.
 
     The conditional generator is kinetic energy on both channels plus the
@@ -528,8 +529,7 @@ def propagate_two_channel(ground0: np.ndarray, excited0: np.ndarray,
                       vmax=HBAR * max(half_rabi, abs(excited_diag)),
                       frequency_scales=(half_rabi, abs(detuning), linewidth / 2.0),
                       reference_frequency=reference_frequency, snapshots=snapshots,
-                      kinetic_safety=kinetic_safety, solver=solver,
-                      norm_names=("no_detection_prob", "excited_mass"),
+                      solver=solver, norm_names=("no_detection_prob", "excited_mass"),
                       region=_lit_span(grid, rabi))
 
 

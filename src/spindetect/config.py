@@ -9,6 +9,12 @@ spread in units of hbar per meter.
 
 Unknown keys are rejected at every level so typos fail loudly before any
 computation starts.
+
+CONFIG_SCHEMA is the one table of options: each defaulted property carries
+its JSON Schema "default", which resolve_config fills in wherever the
+property's parent is present.  The numerics blocks and the sweep block have
+no default of their own, so their defaults apply only to a block the config
+writes.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ _SENSITIVITY_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "kind": {"enum": ["half_line", "interval", "tabulated"]},
-        "start_l0": _NUM,
+        "start_l0": {**_NUM, "default": 0.0},
         "width_l0": _POS,
         "x_l0": {"type": "array", "items": _NUM, "minItems": 2},
         "values": {"type": "array", "items": {"type": "number",
@@ -43,20 +49,20 @@ _SENSITIVITY_SCHEMA = {
                    "minItems": 2},
     },
     "required": ["kind"],
+    "default": {"kind": "half_line"},
 }
 
 _DISCRETE_NUMERICS = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "k_nodes": {"type": "integer", "minimum": 51},
-        "k_window_sigmas": {"type": "number", "exclusiveMinimum": 1.0},
+        "k_nodes": {"type": "integer", "minimum": 51, "default": 2001},
         "time_start_t0": _NUM,
         "time_stop_t0": _NUM,
         "time_step_t0": _POS,
         "x_min_l0": {"type": "number", "exclusiveMaximum": 0.0},
         "x_max_l0": _POS,
-        "right_spacing_l0": _POS,
+        "right_spacing_l0": {**_POS, "default": 0.02},
     },
     "required": ["time_start_t0", "time_stop_t0", "time_step_t0",
                  "x_min_l0", "x_max_l0"],
@@ -68,13 +74,12 @@ _CONTINUUM_NUMERICS = {
     "properties": {
         "x_min_l0": _NUM,
         "x_max_l0": _NUM,
-        "grid_spacing_l0": _POS,
+        "grid_spacing_l0": {**_POS, "default": 0.0075},
         "time_start_t0": _NUM,
         "time_stop_t0": _NUM,
         "time_step_t0": _POS,
-        "snapshots": {"type": "integer", "minimum": 2},
-        "kinetic_safety": _POS,
-        "write_fields": {"type": "boolean"},
+        "snapshots": {"type": "integer", "minimum": 2, "default": 512},
+        "write_fields": {"type": "boolean", "default": False},
     },
     "required": ["x_min_l0", "x_max_l0", "time_start_t0", "time_stop_t0",
                  "time_step_t0"],
@@ -87,7 +92,7 @@ CONFIG_SCHEMA = {
     "properties": {
         "kind": {"enum": list(RUN_KINDS)},
         "label": {"type": "string"},
-        "include_shift": {"type": "boolean"},
+        "include_shift": {"type": "boolean", "default": True},
         "packet": {
             "type": "object",
             "additionalProperties": False,
@@ -95,8 +100,8 @@ CONFIG_SCHEMA = {
                 "mass_kg": _POS,
                 "mean_velocity_m_per_s": _POS,
                 "momentum_width_hbar_per_m": _POS,
-                "focus_time_s": _NUM,
-                "focus_position_m": _NUM,
+                "focus_time_s": {**_NUM, "default": 0.0},
+                "focus_position_m": {**_NUM, "default": 0.0},
             },
             "required": ["mass_kg", "mean_velocity_m_per_s",
                          "momentum_width_hbar_per_m"],
@@ -130,6 +135,20 @@ CONFIG_SCHEMA = {
             },
             "required": ["decay_per_s"],
         },
+        # before numerics: missing defaulted blocks are appended in this
+        # order, which fixes the key order of a resolved config
+        "comparison": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "window_recurrence_fraction": {
+                    "type": "array", "items": _NONNEG,
+                    "minItems": 2, "maxItems": 2, "default": [0.0, 0.8],
+                },
+                "n_resample": {"type": "integer", "minimum": 2, "default": 2048},
+            },
+            "default": {},
+        },
         "numerics": {
             "type": "object",
             "additionalProperties": False,
@@ -137,17 +156,7 @@ CONFIG_SCHEMA = {
                 "discrete": _DISCRETE_NUMERICS,
                 "continuum": _CONTINUUM_NUMERICS,
             },
-        },
-        "comparison": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "window_recurrence_fraction": {
-                    "type": "array", "items": _NONNEG,
-                    "minItems": 2, "maxItems": 2,
-                },
-                "n_resample": {"type": "integer", "minimum": 2},
-            },
+            "default": {},
         },
         "fluorescence": {
             "type": "object",
@@ -173,7 +182,8 @@ CONFIG_SCHEMA = {
                 "parameter": {"type": "string", "minLength": 1},
                 "values": {"type": "array", "items": _NUM, "minItems": 1},
                 "factors": {"type": "array", "items": _POS, "minItems": 1},
-                "run": {"enum": ["discrete", "continuum", "compare"]},
+                "run": {"enum": ["discrete", "continuum", "compare"],
+                        "default": "continuum"},
             },
             "required": ["parameter"],
         },
@@ -181,42 +191,17 @@ CONFIG_SCHEMA = {
     "required": ["packet", "detector"],
 }
 
-# defaults merged into every config
-_TOP_DEFAULTS = {
-    "include_shift": True,
-    "packet": {"focus_time_s": 0.0, "focus_position_m": 0.0},
-    "detector": {"sensitivity": {"kind": "half_line", "start_l0": 0.0}},
-    "comparison": {"window_recurrence_fraction": [0.0, 0.8], "n_resample": 2048},
-}
-# defaults merged only into blocks the user actually wrote, so a resolved
-# config still passes schema validation (required keys stay required)
-_DISCRETE_DEFAULTS = {"k_nodes": 2001, "k_window_sigmas": 8.0,
-                      "right_spacing_l0": 0.02}
-_CONTINUUM_DEFAULTS = {"grid_spacing_l0": 0.0075, "snapshots": 512,
-                       "kinetic_safety": 64.0, "write_fields": False}
-_SWEEP_DEFAULTS = {"run": "continuum"}
-
-
-def _merge_defaults(defaults: dict, user: dict) -> dict:
-    out = copy.deepcopy(user)
-    for key, dval in defaults.items():
-        if key not in out:
-            out[key] = copy.deepcopy(dval)
-        elif isinstance(dval, dict) and isinstance(out[key], dict):
-            out[key] = _merge_defaults(dval, out[key])
-    return out
-
-
 def _fail(path: str, message: str):
     raise ConfigurationError(f"config error at {path}: {message}" if path
                              else f"config error: {message}")
 
 
 # CONFIG_SCHEMA is checked by _schema_errors, which implements exactly these
-# JSON Schema (draft 2020-12) keywords; "$schema" only names the dialect
+# JSON Schema (draft 2020-12) keywords; "$schema" only names the dialect and
+# "default", an annotation, is filled in by _resolved
 SCHEMA_KEYWORDS = frozenset({
-    "$schema", "type", "enum", "properties", "required", "additionalProperties",
-    "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
+    "$schema", "default", "type", "enum", "properties", "required",
+    "additionalProperties", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
     "items", "minItems", "maxItems", "minLength"})
 
 _IS_TYPE = {
@@ -281,17 +266,23 @@ def _schema_errors(node, schema: dict, path: tuple = ()):
                 yield from _schema_errors(node[key], sub, path + (key,))
 
 
-def _with_ints(node, schema: dict):
-    """node with every value that schema types "integer" as an int: the
-    checker accepts integral floats such as 9.0 there, and the numerics
-    need ints."""
+def _resolved(node, schema: dict):
+    """A copy of node, which passes schema, with every absent property that
+    has a "default" filled in (itself resolved), and every value that schema
+    types "integer" an int: the checker accepts integral floats such as 9.0
+    there, and the numerics need ints.  Filled keys follow the given ones,
+    in schema order."""
     if schema.get("type") == "integer":
         return int(node)
     if isinstance(node, dict):
         props = schema.get("properties", {})
-        return {key: _with_ints(value, props.get(key, {})) for key, value in node.items()}
-    if isinstance(node, list) and "items" in schema:
-        return [_with_ints(item, schema["items"]) for item in node]
+        out = {key: _resolved(value, props[key]) for key, value in node.items()}
+        for key, sub in props.items():
+            if key not in out and "default" in sub:
+                out[key] = _resolved(sub["default"], sub)
+        return out
+    if isinstance(node, list):
+        return [_resolved(item, schema["items"]) for item in node]
     return node
 
 
@@ -324,14 +315,7 @@ def resolve_config(raw: dict, kind: str | None = None, *,
     error = _first_schema_error(raw)
     if error:
         _fail(".".join(map(str, error[0])), error[1])
-    cfg = _merge_defaults(_TOP_DEFAULTS, _with_ints(raw, CONFIG_SCHEMA))
-    num = cfg.setdefault("numerics", {})
-    if "discrete" in num:
-        num["discrete"] = _merge_defaults(_DISCRETE_DEFAULTS, num["discrete"])
-    if "continuum" in num:
-        num["continuum"] = _merge_defaults(_CONTINUUM_DEFAULTS, num["continuum"])
-    if "sweep" in cfg:
-        cfg["sweep"] = _merge_defaults(_SWEEP_DEFAULTS, cfg["sweep"])
+    cfg = _resolved(raw, CONFIG_SCHEMA)
 
     cfg_kind = cfg.get("kind")
     if kind is not None and cfg_kind is not None and kind != cfg_kind:
@@ -345,6 +329,10 @@ def resolve_config(raw: dict, kind: str | None = None, *,
 
     sens = cfg["detector"]["sensitivity"]
     skind = sens["kind"]
+    for key, owner in (("width_l0", "interval"), ("x_l0", "tabulated"),
+                       ("values", "tabulated")):
+        if key in sens and skind != owner:
+            _fail(f"detector.sensitivity.{key}", f"only {owner} sensitivity takes it")
     if skind == "interval" and "width_l0" not in sens:
         _fail("detector.sensitivity.width_l0", "required for interval sensitivity")
     if skind == "tabulated":

@@ -331,13 +331,12 @@ class ScatteringSynthesis:
     """
 
     def __init__(self, packet: GaussianPacketSpec, geometry: DetectorGeometry,
-                 bath: RectangularBath, *, k_nodes: int = 2001,
-                 k_window_sigmas: float = 8.0):
+                 bath: RectangularBath, *, k_nodes: int = 2001):
         self.packet = packet
         self.basis = interior_eigenmodes(geometry, bath)
         self.bath = bath
         self.units = UnitSystem(reference_frequency=geometry.resonance, mass=packet.mass)
-        k_si, w_si = packet.quadrature_nodes(k_nodes, k_window_sigmas)
+        k_si, w_si = packet.quadrature_nodes(k_nodes)
         psi = momentum_amplitude(packet, k_si)
         self.k_si = k_si
         self.solution = match_at_origin(self.basis, packet.mass, k_si)
@@ -473,11 +472,9 @@ class ScatteringSynthesis:
 
 def evolve_packet_discrete(packet: GaussianPacketSpec, t: float, grid: Grid1D,
                            geometry: DetectorGeometry, bath: RectangularBath,
-                           *, k_nodes: int = 2001, k_window_sigmas: float = 8.0
-                           ) -> SectorState:
+                           *, k_nodes: int = 2001) -> SectorState:
     """All channel fields at time t (one-off convenience wrapper)."""
-    synth = ScatteringSynthesis(packet, geometry, bath, k_nodes=k_nodes,
-                                k_window_sigmas=k_window_sigmas)
+    synth = ScatteringSynthesis(packet, geometry, bath, k_nodes=k_nodes)
     return synth.state(t, grid)
 
 
@@ -505,8 +502,7 @@ def detection_density_discrete(packet: GaussianPacketSpec,
                                times: np.ndarray, *,
                                x_min: float, x_max: float,
                                right_points: int = 20001,
-                               k_nodes: int = 2001,
-                               k_window_sigmas: float = 8.0
+                               k_nodes: int = 2001
                                ) -> DiscreteDetectionSeries:
     """P_flip and its time derivative for the discrete model.
 
@@ -521,8 +517,7 @@ def detection_density_discrete(packet: GaussianPacketSpec,
     steps = np.diff(times)
     if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
         raise ConfigurationError("time grid must be uniform")
-    synthesis = ScatteringSynthesis(packet, geometry, bath, k_nodes=k_nodes,
-                                    k_window_sigmas=k_window_sigmas)
+    synthesis = ScatteringSynthesis(packet, geometry, bath, k_nodes=k_nodes)
     series = synthesis.no_flip_norm_series(times, x_min=x_min, x_max=x_max,
                                            right_points=right_points)
     p_flip = 1.0 - series["no_flip_mass"]

@@ -22,6 +22,10 @@ from .errors import ConfigurationError
 from .model import Grid1D
 from .units import HBAR
 
+# half-width of the wavenumber window, in momentum widths sigma_k: the
+# Gaussian amplitude there is exp(-WINDOW_SIGMAS^2/4) ~ 1e-7 of its peak
+WINDOW_SIGMAS = 8.0
+
 
 @dataclass(frozen=True)
 class GaussianPacketSpec:
@@ -58,26 +62,25 @@ class GaussianPacketSpec:
         """Minimal real-space std dev sigma_x = hbar/(2 dp), m."""
         return HBAR / (2.0 * self.momentum_width)
 
-    def wavenumber_window(self, n_sigma: float = 8.0) -> tuple[float, float]:
-        """Synthesis window [k0 - n_sigma*sigma_k, k0 + n_sigma*sigma_k].
+    def wavenumber_window(self) -> tuple[float, float]:
+        """Synthesis window k0 -/+ WINDOW_SIGMAS*sigma_k.
 
         The scattering basis assumes incidence from the left, so the window
-        must stay strictly positive; k0/sigma_k > n_sigma is required.
+        must stay strictly positive; k0/sigma_k > WINDOW_SIGMAS is required.
         """
         k0, sk = self.mean_wavenumber, self.wavenumber_width
-        lo = k0 - n_sigma * sk
+        lo = k0 - WINDOW_SIGMAS * sk
         if lo <= 0.0:
             raise ConfigurationError(
                 f"momentum window reaches k <= 0 (k0/sigma_k = {k0 / sk:.3g} "
-                f"<= {n_sigma:.3g}); narrow the packet or reduce the window")
-        return (lo, k0 + n_sigma * sk)
+                f"<= {WINDOW_SIGMAS:.3g}); narrow the packet")
+        return (lo, k0 + WINDOW_SIGMAS * sk)
 
-    def quadrature_nodes(self, n_nodes: int, n_sigma: float = 8.0
-                         ) -> tuple[np.ndarray, np.ndarray]:
+    def quadrature_nodes(self, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
         """Uniform trapezoid nodes and weights over the synthesis window."""
         if n_nodes < 9:
             raise ConfigurationError(f"need at least 9 quadrature nodes, got {n_nodes}")
-        lo, hi = self.wavenumber_window(n_sigma)
+        lo, hi = self.wavenumber_window()
         k = np.linspace(lo, hi, n_nodes)
         w = np.full(n_nodes, k[1] - k[0])
         w[0] *= 0.5
@@ -110,13 +113,13 @@ def free_evolved_packet(spec: GaussianPacketSpec, t: float, grid: Grid1D) -> np.
         psi = (2 pi sigma_k^2)^(-1/4) (2 b)^(-1/2)
               * exp(-(X - theta k0)^2/(4 b)) * exp(i k0 X - i theta k0^2/2)
 
-    The grid must resolve k_max = k0 + 8 sigma_k: spacing < pi/k_max.  A
-    broad packet is fine here; only the discrete route needs k0 - 8 sigma_k
-    > 0.
+    The grid must resolve k_max = k0 + WINDOW_SIGMAS sigma_k: spacing <
+    pi/k_max.  A broad packet is fine here; only the discrete route needs
+    the window's lower end positive.
     """
     sk = spec.wavenumber_width
     k0 = spec.mean_wavenumber
-    k_hi = k0 + 8.0 * sk
+    k_hi = k0 + WINDOW_SIGMAS * sk
     if grid.spacing >= np.pi / k_hi:
         raise ConfigurationError(
             f"grid spacing {grid.spacing:.3e} m does not resolve the packet "

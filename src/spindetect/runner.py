@@ -60,11 +60,11 @@ def _build_sensitivity(cfg: dict, units: UnitSystem):
     L0 = units.length_unit
     kind = sens["kind"]
     if kind == "half_line":
-        return HalfLineSensitivity(start=sens.get("start_l0", 0.0) * L0)
+        return HalfLineSensitivity(start=sens["start_l0"] * L0)
     if kind == "interval":
-        return IntervalSensitivity(width=sens["width_l0"] * L0,
-                                   start=sens.get("start_l0", 0.0) * L0)
-    x = np.asarray(sens["x_l0"], dtype=float) * L0
+        return IntervalSensitivity(width=sens["width_l0"] * L0, start=sens["start_l0"] * L0)
+    # the table's abscissae are relative to the detector start
+    x = (sens["start_l0"] + np.asarray(sens["x_l0"], dtype=float)) * L0
     return TabulatedSensitivity(x, np.asarray(sens["values"], dtype=float))
 
 
@@ -175,7 +175,7 @@ def _run_discrete(cfg: dict, scene: Scene, out_dir: Path):
     series = detection_density_discrete(
         scene.packet, scene.geometry, scene.bath, times,
         x_min=x_min, x_max=x_max, right_points=right_points,
-        k_nodes=num["k_nodes"], k_window_sigmas=num["k_window_sigmas"])
+        k_nodes=num["k_nodes"])
     series.to_csv(out_dir / "w1_disc.csv")
     stats = arrival_stats(series.times, series.detection_density)
     summary = {"discrete": {"flip_probability_final": float(series.flip_probability[-1]),
@@ -205,7 +205,7 @@ def _run_continuum(cfg: dict, scene: Scene, out_dir: Path):
     traj = propagate_conditional(
         psi0, potential, span, dt, mass=scene.packet.mass,
         reference_frequency=scene.units.reference_frequency,
-        snapshots=num["snapshots"], kinetic_safety=num["kinetic_safety"])
+        snapshots=num["snapshots"])
     traj.to_csv(out_dir / "w1_cont.csv")
     outputs = {"w1_cont": "w1_cont.csv"}
     if num["write_fields"]:
@@ -254,8 +254,7 @@ def _run_fluorescence(cfg: dict, scene: Scene, out_dir: Path):
     rabi = np.where((x >= lo) & (x <= hi), fl["rabi_per_s"], 0.0)
     two = propagate_two_channel(psi0, np.zeros_like(psi0), rabi, detuning, linewidth,
                                 grid, span, dt, mass=scene.packet.mass,
-                                snapshots=num["snapshots"],
-                                kinetic_safety=num["kinetic_safety"])
+                                snapshots=num["snapshots"])
     two.to_csv(out_dir / "w1_fluor.csv")
 
     potential = one_channel_limit_potential(rabi, detuning, linewidth, grid)
@@ -264,8 +263,7 @@ def _run_fluorescence(cfg: dict, scene: Scene, out_dir: Path):
     # |2 detuning + i linewidth|, else the limit leg refines further
     traj = propagate_conditional(
         psi0, potential, span, two.dt, mass=scene.packet.mass,
-        reference_frequency=u.reference_frequency, snapshots=num["snapshots"],
-        kinetic_safety=num["kinetic_safety"])
+        reference_frequency=u.reference_frequency, snapshots=num["snapshots"])
     traj.to_csv(out_dir / "w1_limit.csv")
 
     kinetic = (HBAR * scene.packet.mean_wavenumber) ** 2 / (2.0 * scene.packet.mass)

@@ -107,7 +107,7 @@ def test_scattering_conserves_flux_across_band(criterion_report):
     """100 random incident wavenumbers across the packet band: outgoing flux
     matches incident flux to 1e-8 relative at every node."""
     rng = np.random.default_rng(20260823)
-    lo, hi = fig1_packet().wavenumber_window(8.0)
+    lo, hi = fig1_packet().wavenumber_window()
     k = np.sort(rng.uniform(lo, hi, 100))
     basis = interior_eigenmodes(fig1_geometry(), make_bath())
     sol = match_at_origin(basis, CESIUM_MASS_KG, k)

@@ -98,12 +98,13 @@ def test_rates_run_values_and_rerun_stability(tmp_path, capsys):
     assert main(["validate", "--config", str(out1 / "manifest.json")]) == 0
 
 
-def test_continuum_run_with_flag_overrides(tmp_path):
-    path = write_config(tmp_path, tiny_continuum_config())
+def test_continuum_run_with_config_overrides(tmp_path):
+    cfg = tiny_continuum_config()
+    cfg["include_shift"] = False
+    cfg["numerics"]["continuum"].update(snapshots=3, write_fields=True)
+    path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
-    code = main(["continuum", "--config", str(path), "--out", str(out),
-                 "--no-shift", "--snapshots", "3", "--fields"])
-    assert code == 0
+    assert main(["continuum", "--config", str(path), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["include_shift"] is False
     assert manifest["config"]["numerics"]["continuum"]["snapshots"] == 3
@@ -121,6 +122,36 @@ def test_continuum_run_with_flag_overrides(tmp_path):
     split = manifest["summary"]["continuum"]["mass_split"]
     assert sum(split.values()) == pytest.approx(1.0, abs=1e-6)
     assert split["detected"] > 0.01
+
+
+@pytest.mark.parametrize("flags", [["--no-shift"], ["--snapshots", "3"], ["--fields"],
+                                   ["--jobs", "0"], ["--jobs", "-5"]])
+def test_removed_flags_and_nonpositive_jobs_are_usage_errors(tmp_path, flags, capsys):
+    """The three override flags are gone (their config keys remain), and
+    --jobs below 1 is refused rather than clamped."""
+    path = write_config(tmp_path, rates_config())
+    with pytest.raises(SystemExit) as stop:
+        main(["rates", "--config", str(path), "--out", str(tmp_path / "out")] + flags)
+    assert stop.value.code == 2
+    assert flags[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_tabulated_table_is_relative_to_the_detector_start(tmp_path):
+    """start_l0 shifts a tabulated sensitivity: a table starting at 2 l0 runs
+    bit for bit like the same table written 2 l0 further right, and unlike
+    the table left at 0 l0."""
+    runs = []
+    for start, x_l0 in ((2.0, [0.0, 4.0, 120.0]), (0.0, [2.0, 6.0, 122.0]),
+                        (0.0, [0.0, 4.0, 120.0])):
+        cfg = tiny_continuum_config()
+        cfg["detector"]["sensitivity"] = {"kind": "tabulated", "start_l0": start,
+                                          "x_l0": x_l0, "values": [0.0, 1.0, 1.0]}
+        out = tmp_path / f"start{start:g}"
+        assert main(["continuum", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+        runs.append((out / "w1_cont.csv").read_bytes())
+    assert runs[0] == runs[1] != runs[2]
 
 
 def test_continuum_rerun_is_byte_stable(tmp_path):

@@ -584,8 +584,6 @@ def test_two_channel_guards():
                     0.01 * T0, two_channel_vmax(0.0, 0.0, 1.0e12))
     with pytest.raises(ConfigurationError, match="kinetic"):
         run(span=(0.0, 16.0 * T0), dt=8.0 * T0, linewidth=0.0)
-    with pytest.raises(ConfigurationError, match="kinetic"):
-        run(kinetic_safety=1e-3)
     with pytest.raises(ConfigurationError, match="integer number"):
         run(dt=0.3 * T0, linewidth=0.0)
     with pytest.raises(ConfigurationError, match="shape"):

@@ -4,6 +4,7 @@ import copy
 import importlib.util
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -13,7 +14,8 @@ from hypothesis import assume, given, strategies as st
 
 from spindetect import load_preset, preset_names, resolve_config
 from spindetect.config import (CONFIG_SCHEMA, SCHEMA_KEYWORDS, _IS_TYPE, _first_schema_error,
-                               config_from_file, get_by_path, set_by_path)
+                               _schema_errors, config_from_file, get_by_path,
+                               set_by_path)
 from spindetect.errors import ConfigurationError
 from spindetect.runner import run_config
 
@@ -38,7 +40,6 @@ def test_figure1_preset_resolves():
     assert cfg["include_shift"] is True
     assert cfg["packet"]["focus_time_s"] == 0.0
     assert cfg["detector"]["sensitivity"]["kind"] == "half_line"
-    assert cfg["numerics"]["discrete"]["k_window_sigmas"] == 8.0
     assert cfg["numerics"]["continuum"]["write_fields"] is False
     assert cfg["comparison"]["window_recurrence_fraction"] == [0.0, 0.8]
 
@@ -91,14 +92,54 @@ def test_unknown_keys_fail_with_path():
         resolve_config(cfg)
 
 
-def test_removed_chunk_rows_knob_is_rejected():
-    # numerics.discrete.chunk_rows was never read; configs that still set it
-    # (manifests written before its removal) fail with its path
-    cfg = small_compare_config()
-    cfg["numerics"]["discrete"]["chunk_rows"] = 4096
-    with pytest.raises(ConfigurationError, match=r"numerics\.discrete.*chunk_rows"):
+@pytest.mark.parametrize("path", ["numerics.discrete.chunk_rows",
+                                  "numerics.discrete.k_window_sigmas",
+                                  "numerics.continuum.kinetic_safety"])
+def test_removed_knobs_are_rejected(path):
+    # chunk_rows was never read, and the momentum window and the kinetic
+    # guard are constants of packets and conditional; configs that still set
+    # one (manifests written before its removal) fail with its path
+    block, key = path.rsplit(".", 1)
+    cfg = set_by_path(small_compare_config(), path, 8.0)
+    with pytest.raises(ConfigurationError, match=rf"{re.escape(block)}.*{key}"):
         resolve_config(cfg)
-    assert "chunk_rows" not in resolve_config(small_compare_config())["numerics"]["discrete"]
+    assert key not in get_by_path(resolve_config(small_compare_config()), block)
+
+
+def _defaults(schema, where=()):
+    """(location, property schema) of every property with a "default"."""
+    for key, sub in schema.get("properties", {}).items():
+        if "default" in sub:
+            yield where + (key,), sub
+        yield from _defaults(sub, where + (key,))
+
+
+def test_every_default_passes_its_own_schema():
+    found = list(_defaults(CONFIG_SCHEMA))
+    assert len(found) == 15
+    for where, sub in found:
+        assert list(_schema_errors(sub["default"], sub)) == [], ".".join(where)
+
+
+def test_defaults_fill_only_written_blocks():
+    """numerics, comparison and the sensitivity are filled in whole; the
+    numerics blocks and the sweep have no default, so their defaults apply
+    only to a block the config writes."""
+    cfg = resolve_config(rates_config())
+    assert cfg["numerics"] == {}
+    assert cfg["comparison"] == {"window_recurrence_fraction": [0.0, 0.8],
+                                 "n_resample": 2048}
+    assert cfg["detector"]["sensitivity"] == {"kind": "half_line", "start_l0": 0.0}
+    assert "sweep" not in cfg
+    raw = small_compare_config()
+    for block, keys in (("discrete", ("k_nodes", "right_spacing_l0")),
+                        ("continuum", ("grid_spacing_l0", "snapshots"))):
+        for key in keys:
+            del raw["numerics"][block][key]
+    num = resolve_config(raw)["numerics"]
+    assert (num["discrete"]["k_nodes"], num["discrete"]["right_spacing_l0"]) == (2001, 0.02)
+    assert ({k: num["continuum"][k] for k in ("grid_spacing_l0", "snapshots", "write_fields")}
+            == {"grid_spacing_l0": 0.0075, "snapshots": 512, "write_fields": False})
 
 
 def test_nonpositive_width_is_named():
@@ -176,6 +217,21 @@ def test_sensitivity_variants():
     cfg["detector"]["sensitivity"] = {"kind": "tabulated", "x_l0": [0.0, 1.0],
                                       "values": [0.0, 1.0]}
     assert resolve_config(cfg)["detector"]["sensitivity"]["kind"] == "tabulated"
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("half_line", "width_l0", 2.0), ("tabulated", "width_l0", 2.0),
+    ("half_line", "x_l0", [0.0, 1.0]), ("interval", "x_l0", [0.0, 1.0]),
+    ("half_line", "values", [0.0, 1.0]), ("interval", "values", [0.0, 1.0])])
+def test_sensitivity_rejects_keys_its_kind_ignores(kind, key, value):
+    sens = {"half_line": {"kind": "half_line"},
+            "interval": {"kind": "interval", "width_l0": 3.0},
+            "tabulated": {"kind": "tabulated", "x_l0": [0.0, 1.0],
+                          "values": [0.0, 1.0]}}[kind]
+    cfg = rates_config()
+    cfg["detector"]["sensitivity"] = {**sens, key: value}
+    with pytest.raises(ConfigurationError, match=rf"at detector\.sensitivity\.{key}: only"):
+        resolve_config(cfg)
 
 
 def test_window_orientation_checks():

@@ -73,7 +73,7 @@ def test_channel_wavenumbers_consistent(fig1_basis):
 
 def test_matching_flux_conservation(fig1_basis):
     rng = np.random.default_rng(11)
-    lo, hi = fig1_packet().wavenumber_window(8.0)
+    lo, hi = fig1_packet().wavenumber_window()
     k = np.sort(rng.uniform(lo, hi, 40))
     sol = match_at_origin(fig1_basis, CESIUM_MASS_KG, k)
     assert not sol.failed.any()

@@ -26,7 +26,7 @@ def test_wavenumber_and_width_definitions():
 
 def test_momentum_amplitude_normalized():
     p = fig1_packet()
-    lo, hi = p.wavenumber_window(8.0)
+    lo, hi = p.wavenumber_window()
     k = np.linspace(lo, hi, 20001)
     total = np.trapezoid(np.abs(momentum_amplitude(p, k)) ** 2, k)
     assert total == pytest.approx(1.0, abs=1e-9)
@@ -34,18 +34,18 @@ def test_momentum_amplitude_normalized():
 
 def test_wavenumber_window_positive():
     p = fig1_packet()
-    lo, hi = p.wavenumber_window(8.0)
+    lo, hi = p.wavenumber_window()
     assert 0.0 < lo < p.mean_wavenumber < hi
     # a packet too wide for its carrier cannot come purely from the left
     slow = fig1_packet(mean_velocity=1e-3)
     with pytest.raises(ConfigurationError):
-        slow.wavenumber_window(8.0)
+        slow.wavenumber_window()
 
 
 def test_quadrature_nodes_cover_window():
     p = fig1_packet()
-    k, w = p.quadrature_nodes(201, 6.0)
-    lo, hi = p.wavenumber_window(6.0)
+    k, w = p.quadrature_nodes(201)
+    lo, hi = p.wavenumber_window()
     assert k[0] == pytest.approx(lo) and k[-1] == pytest.approx(hi)
     assert np.sum(w) == pytest.approx(hi - lo, rel=1e-12)
 

@@ -23,14 +23,13 @@ from spindetect import (
     propagate_conditional,
     propagate_two_channel,
 )
-from spindetect.conditional import PHASE_BUDGET
+from spindetect.conditional import KINETIC_SAFETY, PHASE_BUDGET
 
 from helpers import (COUPLING, PROPERTY_SETTINGS, RESONANCE, fig1_geometry, fig1_packet,
                      internal_grid, make_units, two_channel_vmax)
 
 U = make_units()
 OMEGA = U.reference_frequency
-KINETIC_SAFETY = 64.0
 
 
 @st.composite
@@ -113,7 +112,7 @@ def test_one_channel_contracts_and_balances(shape, decay, shift, k0, width,
     psi0 = _packet_on_peak(grid, profile, k0, width)
     traj = _run_refined(
         lambda: propagate_conditional(psi0, potential, (0.0, n_steps * dt), dt,
-                                      mass=U.mass, kinetic_safety=KINETIC_SAFETY),
+                                      mass=U.mass),
         dt, vmax)
     _assert_properties(traj, traj.no_detection_prob)
 
@@ -135,8 +134,7 @@ def test_two_channel_contracts_and_balances(shape, rabi, linewidth, detuning, k0
     traj = _run_refined(
         lambda: propagate_two_channel(ground0, np.zeros_like(ground0), rabi_profile,
                                       detuning * OMEGA, linewidth * OMEGA, grid,
-                                      (0.0, n_steps * dt), dt, mass=U.mass,
-                                      kinetic_safety=KINETIC_SAFETY),
+                                      (0.0, n_steps * dt), dt, mass=U.mass),
         dt, vmax)
     _assert_properties(traj, traj.no_detection_prob)
 
@@ -155,7 +153,7 @@ def test_ladder_basis_is_unitary_and_matching_conserves_flux(modes, coupling,
     basis = interior_eigenmodes(fig1_geometry(), bath)
     u = basis.vectors
     np.testing.assert_allclose(u.conj().T @ u, np.eye(modes + 1), rtol=0, atol=1e-12)
-    lo, hi = fig1_packet().wavenumber_window(8.0)
+    lo, hi = fig1_packet().wavenumber_window()
     k = lo + (hi - lo) * np.array(k_fractions)
     sol = match_at_origin(basis, CESIUM_MASS_KG, k)
     assert not sol.failed.any()
