@@ -11,10 +11,9 @@ Unknown keys are rejected at every level so typos fail loudly before any
 computation starts.
 
 CONFIG_SCHEMA is the one table of options: each defaulted property carries
-its JSON Schema "default", which resolve_config fills in wherever the
-property's parent is present.  The numerics blocks and the sweep block have
-no default of their own, so their defaults apply only to a block the config
-writes.
+its JSON Schema "default".  KIND_READS is the one table of what each run
+kind reads: resolve_config fills a default in only where the kind reads it,
+and rejects every path the kind does not read.
 """
 
 from __future__ import annotations
@@ -27,10 +26,30 @@ from importlib import resources
 
 from .errors import ConfigurationError
 
-__all__ = ["RUN_KINDS", "CONFIG_SCHEMA", "resolve_config", "load_preset",
+__all__ = ["RUN_KINDS", "KIND_READS", "CONFIG_SCHEMA", "resolve_config", "load_preset",
            "preset_names", "config_from_file"]
 
-RUN_KINDS = ("discrete", "continuum", "compare", "rates", "fluorescence", "sweep")
+# The dotted paths each run kind reads; a path covers the block below it.
+# "!" marks a required path, and "!a|b" requires a or b.  A sweep reads its
+# own block plus what its sub-run kind reads.
+_BASE = ("kind", "label", "packet", "detector.resonance_per_s")
+_LADDER = ("detector.sensitivity", "!bath", "!bath.modes", "!numerics.discrete")
+_CN = ("include_shift", "detector.sensitivity", "!bath|rates_override", "!numerics.continuum")
+KIND_READS = {
+    "discrete": _BASE + _LADDER,
+    "continuum": _BASE + _CN,
+    "compare": _BASE + _LADDER + _CN + ("comparison",),
+    "rates": _BASE + ("!bath", "rates_override"),
+    "fluorescence": _BASE + ("!fluorescence", "!numerics.continuum", "comparison.n_resample"),
+    "sweep": ("!sweep",),
+}
+# the keys of detector.sensitivity that each sensitivity kind reads
+SENSITIVITY_READS = {
+    "half_line": ("kind", "start_l0"),
+    "interval": ("kind", "start_l0", "!width_l0"),
+    "tabulated": ("kind", "start_l0", "!x_l0", "!values"),
+}
+RUN_KINDS = tuple(KIND_READS)
 
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0.0}
@@ -40,7 +59,7 @@ _SENSITIVITY_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "kind": {"enum": ["half_line", "interval", "tabulated"]},
+        "kind": {"enum": list(SENSITIVITY_READS)},
         "start_l0": {**_NUM, "default": 0.0},
         "width_l0": _POS,
         "x_l0": {"type": "array", "items": _NUM, "minItems": 2},
@@ -131,7 +150,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "decay_per_s": _NONNEG,
-                "shift_per_s": _NUM,
+                "shift_per_s": {**_NUM, "default": 0.0},
             },
             "required": ["decay_per_s"],
         },
@@ -266,20 +285,19 @@ def _schema_errors(node, schema: dict, path: tuple = ()):
                 yield from _schema_errors(node[key], sub, path + (key,))
 
 
-def _resolved(node, schema: dict):
+def _resolved(node, schema: dict, reads=None, where: str = ""):
     """A copy of node, which passes schema, with every absent property that
-    has a "default" filled in (itself resolved), and every value that schema
-    types "integer" an int: the checker accepts integral floats such as 9.0
-    there, and the numerics need ints.  Filled keys follow the given ones,
-    in schema order."""
+    has a "default" filled in (itself resolved) where reads covers it, and
+    every value that schema types "integer" an int: the checker accepts 9.0
+    there, and the numerics need ints.  Filled keys follow, in schema order."""
     if schema.get("type") == "integer":
         return int(node)
     if isinstance(node, dict):
         props = schema.get("properties", {})
-        out = {key: _resolved(value, props[key]) for key, value in node.items()}
+        out = {k: _resolved(v, props[k], reads, f"{where}{k}.") for k, v in node.items()}
         for key, sub in props.items():
-            if key not in out and "default" in sub:
-                out[key] = _resolved(sub["default"], sub)
+            if key not in out and "default" in sub and _covers(reads, where + key):
+                out[key] = _resolved(sub["default"], sub, reads, f"{where}{key}.")
         return out
     if isinstance(node, list):
         return [_resolved(item, schema["items"]) for item in node]
@@ -291,108 +309,103 @@ def _first_schema_error(raw: dict):
     return min(_schema_errors(raw, CONFIG_SCHEMA), key=lambda e: e[0], default=None)
 
 
-def _require(cfg: dict, path: str, why: str):
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            _fail(path, f"required for {why}")
-        node = node[part]
-    return node
+def _covers(reads, path: str) -> bool:
+    """Whether reads (None: all) names path, a block above it or one below."""
+    return reads is None or any(
+        path == r or path.startswith(r + ".") or r.startswith(path + ".")
+        for entry in reads for r in entry.lstrip("!").split("|"))
+
+
+def _written(node: dict, where: str = ""):
+    """The dotted path of every key in node, each block before its keys."""
+    for key, value in node.items():
+        yield where + key
+        if isinstance(value, dict):
+            yield from _written(value, f"{where}{key}.")
+
+
+def _check_reads(node: dict, reads: tuple, what: str, where: str = ""):
+    """Fail on the first required entry of reads that node lacks, then on
+    the first path written in node that reads does not cover."""
+    written = list(_written(node))
+    for entry in reads:
+        options = entry[1:].split("|")
+        if entry[0] == "!" and not any(p in written for p in options):
+            _fail(where + " or ".join(options), f"required for {what}")
+    for path in written:
+        if not _covers(reads, path):
+            _fail(where + path, f"not read by {what}")
 
 
 def resolve_config(raw: dict, kind: str | None = None, *,
                    require_kind: bool = True) -> dict:
-    """Validate raw config against the schema, fill defaults, and run the
-    kind-specific semantic checks.  Returns the fully resolved config with
-    its `kind` field set and every integer field an int (9.0 passes the
-    schema and becomes 9); the result re-validates and re-resolves to itself.
-    With require_kind=False a config without a run kind passes the generic
-    checks only (used by `validate`, where the kind may come later from the
-    subcommand).
+    """Validate raw config against the schema and KIND_READS, fill the
+    defaults its kind reads, and run the semantic checks.  Returns the fully
+    resolved config with its `kind` field set and every integer field an int
+    (9.0 passes the schema and becomes 9); the result re-validates and
+    re-resolves to itself.  With require_kind=False a config without a run
+    kind passes the generic checks only, with every default filled (used by
+    `validate`, where the kind may come later from the subcommand).
     """
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
-    error = _first_schema_error(raw)
+    # a kind given as an argument is checked as if the config wrote it
+    error = _first_schema_error({**raw, "kind": kind} if kind else raw)
     if error:
         _fail(".".join(map(str, error[0])), error[1])
-    cfg = _resolved(raw, CONFIG_SCHEMA)
 
-    cfg_kind = cfg.get("kind")
+    cfg_kind = raw.get("kind")
     if kind is not None and cfg_kind is not None and kind != cfg_kind:
         _fail("kind", f"config says {cfg_kind!r} but the {kind!r} command was invoked")
     kind = kind or cfg_kind
-    if kind is None:
-        if require_kind:
-            _fail("kind", "no run kind given (set it in the config or pick a subcommand)")
-    else:
-        cfg["kind"] = kind
-
-    sens = cfg["detector"]["sensitivity"]
-    skind = sens["kind"]
-    for key, owner in (("width_l0", "interval"), ("x_l0", "tabulated"),
-                       ("values", "tabulated")):
-        if key in sens and skind != owner:
-            _fail(f"detector.sensitivity.{key}", f"only {owner} sensitivity takes it")
-    if skind == "interval" and "width_l0" not in sens:
-        _fail("detector.sensitivity.width_l0", "required for interval sensitivity")
-    if skind == "tabulated":
-        if "x_l0" not in sens or "values" not in sens:
-            _fail("detector.sensitivity", "tabulated sensitivity needs x_l0 and values")
-        if len(sens["x_l0"]) != len(sens["values"]):
-            _fail("detector.sensitivity", "x_l0 and values must have equal length")
-
-    if "bath" in cfg:
-        bath = cfg["bath"]
-        if ("cutoff_per_s" in bath) == ("cutoff_ratio" in bath):
-            _fail("bath", "give exactly one of cutoff_per_s and cutoff_ratio")
-
+    if kind is None and require_kind:
+        _fail("kind", "no run kind given (set it in the config or pick a subcommand)")
+    reads, what = KIND_READS.get(kind), f"{kind} runs"
     if kind == "sweep":
-        sw = _require(cfg, "sweep", "sweep runs")
+        run = _resolved(raw.get("sweep", {}), CONFIG_SCHEMA["properties"]["sweep"])["run"]
+        reads, what = reads + KIND_READS[run], f"{run} sweeps"
+    cfg = _resolved(raw, CONFIG_SCHEMA, reads)
+    if kind is not None:
+        cfg["kind"] = kind
+        _check_reads(cfg, reads, what)
+
+    sens = cfg["detector"].get("sensitivity")
+    if sens is not None:
+        skind = sens["kind"]
+        _check_reads(sens, SENSITIVITY_READS[skind], f"{skind} sensitivity",
+                     "detector.sensitivity.")
+        if skind == "tabulated" and len(sens["x_l0"]) != len(sens["values"]):
+            _fail("detector.sensitivity", "x_l0 and values must have equal length")
+    # the mode-ladder route matches its modes at a half-line edge at 0
+    if ("discrete" in cfg.get("numerics", {})
+            and sens != {"kind": "half_line", "start_l0": 0.0}):
+        _fail("detector.sensitivity", "the discrete route needs a half_line at start_l0 0")
+
+    if "bath" in cfg and ("cutoff_per_s" in cfg["bath"]) == ("cutoff_ratio" in cfg["bath"]):
+        _fail("bath", "give exactly one of cutoff_per_s and cutoff_ratio")
+
+    if "sweep" in cfg:
+        sw = cfg["sweep"]
         if ("values" in sw) == ("factors" in sw):
             _fail("sweep", "give exactly one of values and factors")
-        _check_kind_needs(cfg, sw["run"], what="sub-runs")
-        _resolve_sweep_axis(cfg)
-    elif kind is not None:
-        _check_kind_needs(cfg, kind, what="runs")
+        path = sw["parameter"]
+        try:
+            node = get_by_path(cfg, path)
+        except (KeyError, TypeError):
+            _fail("sweep.parameter", f"path {path!r} not found in the config")
+        if isinstance(node, bool) or not isinstance(node, (int, float)):
+            _fail("sweep.parameter", f"path {path!r} does not target a numeric field")
 
-    for block in ("discrete", "continuum"):
-        num = cfg["numerics"].get(block)
-        if num and "time_stop_t0" in num:
-            if num["time_stop_t0"] <= num["time_start_t0"]:
-                _fail(f"numerics.{block}.time_stop_t0", "must exceed time_start_t0")
-            if block == "continuum" and num["x_max_l0"] <= num["x_min_l0"]:
-                _fail("numerics.continuum.x_max_l0", "must exceed x_min_l0")
+    for block, num in cfg.get("numerics", {}).items():
+        if num["time_stop_t0"] <= num["time_start_t0"]:
+            _fail(f"numerics.{block}.time_stop_t0", "must exceed time_start_t0")
+        if block == "continuum" and num["x_max_l0"] <= num["x_min_l0"]:
+            _fail("numerics.continuum.x_max_l0", "must exceed x_min_l0")
 
-    cw = cfg["comparison"]["window_recurrence_fraction"]
-    if cw[1] <= cw[0]:
+    cw = cfg.get("comparison", {}).get("window_recurrence_fraction")
+    if cw and cw[1] <= cw[0]:
         _fail("comparison.window_recurrence_fraction", "must be increasing")
     return cfg
-
-
-def _check_kind_needs(cfg: dict, kind: str, what: str):
-    """Kind-specific presence checks shared by direct runs and sweep sub-runs."""
-    if kind in ("discrete", "rates", "compare"):
-        _require(cfg, "bath", f"{kind} {what}")
-    if kind in ("discrete", "compare"):
-        _require(cfg, "bath.modes", f"{kind} {what}")
-        _require(cfg, "numerics.discrete", f"{kind} {what}")
-    if kind in ("continuum", "compare", "fluorescence"):
-        _require(cfg, "numerics.continuum", f"{kind} {what}")
-    if kind == "continuum" and "bath" not in cfg and "rates_override" not in cfg:
-        _fail("bath", f"continuum {what} need a bath or a rates_override")
-    if kind == "fluorescence":
-        _require(cfg, "fluorescence", f"fluorescence {what}")
-
-
-def _resolve_sweep_axis(cfg: dict):
-    """Check the sweep parameter path points at a number in the config."""
-    path = cfg["sweep"]["parameter"]
-    try:
-        node = get_by_path(cfg, path)
-    except (KeyError, TypeError):
-        _fail("sweep.parameter", f"path {path!r} not found in the config")
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        _fail("sweep.parameter", f"path {path!r} does not target a numeric field")
 
 
 def set_by_path(cfg: dict, path: str, value: float) -> dict:

@@ -382,6 +382,9 @@ class ScatteringSynthesis:
             raise ConfigurationError("series window must straddle the interface at 0")
         if right_points % 2 == 0:
             right_points += 1
+        if right_points < 3:
+            raise ConfigurationError("fewer than 3 Simpson points over [0, x_max]: "
+                                     "the right spacing exceeds twice x_max")
         x_lo = float(self.units.length_in(x_min))
         x_hi = float(self.units.length_in(x_max))
         c_mat = self.time_phases(times_si)

@@ -44,13 +44,14 @@ __all__ = ["Scene", "build_scene", "run_config"]
 
 @dataclass
 class Scene:
-    """Physics objects shared by the run kinds, built once per config."""
+    """Physics objects of a run, built from the paths its kind reads: geometry
+    is None without a sensitivity, rates without a bath or rates_override."""
 
     units: UnitSystem
     packet: GaussianPacketSpec
-    geometry: DetectorGeometry
+    geometry: DetectorGeometry | None
     bath: RectangularBath | None
-    rates: RatesResult
+    rates: RatesResult | None
     correlation_time: float | None
     recurrence_time: float | None
 
@@ -79,10 +80,10 @@ def build_scene(cfg: dict) -> Scene:
         momentum_width=HBAR * pk["momentum_width_hbar_per_m"],
         focus_time=pk["focus_time_s"],
         focus_position=pk["focus_position_m"])
-    geometry = single_spin(resonance, _build_sensitivity(cfg, units))
+    geometry = (single_spin(resonance, _build_sensitivity(cfg, units))
+                if "sensitivity" in det else None)
 
-    bath = None
-    t_rec = None
+    bath = t_rec = tau_c = rates = None
     if "bath" in cfg:
         b = cfg["bath"]
         cutoff = b.get("cutoff_per_s", b.get("cutoff_ratio", 0.0) * resonance)
@@ -91,14 +92,13 @@ def build_scene(cfg: dict) -> Scene:
         if bath.modes:
             t_rec = bath.recurrence_time()
 
-    tau_c = None
     if "rates_override" in cfg:
         ov = cfg["rates_override"]
-        rates = RatesResult(ov["decay_per_s"], ov.get("shift_per_s", 0.0), "override")
+        rates = RatesResult(ov["decay_per_s"], ov["shift_per_s"], "override")
     elif bath is not None and bath.coupling > 0.0:
         rates = decay_rate_and_shift(bath, resonance)
         tau_c = markov_summary(bath, resonance).correlation_time
-    else:
+    elif bath is not None:
         rates = RatesResult(0.0, 0.0, "zero_coupling")
 
     return Scene(units=units, packet=packet, geometry=geometry, bath=bath,
@@ -108,16 +108,14 @@ def build_scene(cfg: dict) -> Scene:
 def _derived_block(scene: Scene, cfg: dict) -> dict:
     u = scene.units
     rates = scene.rates
-    out = {
-        "time_unit_s": u.time_unit,
-        "length_unit_m": u.length_unit,
-        "mean_wavenumber_per_m": scene.packet.mean_wavenumber,
-        "decay_rate_per_s": rates.decay_rate,
-        "level_shift_per_s": rates.level_shift,
-        "rates_method": rates.method,
-        "shift_included": bool(cfg["include_shift"]),
-    }
-    if rates.quadrature_decay_rate is not None:
+    out = {"time_unit_s": u.time_unit, "length_unit_m": u.length_unit,
+           "mean_wavenumber_per_m": scene.packet.mean_wavenumber}
+    if rates is not None:
+        out.update(decay_rate_per_s=rates.decay_rate, level_shift_per_s=rates.level_shift,
+                   rates_method=rates.method)
+    if "include_shift" in cfg:
+        out["shift_included"] = cfg["include_shift"]
+    if rates is not None and rates.quadrature_decay_rate is not None:
         out["quadrature_decay_rate_per_s"] = rates.quadrature_decay_rate
         out["quadrature_level_shift_per_s"] = rates.quadrature_level_shift
     if scene.correlation_time is not None:
@@ -154,9 +152,9 @@ def _space_grid(num: dict, unit: float) -> Grid1D:
 
 def _run_rates(cfg: dict, scene: Scene, out_dir: Path):
     rates = scene.rates
-    values = (scene.geometry.resonance, rates.decay_rate, rates.level_shift,
-              rates.quadrature_decay_rate, rates.quadrature_level_shift,
-              scene.correlation_time, scene.recurrence_time)
+    values = (float(cfg["detector"]["resonance_per_s"]), rates.decay_rate,
+              rates.level_shift, rates.quadrature_decay_rate,
+              rates.quadrature_level_shift, scene.correlation_time, scene.recurrence_time)
     path = out_dir / "rates.csv"
     write_csv(path, ["resonance_per_s", "decay_rate_per_s", "level_shift_per_s",
                      "quadrature_decay_rate_per_s", "quadrature_level_shift_per_s",
@@ -219,20 +217,15 @@ def _run_continuum(cfg: dict, scene: Scene, out_dir: Path):
     return outputs, summary, traj
 
 
-def _comparison_window(cfg: dict, scene: Scene) -> tuple[float, float] | None:
-    if scene.recurrence_time is None:
-        return None
-    lo_f, hi_f = cfg["comparison"]["window_recurrence_fraction"]
-    return (lo_f * scene.recurrence_time, hi_f * scene.recurrence_time)
-
-
 def _run_compare(cfg: dict, scene: Scene, out_dir: Path):
     out_d, sum_d, series = _run_discrete(cfg, scene, out_dir)
     out_c, sum_c, traj = _run_continuum(cfg, scene, out_dir)
-    window = _comparison_window(cfg, scene)
+    # a compare run reads bath.modes, so the recurrence time is set
+    lo_f, hi_f = cfg["comparison"]["window_recurrence_fraction"]
     cc = compare_curves(series.times, series.detection_density,
                         traj.detection_density_times, traj.detection_density,
-                        window=window, n_resample=cfg["comparison"]["n_resample"])
+                        window=(lo_f * scene.recurrence_time, hi_f * scene.recurrence_time),
+                        n_resample=cfg["comparison"]["n_resample"])
     payload = {"comparison": cc.as_dict(),
                "window_recurrence_fraction": cfg["comparison"]["window_recurrence_fraction"],
                "discrete": sum_d["discrete"], "continuum": sum_c["continuum"]}
@@ -385,7 +378,23 @@ def _run_sweep(cfg: dict, out_dir: Path, jobs: int):
                                  "mean_arrival_s", "std_arrival_s")])
     summary = {"sweep": {"parameter": path, "values": values,
                          "failed": failed, "runs": sub_reports}}
-    return {"summary": "summary.csv"}, summary, failed
+    return {"summary": "summary.csv"}, summary, {}, failed
+
+
+def _on_scene(run):
+    """run(cfg, scene, out_dir) as a run kind: (outputs, summary, derived, 0).
+    The series that the discrete and continuum runs also return, for compare, is dropped."""
+    def scene_run(cfg: dict, out_dir: Path, jobs: int):
+        scene = build_scene(cfg)
+        derived = _derived_block(scene, cfg)
+        return (*run(cfg, scene, out_dir)[:2], derived, 0)
+    return scene_run
+
+
+# each kind of config.KIND_READS -> (outputs, summary, derived, failed sub-runs)
+_RUNS = {"discrete": _on_scene(_run_discrete), "continuum": _on_scene(_run_continuum),
+         "compare": _on_scene(_run_compare), "rates": _on_scene(_run_rates),
+         "fluorescence": _on_scene(_run_fluorescence), "sweep": _run_sweep}
 
 
 # ---------------------------------------------------------------------------
@@ -404,27 +413,9 @@ def run_config(raw_cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     kind = cfg["kind"]
 
-    failed = 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
-        if kind == "sweep":
-            outputs, summary, failed = _run_sweep(cfg, out_dir, jobs)
-            derived = {}
-        else:
-            scene = build_scene(cfg)
-            derived = _derived_block(scene, cfg)
-            if kind == "rates":
-                outputs, summary = _run_rates(cfg, scene, out_dir)
-            elif kind == "discrete":
-                outputs, summary, _ = _run_discrete(cfg, scene, out_dir)
-            elif kind == "continuum":
-                outputs, summary, _ = _run_continuum(cfg, scene, out_dir)
-            elif kind == "compare":
-                outputs, summary = _run_compare(cfg, scene, out_dir)
-            elif kind == "fluorescence":
-                outputs, summary = _run_fluorescence(cfg, scene, out_dir)
-            else:
-                raise ConfigurationError(f"unhandled run kind {kind!r}")
+        outputs, summary, derived, failed = _RUNS[kind](cfg, out_dir, jobs)
 
     manifest = {
         "tool": "spindetect",

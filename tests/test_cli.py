@@ -67,6 +67,32 @@ def test_validate_rejects_non_finite_numbers(tmp_path, capsys):
     assert "numerics.continuum.time_step_t0" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_block_the_kind_does_not_read(tmp_path, capsys):
+    """A fluorescence run never reads a bath; a config without a kind gets
+    the generic checks only."""
+    cfg = helpers.fluorescence_config()
+    cfg["bath"] = rates_config()["bath"]
+    assert main(["validate", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert "config error at bath: not read by fluorescence runs" in capsys.readouterr().err
+    del cfg["kind"]
+    assert main(["validate", "--config", str(write_config(tmp_path, cfg))]) == 0
+    assert "kind=unspecified" in capsys.readouterr().out
+
+
+def test_too_few_simpson_points_are_a_config_error(tmp_path, capsys):
+    """A right spacing over twice x_max leaves one Simpson point over
+    [0, x_max]; the run stops with a configuration error, not a
+    ZeroDivisionError."""
+    cfg = helpers.small_compare_config()
+    cfg["kind"] = "discrete"
+    del cfg["numerics"]["continuum"], cfg["comparison"]
+    cfg["numerics"]["discrete"].update(x_max_l0=0.5, right_spacing_l0=2.0)
+    out = tmp_path / "out"
+    assert main(["discrete", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(out)]) == 2
+    assert "fewer than 3 Simpson points" in capsys.readouterr().err
+
+
 def test_unknown_preset_lists_available(capsys):
     assert main(["rates", "--preset", "definitely-not-a-preset"]) == 2
     err = capsys.readouterr().err
@@ -273,6 +299,17 @@ def test_refinement_is_one_manifest_warning(refined_fluorescence):
     assert refined == ["time step refined x3 to respect the potential phase bound "
                        "dt|V|/hbar < 0.1"]
     assert int(re.search(r"refined x(\d+)", refined[0]).group(1)) == 3
+
+
+def test_fluorescence_manifest_holds_only_what_it_reads(refined_fluorescence):
+    """No sensitivity, include_shift or comparison window is filled into a
+    fluorescence config, and no rates reach its derived block."""
+    _, manifest = refined_fluorescence
+    cfg = manifest["config"]
+    assert "include_shift" not in cfg and "sensitivity" not in cfg["detector"]
+    assert cfg["comparison"] == {"n_resample": 2048}
+    assert list(manifest["derived"]) == ["time_unit_s", "length_unit_m",
+                                         "mean_wavenumber_per_m"]
 
 
 def test_fluorescence_legs_share_the_refined_time_grid(refined_fluorescence):

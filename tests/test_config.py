@@ -13,14 +13,14 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from spindetect import load_preset, preset_names, resolve_config
-from spindetect.config import (CONFIG_SCHEMA, SCHEMA_KEYWORDS, _IS_TYPE, _first_schema_error,
-                               _schema_errors, config_from_file, get_by_path,
-                               set_by_path)
+from spindetect.config import (CONFIG_SCHEMA, KIND_READS, SCHEMA_KEYWORDS, _IS_TYPE,
+                               _covers, _first_schema_error, _schema_errors,
+                               config_from_file, get_by_path, set_by_path)
 from spindetect.errors import ConfigurationError
 from spindetect.runner import run_config
 
-from helpers import (PROPERTY_SETTINGS, rates_config, small_compare_config,
-                     small_continuum_config)
+from helpers import (PROPERTY_SETTINGS, fluorescence_config, rates_config,
+                     small_compare_config, small_continuum_config, sweep_tradeoff_config)
 
 _WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 _spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS_PY)
@@ -116,22 +116,32 @@ def _defaults(schema, where=()):
 
 def test_every_default_passes_its_own_schema():
     found = list(_defaults(CONFIG_SCHEMA))
-    assert len(found) == 15
+    assert len(found) == 16
     for where, sub in found:
         assert list(_schema_errors(sub["default"], sub)) == [], ".".join(where)
 
 
 def test_defaults_fill_only_written_blocks():
-    """numerics, comparison and the sensitivity are filled in whole; the
+    """Defaults go only where the run kind reads: a rates run gets no
+    numerics, comparison, sensitivity or include_shift, a fluorescence run
+    only the comparison's n_resample, a continuum run no comparison.  The
     numerics blocks and the sweep have no default, so their defaults apply
     only to a block the config writes."""
     cfg = resolve_config(rates_config())
-    assert cfg["numerics"] == {}
-    assert cfg["comparison"] == {"window_recurrence_fraction": [0.0, 0.8],
-                                 "n_resample": 2048}
-    assert cfg["detector"]["sensitivity"] == {"kind": "half_line", "start_l0": 0.0}
-    assert "sweep" not in cfg
+    assert list(cfg) == ["kind", "packet", "detector", "bath"]
+    assert cfg["detector"] == {"resonance_per_s": rates_config()["detector"]["resonance_per_s"]}
+    cfg = resolve_config(fluorescence_config())
+    assert cfg["comparison"] == {"n_resample": 2048}
+    assert list(cfg["numerics"]) == ["continuum"]
+    assert "include_shift" not in cfg and "sensitivity" not in cfg["detector"]
+    cfg = resolve_config(small_continuum_config())
+    assert (cfg["include_shift"], cfg["detector"]["sensitivity"]) == (
+        True, {"kind": "half_line", "start_l0": 0.0})
+    assert "comparison" not in cfg and "sweep" not in cfg
     raw = small_compare_config()
+    del raw["comparison"]
+    assert resolve_config(raw)["comparison"] == {"window_recurrence_fraction": [0.0, 0.8],
+                                                 "n_resample": 2048}
     for block, keys in (("discrete", ("k_nodes", "right_spacing_l0")),
                         ("continuum", ("grid_spacing_l0", "snapshots"))):
         for key in keys:
@@ -155,6 +165,116 @@ def test_kind_subcommand_mismatch():
         resolve_config(cfg, kind="rates")
     # matching explicit kind is fine
     assert resolve_config(cfg, kind="compare")["kind"] == "compare"
+    # an explicit kind is checked like a written one
+    del cfg["kind"]
+    with pytest.raises(ConfigurationError, match=r"at kind: 'bogus' is not one of"):
+        resolve_config(cfg, kind="bogus")
+
+
+def test_override_shift_defaults_to_zero():
+    # the one default build_scene used to hold outside the schema
+    cfg = small_continuum_config()
+    del cfg["bath"]
+    cfg["rates_override"] = {"decay_per_s": 1.0e7}
+    assert resolve_config(cfg)["rates_override"] == {"decay_per_s": 1.0e7,
+                                                     "shift_per_s": 0.0}
+
+
+def _discrete_config():
+    cfg = small_compare_config()
+    cfg["kind"] = "discrete"
+    del cfg["numerics"]["continuum"], cfg["comparison"]
+    return cfg
+
+
+def _sweep_of(cfg, run="continuum"):
+    return dict(cfg, kind="sweep", sweep={"parameter": "packet.mean_velocity_m_per_s",
+                                          "values": [1.7, 1.8], "run": run})
+
+
+# each block or key that a run kind used to accept and then ignore; the
+# error names the outermost path the kind reads nothing of
+_DISCRETE_BLOCK = small_compare_config()["numerics"]["discrete"]
+_UNREAD = [
+    (fluorescence_config, "bath", rates_config()["bath"], "bath"),
+    (fluorescence_config, "include_shift", True, "include_shift"),
+    (fluorescence_config, "rates_override", {"decay_per_s": 1.0e9}, "rates_override"),
+    (fluorescence_config, "detector.sensitivity", {"kind": "half_line"},
+     "detector.sensitivity"),
+    (fluorescence_config, "numerics.discrete", _DISCRETE_BLOCK, "numerics.discrete"),
+    (fluorescence_config, "comparison", {"window_recurrence_fraction": [0.0, 0.5]},
+     "comparison.window_recurrence_fraction"),
+    (small_continuum_config, "numerics.discrete", _DISCRETE_BLOCK, "numerics.discrete"),
+    (small_continuum_config, "comparison", {}, "comparison"),
+    (small_continuum_config, "fluorescence", fluorescence_config()["fluorescence"],
+     "fluorescence"),
+    (small_continuum_config, "sweep", {"parameter": "bath.modes", "values": [8.0]}, "sweep"),
+    (rates_config, "numerics", {"continuum": small_continuum_config()["numerics"]["continuum"]},
+     "numerics"),
+    (rates_config, "include_shift", False, "include_shift"),
+    (rates_config, "detector.sensitivity", {"kind": "half_line"}, "detector.sensitivity"),
+    (_discrete_config, "rates_override", {"decay_per_s": 1.0e7}, "rates_override"),
+    (_discrete_config, "include_shift", True, "include_shift"),
+]
+
+
+@pytest.mark.parametrize("build, path, value, named", _UNREAD,
+                         ids=[f"{b.__name__}-{p}" for b, p, _, _ in _UNREAD])
+def test_blocks_a_kind_does_not_read_are_rejected(build, path, value, named):
+    cfg = set_by_path(build(), path, value)
+    kind = cfg["kind"]
+    with pytest.raises(ConfigurationError,
+                       match=rf"at {re.escape(named)}: not read by {kind} runs$"):
+        resolve_config(cfg)
+    # as written without it, the config resolves
+    resolve_config(build())
+
+
+def test_sweeps_check_their_sub_run_kind():
+    cfg = _sweep_of(small_continuum_config())
+    assert resolve_config(cfg)["sweep"]["run"] == "continuum"
+    del cfg["sweep"]["run"]
+    assert resolve_config(cfg)["sweep"]["run"] == "continuum"
+    cfg["comparison"] = {}
+    with pytest.raises(ConfigurationError, match=r"at comparison: not read by continuum sweeps"):
+        resolve_config(cfg)
+    cfg["sweep"]["run"] = "compare"
+    with pytest.raises(ConfigurationError,
+                       match=r"at numerics\.discrete: required for compare sweeps"):
+        resolve_config(cfg)
+    assert resolve_config(_sweep_of(small_compare_config(), "compare"))["kind"] == "sweep"
+    with pytest.raises(ConfigurationError, match=r"at sweep: required for continuum sweeps"):
+        resolve_config(dict(small_continuum_config(), kind="sweep"))
+    # what the sub-runs read is filled in, and each sub-run re-resolves as it
+    resolved = resolve_config(sweep_tradeoff_config())
+    assert resolved["include_shift"] is True and "comparison" not in resolved
+    sub = dict(resolved, kind="continuum")
+    del sub["sweep"]
+    assert resolve_config(sub) == sub
+
+
+@pytest.mark.parametrize("sensitivity", [
+    {"kind": "interval", "width_l0": 3.0}, {"kind": "half_line", "start_l0": 3.0},
+    {"kind": "tabulated", "x_l0": [0.0, 1.0], "values": [1.0, 1.0]}])
+@pytest.mark.parametrize("build", [small_compare_config, _discrete_config,
+                                   lambda: _sweep_of(_discrete_config(), "discrete")],
+                         ids=["compare", "discrete", "discrete-sweep"])
+def test_discrete_route_needs_a_half_line_at_the_origin(build, sensitivity, tmp_path,
+                                                         monkeypatch):
+    """The mode ladder is matched at a half-line edge at 0; any other
+    sensitivity fails at resolve time, before a rate is computed."""
+    from spindetect import runner
+
+    def no_rates(*args):
+        raise AssertionError("rates computed before the sensitivity was checked")
+
+    monkeypatch.setattr(runner, "decay_rate_and_shift", no_rates)
+    cfg = build()
+    cfg["detector"]["sensitivity"] = sensitivity
+    with pytest.raises(ConfigurationError, match=r"at detector\.sensitivity: the discrete"):
+        run_config(cfg, tmp_path)
+    cfg["detector"]["sensitivity"] = {"kind": "half_line", "start_l0": 0.0}
+    assert resolve_config(cfg)["detector"]["sensitivity"]["start_l0"] == 0.0
 
 
 def test_kind_requirements():
@@ -203,12 +323,14 @@ def test_bath_cutoff_exclusivity():
 
 
 def test_sensitivity_variants():
-    cfg = rates_config()
+    cfg = small_continuum_config()
     cfg["detector"]["sensitivity"] = {"kind": "interval", "start_l0": 0.0}
-    with pytest.raises(ConfigurationError, match="width_l0"):
+    with pytest.raises(ConfigurationError,
+                       match=r"at detector\.sensitivity\.width_l0: required for interval"):
         resolve_config(cfg)
     cfg["detector"]["sensitivity"] = {"kind": "tabulated", "x_l0": [0.0, 1.0]}
-    with pytest.raises(ConfigurationError, match="values"):
+    with pytest.raises(ConfigurationError,
+                       match=r"at detector\.sensitivity\.values: required for tabulated"):
         resolve_config(cfg)
     cfg["detector"]["sensitivity"] = {"kind": "tabulated", "x_l0": [0.0, 1.0, 2.0],
                                       "values": [0.0, 1.0]}
@@ -228,9 +350,10 @@ def test_sensitivity_rejects_keys_its_kind_ignores(kind, key, value):
             "interval": {"kind": "interval", "width_l0": 3.0},
             "tabulated": {"kind": "tabulated", "x_l0": [0.0, 1.0],
                           "values": [0.0, 1.0]}}[kind]
-    cfg = rates_config()
+    cfg = small_continuum_config()
     cfg["detector"]["sensitivity"] = {**sens, key: value}
-    with pytest.raises(ConfigurationError, match=rf"at detector\.sensitivity\.{key}: only"):
+    with pytest.raises(ConfigurationError,
+                       match=rf"at detector\.sensitivity\.{key}: not read by {kind} sensitivity"):
         resolve_config(cfg)
 
 
@@ -461,29 +584,45 @@ _OPTIONAL_BLOCKS = {
     "comparison": st.fixed_dictionaries({}, optional={
         "window_recurrence_fraction": st.sampled_from([[0.0, 0.5], [0.1, 0.9]]),
         "n_resample": st.integers(2, 4096)}),
-    "sweep": st.fixed_dictionaries(
-        {"parameter": st.just("detector.resonance_per_s"),
-         "factors": st.lists(_positive, min_size=1, max_size=3)},
-        optional={"run": st.sampled_from(["discrete", "continuum", "compare"])}),
 }
 _SENSITIVITIES = st.one_of(
     st.fixed_dictionaries({"kind": st.just("half_line")}, optional={"start_l0": _finite}),
     st.fixed_dictionaries({"kind": st.just("interval"), "width_l0": _positive},
                           optional={"start_l0": _finite}),
     st.just({"kind": "tabulated", "x_l0": [0.0, 4.0], "values": [0.0, 1.0]}))
+# the only sensitivity the discrete route takes
+_HALF_LINES_AT_0 = st.fixed_dictionaries({"kind": st.just("half_line")},
+                                         optional={"start_l0": st.just(0.0)})
+
+
+def _pruned(node: dict, reads, where=""):
+    """node without the paths that reads, a KIND_READS entry, does not cover."""
+    return {k: _pruned(v, reads, f"{where}{k}.") if isinstance(v, dict) else v
+            for k, v in node.items() if _covers(reads, where + k)}
 
 
 @st.composite
 def _configs_with_optional_blocks(draw):
+    """A base config plus optional blocks and keys, kept where its kind reads
+    them, and perhaps turned into a sweep of its kind."""
     cfg = copy.deepcopy(draw(st.sampled_from(BASE_CONFIGS)))
+    kind = cfg["kind"]
     for key, block in _OPTIONAL_BLOCKS.items():
         if draw(st.booleans()):
             cfg[key] = draw(block)
     if draw(st.booleans()):
-        cfg["detector"]["sensitivity"] = draw(_SENSITIVITIES)
+        ladder = _covers(KIND_READS[kind], "numerics.discrete")
+        cfg["detector"]["sensitivity"] = draw(_HALF_LINES_AT_0 if ladder else _SENSITIVITIES)
     for key in ("focus_time_s", "focus_position_m"):
         if draw(st.booleans()):
             cfg["packet"][key] = draw(_finite)
+    cfg = _pruned(cfg, KIND_READS[kind])
+    if kind != "fluorescence" and draw(st.booleans()):
+        sweep = {"parameter": "detector.resonance_per_s",
+                 "factors": draw(st.lists(_positive, min_size=1, max_size=3))}
+        if kind != "continuum" or draw(st.booleans()):
+            sweep["run"] = kind
+        cfg = dict(cfg, kind="sweep", sweep=sweep)
     return cfg
 
 
@@ -493,7 +632,9 @@ def test_resolution_is_idempotent_and_survives_the_manifest(raw):
     cfg = resolve_config(raw)
     assert resolve_config(cfg) == cfg
     # a run's manifest, read back as a config, re-resolves to the run's config
-    rates = dict(raw, kind="rates", bath=workloads.build_config("tabulated-fields", 1)["bath"])
+    rates = _pruned(dict(raw, kind="rates",
+                         bath=workloads.build_config("tabulated-fields", 1)["bath"]),
+                    KIND_READS["rates"])
     with tempfile.TemporaryDirectory() as out:
         manifest = run_config(rates, Path(out))
         again = resolve_config(config_from_file(Path(out) / "manifest.json"))

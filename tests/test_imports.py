@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from spindetect.config import CONFIG_SCHEMA
+from spindetect import runner
+from spindetect.config import CONFIG_SCHEMA, KIND_READS, SENSITIVITY_READS, _covers
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spindetect"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -114,7 +115,9 @@ def _schema_leaves(schema: dict, path: tuple = ()):
 
 def test_every_config_key_is_read_by_the_runner():
     """Each leaf key of CONFIG_SCHEMA appears as a string literal in
-    runner.py, so a knob the schema accepts cannot be ignored silently."""
+    runner.py and is read by at least one run kind of KIND_READS, and each
+    path of KIND_READS is a schema path, so a knob the schema accepts cannot
+    be ignored silently."""
     tree = ast.parse((PACKAGE / "runner.py").read_text(encoding="utf-8"))
     literals = {n.value for n in ast.walk(tree)
                 if isinstance(n, ast.Constant) and isinstance(n.value, str)}
@@ -123,3 +126,17 @@ def test_every_config_key_is_read_by_the_runner():
     assert len(leaves) == 46
     unread = [".".join(p) for p in leaves if p[-1] not in literals]
     assert not unread, "config keys runner.py never names: " + ", ".join(unread)
+    paths = {".".join(p[:i]) for p in leaves for i in range(1, len(p) + 1)}
+    named = {path for reads in KIND_READS.values()
+             for entry in reads for path in entry.lstrip("!").split("|")}
+    assert named <= paths, f"KIND_READS paths outside the schema: {named - paths}"
+    by_no_kind = [".".join(p) for p in leaves
+                  if not any(_covers(reads, ".".join(p)) for reads in KIND_READS.values())]
+    assert not by_no_kind, "config keys no run kind reads: " + ", ".join(by_no_kind)
+    sensitivity = CONFIG_SCHEMA["properties"]["detector"]["properties"]["sensitivity"]
+    keys = {entry.lstrip("!") for reads in SENSITIVITY_READS.values() for entry in reads}
+    assert keys == set(sensitivity["properties"])
+
+
+def test_the_runner_dispatches_every_run_kind():
+    assert list(runner._RUNS) == list(KIND_READS)
