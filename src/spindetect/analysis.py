@@ -208,12 +208,11 @@ def mass_fractions(fields: np.ndarray, grid, region: tuple[float, float],
     }
 
 
-def mass_accounting(trajectory, region: tuple[float, float] | None = None
-                    ) -> dict[str, float]:
+def mass_accounting(trajectory) -> dict[str, float]:
     """Where did the launched packet end up: reflected (left of the sensitive
     region), transmitted without detection (right of it), still inside it,
     or detected: mass_fractions of a conditional run's final fields (every
-    channel of a two-channel run), optionally against another region.  This
+    channel of a two-channel run) around the trajectory's region.  This
     is the run's only ledger and the only check that it sums to 1; a ledger
     that does not is a NumericsError.
 
@@ -224,8 +223,7 @@ def mass_accounting(trajectory, region: tuple[float, float] | None = None
     residual_in_region is the undetected mass still travelling inside the
     detector: the warning then says that w1 has not drained.
     """
-    split = mass_fractions(trajectory.final_fields, trajectory.grid,
-                           trajectory.region if region is None else region,
+    split = mass_fractions(trajectory.final_fields, trajectory.grid, trajectory.region,
                            trajectory.no_detection_prob, trajectory.detection_density)
     total = sum(split.values())
     if abs(total - 1.0) > 1e-6:

@@ -32,14 +32,15 @@ fluorescence analog
 
     H = p^2/(2m) x 1 + (hbar/2) [[0, Omega(x)], [Omega(x), -2*detuning - i*linewidth]],
 
-whose strong-damping limit collapses to the single-channel complex
-potential returned by one_channel_limit_potential.
+with Omega(x) = rabi * lit(x) on a lit Sensitivity.  Its strong-damping
+limit is the detector's potential form with two-level rates on lit
+(one_channel_limit_potential).
 
 Both propagators share one core (_propagate: validation, units, step loop,
-edge mass) that returns one record, ConditionalTrajectory; they supply only
-their solver (LAPACK zgttrs for one channel, SuperLU on the interleaved
-pair), density and norm formulas, and detector region.  Norms are plain
-(pairwise) sums h * sum |psi|^2, as is the mass ledger
+edge mass, initial norm) that returns one record, ConditionalTrajectory;
+they supply only their solver (LAPACK zgttrs for one channel, SuperLU on
+the interleaved pair), density and norm formulas, and detector region.
+Norms are plain (pairwise) sums h * sum |psi|^2, as is the mass ledger
 (analysis.mass_accounting), and norm_balance checks the drain identity on
 either model's record.  The norms are computed from the field alone, never
 from the density, so that check stays a real test.  Edge mass and an
@@ -213,8 +214,8 @@ class ConditionalTrajectory:
     from the fast kinetic phase.  dt is the step used, the requested one
     divided down to PHASE_BUDGET.  snapshots are (channel, index, x) and
     final_fields (channel, x), in SI; channel 0 is the ground field.  region
-    is the detector's extent, which the mass ledger splits the final field
-    around.
+    is the support of the detector's sensitivity (of the lit region, for the
+    two-channel run), which the mass ledger splits the final field around.
     """
 
     grid: Grid1D
@@ -288,7 +289,7 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
     solver(h_int, dt_int, omega) returns (step, density, norms): the next
     state, the midpoint detection density (1/s), and a tuple of norms led
     by the survival probability, recorded under norm_names.  Edge mass
-    above EDGE_MASS_WARN raises a UserWarning.
+    above EDGE_MASS_WARN and an initial norm off 1 raise UserWarnings.
     """
     n = grid.n_points
     if any(np.shape(f) != (n,) for f in fields):
@@ -357,6 +358,9 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
     if edge_max > EDGE_MASS_WARN:
         warnings.warn(f"edge mass reached {edge_max:.3e} (> {EDGE_MASS_WARN:g}); "
                       "boundary reflections may contaminate the run", stacklevel=3)
+    if abs(first[0] - 1.0) > 1e-6:
+        warnings.warn(f"initial norm {float(first[0])!r} differs from 1; mass ledger is "
+                      "renormalized", stacklevel=3)
     snaps /= scale
     return ConditionalTrajectory(
         grid=grid, times=times, dt=dt, norms=dict(zip(norm_names, recorded)),
@@ -396,15 +400,10 @@ def propagate_conditional(psi0: np.ndarray, potential: ComplexPotential,
                 lambda y, y_next: np.sum(decay_w * _abs2(y[span] + y_next[span])),
                 lambda y: (np.sum(_abs2(y)) * h_int,))
 
-    traj = _propagate((psi0,), grid, t_span, dt, mass=mass, vmax=potential.max_magnitude,
+    return _propagate((psi0,), grid, t_span, dt, mass=mass, vmax=potential.max_magnitude,
                       frequency_scales=(), reference_frequency=reference_frequency,
                       snapshots=snapshots, solver=solver,
                       norm_names=("no_detection_prob",), region=potential.region)
-    norm0 = float(traj.no_detection_prob[0])
-    if abs(norm0 - 1.0) > 1e-6:
-        warnings.warn(f"initial norm {norm0!r} differs from 1; mass ledger is "
-                      "renormalized", stacklevel=2)
-    return traj
 
 
 def norm_balance(trajectory) -> dict[str, float]:
@@ -441,25 +440,6 @@ def norm_balance(trajectory) -> dict[str, float]:
 # two-channel fluorescence analog
 
 
-def _rabi_on(grid: Grid1D, rabi_profile) -> np.ndarray:
-    rabi = np.asarray(rabi_profile, dtype=float)
-    if rabi.shape != (grid.n_points,):
-        raise ConfigurationError("Rabi profile must have one value per grid point")
-    if np.any(rabi < 0.0):
-        raise ConfigurationError("Rabi profile must be nonnegative")
-    return rabi
-
-
-def _lit_span(grid: Grid1D, rabi: np.ndarray) -> tuple[float, float]:
-    """First to last grid point where the Rabi profile is nonzero;
-    (x_max, x_max) for a dark profile."""
-    lit = np.flatnonzero(rabi > 0.0)
-    if not lit.size:
-        return (grid.x_max, grid.x_max)
-    x = grid.points()
-    return (float(x[lit[0]]), float(x[lit[-1]]))
-
-
 def _two_channel_matrix(n: int, h_int: float, rabi_int: np.ndarray,
                         excited_diag_int: complex) -> sp.csc_matrix:
     """Interleaved (ground, excited) Hamiltonian in internal units; returns
@@ -477,33 +457,33 @@ def _two_channel_matrix(n: int, h_int: float, rabi_int: np.ndarray,
                     format="csc")
 
 
-def propagate_two_channel(ground0: np.ndarray, excited0: np.ndarray,
-                          rabi_profile: np.ndarray, detuning: float, linewidth: float,
+def propagate_two_channel(ground0: np.ndarray, excited0: np.ndarray, rabi: float,
+                          lit: Sensitivity, detuning: float, linewidth: float,
                           grid: Grid1D, t_span: tuple[float, float], dt: float, *,
-                          mass: float, reference_frequency: float | None = None,
-                          snapshots: int = 128) -> ConditionalTrajectory:
+                          mass: float, snapshots: int = 128) -> ConditionalTrajectory:
     """Propagate the coupled ground/excited fields of the fluorescence model.
 
     The conditional generator is kinetic energy on both channels plus the
-    block (hbar/2) [[0, Omega(x)], [Omega(x), -2*detuning - i*linewidth]];
-    spontaneous emission drains the excited channel at rate linewidth, and
-    the emission density is w1 = linewidth * ||excited||^2, balancing the
-    combined norm loss.  dt is the requested step, refined to PHASE_BUDGET
-    and checked as in propagate_conditional (the step used is traj.dt),
-    with |V|max the larger of hbar*Omega/2 and hbar|2*detuning +
-    i*linewidth|/2.
-    The record's norms are the combined norm P0 and the excited mass; its
-    region is the lit span of the Rabi profile.
+    block (hbar/2) [[0, Omega(x)], [Omega(x), -2*detuning - i*linewidth]],
+    Omega(x) = rabi * lit(x) for a peak Rabi frequency rabi (1/s), whose
+    sign is a phase convention of the excited channel.  Spontaneous
+    emission drains the excited channel at rate linewidth, and the emission
+    density is w1 = linewidth * ||excited||^2, balancing the combined norm
+    loss.  dt is the requested step, refined to PHASE_BUDGET and checked as
+    in propagate_conditional (the step used is traj.dt), with |V|max the
+    larger of hbar|Omega|/2 and hbar|2*detuning + i*linewidth|/2.  The
+    record's norms are the combined norm P0 and the excited mass; its region
+    is lit.support.
     """
     n = grid.n_points
-    rabi = _rabi_on(grid, rabi_profile)
     if linewidth < 0.0:
         raise ConfigurationError("linewidth must be nonnegative")
+    omega_x = rabi * lit(grid.points())
     excited_diag = 0.5 * (-2.0 * detuning - 1j * linewidth)   # 1/s
-    half_rabi = np.max(rabi) / 2.0
+    half_rabi = np.max(np.abs(omega_x)) / 2.0
 
     def solver(h_int, dt_int, omega):
-        ham = _two_channel_matrix(n, h_int, rabi / omega, excited_diag / omega)
+        ham = _two_channel_matrix(n, h_int, omega_x / omega, excited_diag / omega)
         forward = sp.identity(2 * n, dtype=complex, format="csc") + 0.5j * dt_int * ham
         # the interleaved matrix is already a pentadiagonal band: no reordering
         lu = splu(forward.tocsc(), permc_spec="NATURAL")
@@ -528,32 +508,31 @@ def propagate_two_channel(ground0: np.ndarray, excited0: np.ndarray,
     return _propagate((ground0, excited0), grid, t_span, dt, mass=mass,
                       vmax=HBAR * max(half_rabi, abs(excited_diag)),
                       frequency_scales=(half_rabi, abs(detuning), linewidth / 2.0),
-                      reference_frequency=reference_frequency, snapshots=snapshots,
+                      reference_frequency=None, snapshots=snapshots,
                       solver=solver, norm_names=("no_detection_prob", "excited_mass"),
-                      region=_lit_span(grid, rabi))
+                      region=lit.support)
 
 
-def one_channel_limit_potential(rabi_profile: np.ndarray, detuning: float,
+def one_channel_limit_potential(rabi: float, lit: Sensitivity, detuning: float,
                                 linewidth: float, grid: Grid1D) -> ComplexPotential:
-    """Adiabatically eliminated excited channel: the ground field then moves in
+    """Adiabatically eliminated excited channel: the ground field then moves
+    in the conditional potential of build_conditional_potential on lit, with
+    the two-level rates
 
-        V(x) = (hbar * detuning * Omega(x)^2 - i hbar * linewidth * Omega(x)^2 / 2)
-               / (4 detuning^2 + linewidth^2).
+        decay = linewidth * rabi^2 / (4 detuning^2 + linewidth^2),
+        shift = 2 detuning * rabi^2 / (4 detuning^2 + linewidth^2),
 
-    Requires (detuning, linewidth) != (0, 0).  At detuning = 0 the result is
-    the purely absorbing -i hbar Omega^2 / (2 linewidth); at linewidth = 0 it
-    is the real light shift hbar Omega^2 / (4 detuning).  The potential's
-    region is the lit span of the Rabi profile.
+    so V(x) = (hbar/2)(shift - i decay) lit(x)^2.  Requires (detuning,
+    linewidth) != (0, 0).  At detuning = 0 the result is the purely
+    absorbing -i hbar Omega^2 / (2 linewidth); at linewidth = 0 it is the
+    real light shift hbar Omega^2 / (4 detuning).
     """
     denom = 4.0 * detuning ** 2 + linewidth ** 2
     if denom == 0.0:
         raise ConfigurationError("detuning and linewidth cannot both vanish")
-    rabi = _rabi_on(grid, rabi_profile)
     om2 = rabi ** 2
-    decay = linewidth * om2 / denom
-    shift = 2.0 * detuning * om2 / denom
-    return ComplexPotential(grid=grid, decay_profile=decay,
-                            shift_profile=shift, region=_lit_span(grid, rabi))
+    return build_conditional_potential(linewidth * om2 / denom,
+                                       2.0 * detuning * om2 / denom, lit, grid)
 
 
 def adiabaticity_ratio(rabi_max: float, detuning: float, linewidth: float,

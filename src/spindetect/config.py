@@ -30,8 +30,8 @@ __all__ = ["RUN_KINDS", "KIND_READS", "CONFIG_SCHEMA", "resolve_config", "load_p
            "preset_names", "config_from_file"]
 
 # The dotted paths each run kind reads; a path covers the block below it.
-# "!" marks a required path, and "!a|b" requires a or b.  A sweep reads its
-# own block plus what its sub-run kind reads.
+# "!" marks a required path, and "!a|b" requires exactly one of a and b.
+# A sweep reads its own block plus what its sub-run kind reads.
 _BASE = ("kind", "label", "packet", "detector.resonance_per_s")
 _LADDER = ("detector.sensitivity", "!bath", "!bath.modes", "!numerics.discrete")
 _CN = ("include_shift", "detector.sensitivity", "!bath|rates_override", "!numerics.continuum")
@@ -39,7 +39,7 @@ KIND_READS = {
     "discrete": _BASE + _LADDER,
     "continuum": _BASE + _CN,
     "compare": _BASE + _LADDER + _CN + ("comparison",),
-    "rates": _BASE + ("!bath", "rates_override"),
+    "rates": _BASE + ("!bath",),
     "fluorescence": _BASE + ("!fluorescence", "!numerics.continuum", "comparison.n_resample"),
     "sweep": ("!sweep",),
 }
@@ -325,13 +325,16 @@ def _written(node: dict, where: str = ""):
 
 
 def _check_reads(node: dict, reads: tuple, what: str, where: str = ""):
-    """Fail on the first required entry of reads that node lacks, then on
-    the first path written in node that reads does not cover."""
+    """Fail on the first required entry of reads that node lacks or writes
+    twice over, then on the first path written that reads does not cover."""
     written = list(_written(node))
     for entry in reads:
         options = entry[1:].split("|")
-        if entry[0] == "!" and not any(p in written for p in options):
+        given = [p for p in options if p in written]
+        if entry[0] == "!" and not given:
             _fail(where + " or ".join(options), f"required for {what}")
+        if entry[0] == "!" and len(given) > 1:
+            _fail(where + " and ".join(given), f"{what} take exactly one")
     for path in written:
         if not _covers(reads, path):
             _fail(where + path, f"not read by {what}")

@@ -2,10 +2,10 @@
 the requested computation, and write manifest plus CSV/JSON artifacts.
 
 Artifact names are part of the interface: w1_disc.csv, w1_cont.csv,
-comparison.json, rates.csv, w1_fluor.csv, w1_limit.csv, summary.csv and
-manifest.json.  CSV numbers use the shortest round-trip decimal form of
-the underlying binary64, so identical configs produce byte-identical
-files.
+fields_cont.csv, comparison.json, rates.csv, w1_fluor.csv, w1_limit.csv,
+fields_fluor.csv, summary.csv and manifest.json.  CSV numbers use the
+shortest round-trip decimal form of the underlying binary64, so identical
+configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ class Scene:
     recurrence_time: float | None
 
 
-def _build_sensitivity(cfg: dict, units: UnitSystem):
-    sens = cfg["detector"]["sensitivity"]
+def _build_sensitivity(sens: dict, units: UnitSystem):
+    """The Sensitivity of a detector.sensitivity block or fluorescence region."""
     L0 = units.length_unit
     kind = sens["kind"]
     if kind == "half_line":
@@ -80,7 +80,7 @@ def build_scene(cfg: dict) -> Scene:
         momentum_width=HBAR * pk["momentum_width_hbar_per_m"],
         focus_time=pk["focus_time_s"],
         focus_position=pk["focus_position_m"])
-    geometry = (single_spin(resonance, _build_sensitivity(cfg, units))
+    geometry = (single_spin(resonance, _build_sensitivity(det["sensitivity"], units))
                 if "sensitivity" in det else None)
 
     bath = t_rec = tau_c = rates = None
@@ -239,18 +239,20 @@ def _run_fluorescence(cfg: dict, scene: Scene, out_dir: Path):
     num = cfg["numerics"]["continuum"]
     fl = cfg["fluorescence"]
     u = scene.units
-    lo = fl["region"]["start_l0"] * u.length_unit
-    hi = lo + fl["region"]["width_l0"] * u.length_unit
-    detuning, linewidth = fl["detuning_per_s"], fl["linewidth_per_s"]
+    lit = _build_sensitivity({"kind": "interval", **fl["region"]}, u)
+    rabi, detuning, linewidth = fl["rabi_per_s"], fl["detuning_per_s"], fl["linewidth_per_s"]
     grid, span, dt, psi0 = _continuum_setup(cfg, scene)
-    x = grid.points()
-    rabi = np.where((x >= lo) & (x <= hi), fl["rabi_per_s"], 0.0)
-    two = propagate_two_channel(psi0, np.zeros_like(psi0), rabi, detuning, linewidth,
+    two = propagate_two_channel(psi0, np.zeros_like(psi0), rabi, lit, detuning, linewidth,
                                 grid, span, dt, mass=scene.packet.mass,
                                 snapshots=num["snapshots"])
     two.to_csv(out_dir / "w1_fluor.csv")
+    outputs = {"w1_fluor": "w1_fluor.csv", "w1_limit": "w1_limit.csv",
+               "comparison": "comparison.json"}
+    if num["write_fields"]:
+        two.snapshots_to_csv(out_dir / "fields_fluor.csv")
+        outputs["fields_fluor"] = "fields_fluor.csv"
 
-    potential = one_channel_limit_potential(rabi, detuning, linewidth, grid)
+    potential = one_channel_limit_potential(rabi, lit, detuning, linewidth, grid)
     # the two-channel leg's step, so both densities share one time grid; the
     # limit potential's |V|max is below the two-channel one when Omega <=
     # |2 detuning + i linewidth|, else the limit leg refines further
@@ -260,7 +262,7 @@ def _run_fluorescence(cfg: dict, scene: Scene, out_dir: Path):
     traj.to_csv(out_dir / "w1_limit.csv")
 
     kinetic = (HBAR * scene.packet.mean_wavenumber) ** 2 / (2.0 * scene.packet.mass)
-    ratio = adiabaticity_ratio(fl["rabi_per_s"], detuning, linewidth, kinetic)
+    ratio = adiabaticity_ratio(rabi, detuning, linewidth, kinetic)
     t_two = two.detection_density_times
     t_one = traj.detection_density_times
     raw = compare_curves(t_two, two.detection_density,
@@ -281,9 +283,8 @@ def _run_fluorescence(cfg: dict, scene: Scene, out_dir: Path):
                "two_channel_detected": tot_two,
                "one_channel_detected": tot_one}
     write_json(out_dir / "comparison.json", payload)
-    outputs = {"w1_fluor": "w1_fluor.csv", "w1_limit": "w1_limit.csv",
-               "comparison": "comparison.json"}
-    return outputs, {"fluorescence": payload}
+    balance = {"two_channel": norm_balance(two), "one_channel": norm_balance(traj)}
+    return outputs, {"fluorescence": {**payload, "norm_balance": balance}}
 
 
 # ---------------------------------------------------------------------------

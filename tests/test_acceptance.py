@@ -130,8 +130,9 @@ def test_strong_damping_collapses_to_one_channel(fluorescence_run, criterion_rep
     linf = payload["raw_comparison"]["linf_relative"]
 
     grid = internal_grid(-5.0, 5.0, 0.5)
-    rabi = np.full(grid.n_points, 0.25 * helpers.RESONANCE)
-    resonant = one_channel_limit_potential(rabi, 0.0, 10.0 * helpers.RESONANCE, grid)
+    resonant = one_channel_limit_potential(0.25 * helpers.RESONANCE,
+                                           HalfLineSensitivity(grid.x_min), 0.0,
+                                           10.0 * helpers.RESONANCE, grid)
     purely_absorbing = bool(np.all(resonant.values.real == 0.0)
                             and np.all(resonant.values.imag < 0.0))
 

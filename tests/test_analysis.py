@@ -198,19 +198,6 @@ def test_mass_accounting_matches_run_ledger(short_absorbing_run):
     assert sum(split.values()) == pytest.approx(1.0, abs=1e-7)
 
 
-def test_mass_accounting_region_override(short_absorbing_run):
-    traj = short_absorbing_run
-    u = make_units()
-    with pytest.warns(UserWarning, match="residual mass") as record:
-        wide = mass_accounting(traj, region=(-30.0 * u.length_unit,
-                                             30.0 * u.length_unit))
-        base = mass_accounting(traj)
-    assert len(record) == 2
-    assert wide["residual_in_region"] > base["residual_in_region"]
-    assert wide["reflected"] < base["reflected"]
-    assert sum(wide.values()) == pytest.approx(1.0, abs=1e-7)
-
-
 def test_mass_accounting_rejects_tampered_field(short_absorbing_run):
     traj = short_absorbing_run
     original = traj.final_fields.copy()

@@ -276,11 +276,12 @@ def test_any_warning_raised_during_a_run_reaches_the_manifest(tmp_path, monkeypa
 
 def refined_fluorescence_config():
     """The fluorescence pair on a coarse grid at dt = 0.05 t0, 2.8x the phase
-    budget for |V|max = hbar linewidth / 2 = 5 hbar/t0: refined x3 (~1 s)."""
+    budget for |V|max = hbar linewidth / 2 = 5 hbar/t0: refined x3 (~1 s),
+    writing its ground-channel field snapshots."""
     cfg = helpers.fluorescence_config()
     cfg["numerics"]["continuum"].update(
         x_min_l0=-90.0, x_max_l0=100.0, grid_spacing_l0=0.15, time_start_t0=-55.0,
-        time_stop_t0=15.0, time_step_t0=0.05)
+        time_stop_t0=15.0, time_step_t0=0.05, write_fields=True)
     return cfg
 
 
@@ -310,6 +311,30 @@ def test_fluorescence_manifest_holds_only_what_it_reads(refined_fluorescence):
     assert cfg["comparison"] == {"n_resample": 2048}
     assert list(manifest["derived"]) == ["time_unit_s", "length_unit_m",
                                          "mean_wavenumber_per_m"]
+
+
+def test_fluorescence_writes_its_fields(refined_fluorescence):
+    """write_fields writes the two-channel leg's ground-channel snapshots,
+    as a continuum run writes its field."""
+    out, manifest = refined_fluorescence
+    assert manifest["outputs"]["fields_fluor"] == "fields_fluor.csv"
+    cols = read_csv(out / "fields_fluor.csv")
+    assert len(cols) == 1 + 2 * 9
+    x = cols["x_m"] / helpers.make_units().length_unit
+    assert x[0] == pytest.approx(-90.0) and x[-1] == pytest.approx(100.0)
+
+
+def test_fluorescence_legs_balance_their_drain(refined_fluorescence):
+    """Both legs are checked against w1 = -dP0/dt; the numbers go to the
+    manifest only, so comparison.json holds just the comparison."""
+    out, manifest = refined_fluorescence
+    balance = manifest["summary"]["fluorescence"]["norm_balance"]
+    assert list(balance) == ["two_channel", "one_channel"]
+    for leg in balance.values():
+        # the gap also carries the launch-norm deficit, here about 8e-10
+        assert leg["continuity_residual_relative"] < 1e-9
+        assert leg["detection_integral_gap"] < 1e-6
+    assert "norm_balance" not in json.loads((out / "comparison.json").read_text())
 
 
 def test_fluorescence_legs_share_the_refined_time_grid(refined_fluorescence):

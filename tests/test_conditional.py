@@ -1,6 +1,7 @@
 """Conditional propagation: complex potential, Cayley stepping, norm drain,
 and the two-channel fluorescence analog."""
 
+import contextlib
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from spindetect import (
     HBAR,
     HalfLineSensitivity,
     IntervalSensitivity,
+    TabulatedSensitivity,
     adiabaticity_ratio,
     build_conditional_potential,
     free_evolved_packet,
@@ -126,13 +128,18 @@ def test_two_channel_step_matches_dense_solve():
     mass = slow_packet().mass
     grid = internal_grid(-3.0, 3.0, 0.5)
     n = grid.n_points
-    rabi = rng.uniform(0.0, 0.3, n) * u.reference_frequency
+    # a per-point Rabi profile: a table over the grid points
+    peak = 0.3 * u.reference_frequency
+    lit = TabulatedSensitivity(grid.points(), rng.uniform(0.0, 1.0, n))
+    rabi = peak * lit.values
     detuning, linewidth = 0.1 * u.reference_frequency, 0.5 * u.reference_frequency
     dt = 0.1 * T0
     ground = rng.normal(size=n) + 1j * rng.normal(size=n)
     excited = rng.normal(size=n) + 1j * rng.normal(size=n)
-    traj = propagate_two_channel(ground, excited, rabi, detuning, linewidth, grid,
-                                 (0.0, dt), dt, mass=mass)
+    # random fields are launched off norm 1
+    with pytest.warns(UserWarning, match="initial norm"):
+        traj = propagate_two_channel(ground, excited, peak, lit, detuning, linewidth,
+                                     grid, (0.0, dt), dt, mass=mass)
     # H / hbar on the interleaved (ground, excited) grid, in 1/s
     kin = HBAR / (2.0 * mass * grid.spacing ** 2)
     diag = np.full(2 * n, 2.0 * kin, dtype=complex)
@@ -306,15 +313,15 @@ def test_two_channel_step_over_the_budget_is_the_run_at_the_refined_step():
     u = make_units()
     packet = slow_packet()
     grid = internal_grid(-90.0, 90.0, 0.2)
-    rabi = _lit_region(grid, 0.0, 20.0, 0.3 * u.reference_frequency)
+    rabi = 0.3 * u.reference_frequency
     detuning, linewidth = 0.1 * u.reference_frequency, 0.5 * u.reference_frequency
-    vmax = two_channel_vmax(np.max(rabi), detuning, linewidth)
+    vmax = two_channel_vmax(rabi, detuning, linewidth)
     ground0 = free_evolved_packet(packet, -2.0 * T0, grid)
 
     def run(dt):
-        return propagate_two_channel(ground0, np.zeros_like(ground0), rabi, detuning,
-                                     linewidth, grid, (-2.0 * T0, -2.0 * T0 + 4.0 * dt0),
-                                     dt, mass=packet.mass)
+        return propagate_two_channel(ground0, np.zeros_like(ground0), rabi, _lit(0.0, 20.0),
+                                     detuning, linewidth, grid,
+                                     (-2.0 * T0, -2.0 * T0 + 4.0 * dt0), dt, mass=packet.mass)
 
     dt0 = 2.4 * PHASE_BUDGET * HBAR / vmax
     coarse = _assert_refined(lambda: run(dt0), dt0, vmax)
@@ -445,11 +452,8 @@ def test_record_csv_columns_follow_the_norms(tmp_path):
 # two-channel fluorescence analog
 
 
-def _lit_region(grid, start_l0, width_l0, rabi):
-    x = grid.points()
-    prof = np.zeros(grid.n_points)
-    prof[(x >= start_l0 * L0) & (x <= (start_l0 + width_l0) * L0)] = rabi
-    return prof
+def _lit(start_l0, width_l0):
+    return IntervalSensitivity(width_l0 * L0, start=start_l0 * L0)
 
 
 def test_two_channel_balance_and_drain():
@@ -457,11 +461,11 @@ def test_two_channel_balance_and_drain():
     packet = slow_packet()
     # the packet spans ~+-80 l0 (7 sigma): a narrower grid reflects its tails
     grid = internal_grid(-90.0, 90.0, 0.1)
-    rabi = _lit_region(grid, 0.0, 20.0, 0.3 * u.reference_frequency)
     ground0 = free_evolved_packet(packet, -2.0 * T0, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traj = propagate_two_channel(ground0, np.zeros_like(ground0), rabi,
+        traj = propagate_two_channel(ground0, np.zeros_like(ground0),
+                                     0.3 * u.reference_frequency, _lit(0.0, 20.0),
                                      0.1 * u.reference_frequency,
                                      0.5 * u.reference_frequency,
                                      grid, (-2.0 * T0, 2.0 * T0), 0.02 * T0,
@@ -486,9 +490,9 @@ def test_two_channel_with_dark_drive_is_free():
     u = make_units()
     packet = slow_packet()
     grid = internal_grid(-90.0, 90.0, 0.025)
-    rabi = np.zeros(grid.n_points)
+    lit = _lit(0.0, 20.0)
     ground0 = free_evolved_packet(packet, -1.0 * T0, grid)
-    traj = propagate_two_channel(ground0, np.zeros_like(ground0), rabi,
+    traj = propagate_two_channel(ground0, np.zeros_like(ground0), 0.0, lit,
                                  0.3 * u.reference_frequency,
                                  1.0 * u.reference_frequency,
                                  grid, (-1.0 * T0, 1.0 * T0), 0.01 * T0,
@@ -498,28 +502,50 @@ def test_two_channel_with_dark_drive_is_free():
     assert np.max(np.abs(traj.final_fields[1])) == 0.0
     assert np.max(traj.detection_density) == 0.0
     assert traj.final_survival == pytest.approx(1.0, abs=1e-9)
-    # a dark drive lights nothing: the region collapses onto the right edge
-    assert traj.region == (grid.x_max, grid.x_max)
+    # the region is the lit support, whether or not the drive is on
+    assert traj.region == lit.support
+
+
+def test_rabi_sign_is_a_phase_convention():
+    """-rabi flips the excited channel's sign and nothing else: the same
+    refinement, emission density and ground field, and the same limit."""
+    u = make_units()
+    packet = slow_packet()
+    grid = internal_grid(-90.0, 90.0, 0.2)
+    ground0 = free_evolved_packet(packet, 0.0, grid)
+    rabi, lit, linewidth = 0.3 * u.reference_frequency, _lit(0.0, 10.0), u.reference_frequency
+    plus, minus = [propagate_two_channel(ground0, np.zeros_like(ground0), sign * rabi, lit,
+                                         0.1 * u.reference_frequency, linewidth, grid,
+                                         (0.0, 0.5 * T0), 0.02 * T0, mass=packet.mass)
+                   for sign in (1.0, -1.0)]
+    assert plus.dt == minus.dt
+    peak = np.max(plus.detection_density)
+    assert peak > 0.0
+    np.testing.assert_allclose(minus.detection_density, plus.detection_density,
+                               rtol=0, atol=1e-12 * peak)
+    np.testing.assert_allclose(minus.final_fields * [[1.0], [-1.0]], plus.final_fields,
+                               rtol=0, atol=1e-12 * np.max(np.abs(plus.final_fields)))
+    for name in ("decay_profile", "shift_profile"):
+        np.testing.assert_array_equal(
+            getattr(one_channel_limit_potential(-rabi, lit, 0.1, 1.0, grid), name),
+            getattr(one_channel_limit_potential(rabi, lit, 0.1, 1.0, grid), name))
 
 
 def test_two_channel_csv_and_snapshots(tmp_path):
     u = make_units()
     packet = slow_packet()
     grid = internal_grid(-90.0, 90.0, 0.2)
-    rabi = _lit_region(grid, 0.0, 10.0, 0.2 * u.reference_frequency)
     ground0 = free_evolved_packet(packet, 0.0, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traj = propagate_two_channel(ground0, np.zeros_like(ground0), rabi,
+        traj = propagate_two_channel(ground0, np.zeros_like(ground0),
+                                     0.2 * u.reference_frequency, _lit(0.0, 10.0),
                                      0.0, 2.0 * u.reference_frequency, grid,
                                      (0.0, 1.0 * T0), 0.02 * T0,
                                      mass=packet.mass, snapshots=4)
     assert traj.snapshots.shape == (2, 4, grid.n_points)
     assert traj.final_fields.shape == (2, grid.n_points)
     np.testing.assert_array_equal(traj.snapshots[:, -1], traj.final_fields)
-    # the region is the lit span, as one_channel_limit_potential defaults it
-    assert traj.region == one_channel_limit_potential(rabi, 0.0, 1.0, grid).region
-    assert traj.region[0] >= 0.0 and traj.region[1] <= 10.0 * L0
     traj.to_csv(tmp_path / "two.csv")
     cols = read_csv(tmp_path / "two.csv")
     assert list(cols) == ["t_s", "no_detection_prob", "excited_mass",
@@ -532,22 +558,21 @@ def test_two_channel_validation():
     grid = internal_grid(-10.0, 10.0, 0.2)
     psi = free_evolved_packet(packet, 0.0, grid)
     zeros = np.zeros_like(psi)
-    good = np.zeros(grid.n_points)
+    lit = HalfLineSensitivity()
     with pytest.raises(ConfigurationError, match="match the grid"):
-        propagate_two_channel(psi[:-1], zeros[:-1], good, 0.0, u.reference_frequency,
+        propagate_two_channel(psi[:-1], zeros[:-1], 0.0, lit, 0.0, u.reference_frequency,
                               grid, (0.0, 1.0 * T0), 0.01 * T0, mass=packet.mass)
-    with pytest.raises(ConfigurationError, match="per grid point"):
-        propagate_two_channel(psi, zeros, good[:-1], 0.0, u.reference_frequency,
+    with pytest.raises(ConfigurationError, match="finite"):
+        propagate_two_channel(psi, zeros, np.nan, lit, 0.0, u.reference_frequency,
                               grid, (0.0, 1.0 * T0), 0.01 * T0, mass=packet.mass)
+    with pytest.raises(ConfigurationError, match="finite"):
+        one_channel_limit_potential(np.nan, lit, 0.0, u.reference_frequency, grid)
     with pytest.raises(ConfigurationError, match="nonnegative"):
-        propagate_two_channel(psi, zeros, good - 1.0, 0.0, u.reference_frequency,
-                              grid, (0.0, 1.0 * T0), 0.01 * T0, mass=packet.mass)
-    with pytest.raises(ConfigurationError, match="nonnegative"):
-        propagate_two_channel(psi, zeros, good, 0.0, -1.0, grid,
+        propagate_two_channel(psi, zeros, 0.0, lit, 0.0, -1.0, grid,
                               (0.0, 1.0 * T0), 0.01 * T0, mass=packet.mass)
     # a step over the phase budget is refined, not rejected
     _assert_refined(lambda: propagate_two_channel(
-        psi, zeros, good, 0.0, 100.0 * u.reference_frequency, grid, (0.0, 1.0 * T0),
+        psi, zeros, 0.0, lit, 0.0, 100.0 * u.reference_frequency, grid, (0.0, 1.0 * T0),
         0.05 * T0, mass=packet.mass),
         0.05 * T0, two_channel_vmax(0.0, 0.0, 100.0 * u.reference_frequency))
 
@@ -559,8 +584,9 @@ def test_two_channel_record_bounds_the_survival():
     packet = slow_packet()
     grid = internal_grid(-90.0, 90.0, 0.2)
     psi = 1.2 * free_evolved_packet(packet, 0.0, grid)
-    with pytest.raises(NumericsError, match=r"left \[0, 1\]"):
-        propagate_two_channel(psi, np.zeros_like(psi), np.zeros(grid.n_points), 0.0,
+    with (pytest.warns(UserWarning, match="initial norm"),
+          pytest.raises(NumericsError, match=r"left \[0, 1\]")):
+        propagate_two_channel(psi, np.zeros_like(psi), 0.0, HalfLineSensitivity(), 0.0,
                               u.reference_frequency, grid, (0.0, 0.1 * T0), 0.01 * T0,
                               mass=packet.mass)
 
@@ -573,12 +599,12 @@ def test_two_channel_guards():
     grid = internal_grid(-10.0, 10.0, 0.1)
     psi0 = free_evolved_packet(packet, 0.0, grid)
     zeros = np.zeros_like(psi0)
-    dark = np.zeros(grid.n_points)
+    lit = HalfLineSensitivity()
     lw = u.reference_frequency
 
     def run(ground=psi0, linewidth=lw, span=(0.0, 1.0 * T0), dt=0.01 * T0, **kw):
-        return propagate_two_channel(ground, zeros, dark, 0.0, linewidth, grid, span, dt,
-                                     mass=packet.mass, **kw)
+        return propagate_two_channel(ground, zeros, 0.0, lit, 0.0, linewidth, grid, span,
+                                     dt, mass=packet.mass, **kw)
 
     _assert_refined(lambda: run(linewidth=1.0e12, span=(0.0, 0.1 * T0)),
                     0.01 * T0, two_channel_vmax(0.0, 0.0, 1.0e12))
@@ -601,7 +627,7 @@ def test_two_channel_guards():
     with pytest.raises(ConfigurationError, match="zero norm"):
         run(ground=zeros, span=(0.0, 0.1 * T0))
     with pytest.raises(ConfigurationError, match="mass"):
-        propagate_two_channel(psi0, zeros, dark, 0.0, lw, grid, (0.0, 1.0 * T0),
+        propagate_two_channel(psi0, zeros, 0.0, lit, 0.0, lw, grid, (0.0, 1.0 * T0),
                               0.01 * T0, mass=0.0)
 
 
@@ -611,8 +637,7 @@ def test_two_channel_guards():
 
 def test_one_channel_potential_hand_values():
     grid = internal_grid(-2.0, 2.0, 0.5)
-    rabi = np.full(grid.n_points, 2.0)
-    pot = one_channel_limit_potential(rabi, 3.0, 4.0, grid)
+    pot = one_channel_limit_potential(2.0, HalfLineSensitivity(grid.x_min), 3.0, 4.0, grid)
     denom = 4.0 * 9.0 + 16.0
     np.testing.assert_allclose(pot.decay_profile, 4.0 * 4.0 / denom, rtol=1e-15)
     np.testing.assert_allclose(pot.shift_profile, 2.0 * 3.0 * 4.0 / denom, rtol=1e-15)
@@ -622,24 +647,82 @@ def test_one_channel_potential_hand_values():
 
 def test_one_channel_potential_limits():
     grid = internal_grid(-2.0, 2.0, 0.5)
-    rabi = np.linspace(0.0, 2.0, grid.n_points)
-    resonant = one_channel_limit_potential(rabi, 0.0, 4.0, grid)
+    ramp = TabulatedSensitivity(grid.points(), np.linspace(0.0, 1.0, grid.n_points))
+    rabi = 2.0 * ramp.values
+    resonant = one_channel_limit_potential(2.0, ramp, 0.0, 4.0, grid)
     assert np.all(resonant.values.real == 0.0)
     np.testing.assert_allclose(resonant.decay_profile, rabi ** 2 / 4.0, rtol=1e-15)
-    lossless = one_channel_limit_potential(rabi, 3.0, 0.0, grid)
+    lossless = one_channel_limit_potential(2.0, ramp, 3.0, 0.0, grid)
     assert np.all(lossless.values.imag == 0.0)
     np.testing.assert_allclose(lossless.shift_profile, rabi ** 2 / 6.0, rtol=1e-15)
     with pytest.raises(ConfigurationError, match="both vanish"):
-        one_channel_limit_potential(rabi, 0.0, 0.0, grid)
+        one_channel_limit_potential(2.0, ramp, 0.0, 0.0, grid)
 
 
 def test_one_channel_region_defaults_to_lit_extent():
+    """The limit potential's region is the lit sensitivity's support, as
+    for any detector potential."""
     grid = internal_grid(-2.0, 2.0, 0.5)
-    x = grid.points()
-    rabi = np.zeros(grid.n_points)
-    rabi[2:6] = 1.0
-    pot = one_channel_limit_potential(rabi, 0.0, 1.0, grid)
-    assert pot.region == (x[2], x[5])
+    lit = IntervalSensitivity(1.2 * L0, start=-0.7 * L0)
+    pot = one_channel_limit_potential(1.0, lit, 0.0, 1.0, grid)
+    assert pot.region == lit.support == (-0.7 * L0, -0.7 * L0 + 1.2 * L0)
+
+
+@pytest.mark.parametrize("lit, rtol", [
+    (IntervalSensitivity(3.3 * L0, start=-1.1 * L0), 0.0),
+    # (rabi^2 rates) lit^2 rounds five times, (rabi lit)^2 rates four times
+    (TabulatedSensitivity([-4.0 * L0, 0.5 * L0, 3.0 * L0], [0.0, 1.0, 0.2]),
+     4 * np.finfo(float).eps),
+], ids=["interval", "tabulated-ramp"])
+def test_one_channel_potential_is_the_rate_form_on_lit(lit, rtol):
+    """The two-level rates times lit(x)^2 reproduce the profile formula
+    linewidth (Omega chi)^2 / denom and 2 detuning (Omega chi)^2 / denom:
+    bit for bit on an indicator, to rounding on a ramp."""
+    grid = internal_grid(-5.0, 5.0, 0.01)
+    rabi, detuning, linewidth = 0.7e8, -0.3e8, 1.9e9
+    omega = rabi * lit(grid.points())
+    denom = 4.0 * detuning ** 2 + linewidth ** 2
+    pot = one_channel_limit_potential(rabi, lit, detuning, linewidth, grid)
+    for got, want in ((pot.decay_profile, linewidth * omega ** 2 / denom),
+                      (pot.shift_profile, 2.0 * detuning * omega ** 2 / denom)):
+        if rtol:
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+        else:
+            np.testing.assert_array_equal(got, want)
+
+
+def test_two_channel_region_is_the_lit_support():
+    """The two-channel record, and the limit potential on the same lit
+    region, carry the sensitivity's support as their region."""
+    u = make_units()
+    packet = slow_packet()
+    grid = internal_grid(-90.0, 90.0, 0.2)
+    lit = _lit(3.05, 9.93)
+    ground0 = free_evolved_packet(packet, 0.0, grid)
+    traj = propagate_two_channel(ground0, np.zeros_like(ground0), 0.2 * u.reference_frequency,
+                                 lit, 0.0, 2.0 * u.reference_frequency, grid,
+                                 (0.0, 0.1 * T0), 0.02 * T0, mass=packet.mass)
+    limit = one_channel_limit_potential(0.2 * u.reference_frequency, lit, 0.0,
+                                        2.0 * u.reference_frequency, grid)
+    assert traj.region == lit.support == limit.region
+
+
+@pytest.mark.parametrize("norm", [0.99, 1.01])
+def test_two_channel_initial_norm_mismatch_is_flagged(norm):
+    """The two-channel launch warns of an initial norm off 1 as the
+    one-channel one does, at the caller's line; over 1, the record then
+    rejects the survival series."""
+    u = make_units()
+    packet = slow_packet()
+    grid = internal_grid(-90.0, 90.0, 0.2)
+    ground0 = np.sqrt(norm) * free_evolved_packet(packet, 0.0, grid)
+    rejected = (pytest.raises(NumericsError, match=r"left \[0, 1\]") if norm > 1.0
+                else contextlib.nullcontext())
+    with pytest.warns(UserWarning, match="initial norm .* differs from 1") as record, rejected:
+        propagate_two_channel(ground0, np.zeros_like(ground0), 0.0, _lit(0.0, 10.0), 0.0,
+                              u.reference_frequency, grid, (0.0, 0.1 * T0), 0.02 * T0,
+                              mass=packet.mass)
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_adiabaticity_ratio_definition():
@@ -655,16 +738,16 @@ def test_strong_damping_reduction_tracks_two_channel():
     u = make_units()
     packet = slow_packet(k0_int=0.5, sigma_int=0.05)
     grid = internal_grid(-95.0, 95.0, 0.1)
-    rabi = _lit_region(grid, 0.0, 15.0, 0.25 * u.reference_frequency)
+    rabi, lit = 0.25 * u.reference_frequency, _lit(0.0, 15.0)
     linewidth = 10.0 * u.reference_frequency
     # launch 4.5 sigma short of the lit region: the excited field rings up
     # as the packet enters instead of jumping at t0
     span = (-80.0 * T0, 60.0 * T0)
     dt = 0.01 * T0
     ground0 = free_evolved_packet(packet, span[0], grid)
-    two = propagate_two_channel(ground0, np.zeros_like(ground0), rabi, 0.0,
+    two = propagate_two_channel(ground0, np.zeros_like(ground0), rabi, lit, 0.0,
                                 linewidth, grid, span, dt, mass=packet.mass)
-    pot = one_channel_limit_potential(rabi, 0.0, linewidth, grid)
+    pot = one_channel_limit_potential(rabi, lit, 0.0, linewidth, grid)
     one = propagate_conditional(ground0, pot, span, dt, mass=packet.mass)
     ek = packet.mass * packet.mean_velocity ** 2 / 2.0
     assert adiabaticity_ratio(0.25 * u.reference_frequency, 0.0, linewidth, ek) >= 20.0

@@ -310,6 +310,22 @@ def test_continuum_needs_a_rate_source():
     assert resolve_config(cfg)["kind"] == "continuum"
 
 
+@pytest.mark.parametrize("build, error", [
+    (small_continuum_config, "at bath and rates_override: continuum runs take exactly one"),
+    (small_compare_config, "at bath and rates_override: compare runs take exactly one"),
+    (lambda: _sweep_of(small_continuum_config()),
+     "at bath and rates_override: continuum sweeps take exactly one"),
+    (rates_config, "at rates_override: not read by rates runs"),
+], ids=["continuum", "compare", "continuum-sweep", "rates"])
+def test_bath_and_override_are_exclusive(build, error):
+    """Next to an override, a bath's coupling and cutoff are never read, and
+    a rates run would only echo the override: a config with both fails."""
+    cfg = build()
+    cfg["rates_override"] = {"decay_per_s": 1.0e7}
+    with pytest.raises(ConfigurationError, match=re.escape(error) + "$"):
+        resolve_config(cfg)
+
+
 def test_bath_cutoff_exclusivity():
     cfg = rates_config()
     cfg["bath"]["cutoff_per_s"] = 1.1e9
@@ -617,6 +633,9 @@ def _configs_with_optional_blocks(draw):
         if draw(st.booleans()):
             cfg["packet"][key] = draw(_finite)
     cfg = _pruned(cfg, KIND_READS[kind])
+    # a run takes one rate source, and the mode ladder's is the bath
+    if "rates_override" in cfg:
+        del cfg["bath" if kind == "continuum" else "rates_override"]
     if kind != "fluorescence" and draw(st.booleans()):
         sweep = {"parameter": "detector.resonance_per_s",
                  "factors": draw(st.lists(_positive, min_size=1, max_size=3))}

@@ -17,6 +17,7 @@ from spindetect import (
     HBAR,
     ComplexPotential,
     RectangularBath,
+    TabulatedSensitivity,
     interior_eigenmodes,
     match_at_origin,
     norm_balance,
@@ -127,12 +128,14 @@ def test_one_channel_contracts_and_balances(shape, decay, shift, k0, width,
 def test_two_channel_contracts_and_balances(shape, rabi, linewidth, detuning, k0,
                                             width, fraction, n_steps):
     grid, profile = shape
-    rabi_profile = rabi * OMEGA * profile
-    vmax = two_channel_vmax(np.max(rabi_profile), detuning * OMEGA, linewidth * OMEGA)
+    # the per-point Rabi profile is a table over the grid points
+    lit = TabulatedSensitivity(grid.points(), profile)
+    vmax = two_channel_vmax(np.max(rabi * OMEGA * profile), detuning * OMEGA,
+                            linewidth * OMEGA)
     dt = _step_within_bounds(grid, vmax, fraction)
     ground0 = _packet_on_peak(grid, profile, k0, width)
     traj = _run_refined(
-        lambda: propagate_two_channel(ground0, np.zeros_like(ground0), rabi_profile,
+        lambda: propagate_two_channel(ground0, np.zeros_like(ground0), rabi * OMEGA, lit,
                                       detuning * OMEGA, linewidth * OMEGA, grid,
                                       (0.0, n_steps * dt), dt, mass=U.mass),
         dt, vmax)
