@@ -49,13 +49,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericsError
+from .errors import ConfigurationError, NumericsError, checked_scalar
 from .model import DetectorGeometry, SpinRegion3D
 
 TWO_PI = 2.0 * np.pi
 GL_ORDER = 64            # nodes a segment of the composite rule
 MAX_SEGMENTS = 2**15     # finest level of the composite rule
 TOLERANCE = 1e-13        # level-to-level agreement, relative to the scale
+SPHERE_POLAR_NODES = 24    # Gauss-Legendre nodes in cos(theta) of the 3D rate map
+SPHERE_AZIMUTH_NODES = 48  # trapezoid nodes in phi of the 3D rate map
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +78,8 @@ class RectangularBath:
     modes: int | None = None
 
     def __post_init__(self):
-        if self.coupling < 0 or not np.isfinite(self.coupling):
-            raise ConfigurationError(f"coupling G must be >= 0, got {self.coupling}")
-        if not (self.cutoff > 0 and np.isfinite(self.cutoff)):
-            raise ConfigurationError(f"cutoff must be positive, got {self.cutoff}")
+        checked_scalar("coupling", self.coupling, "nonnegative")
+        checked_scalar("cutoff", self.cutoff, "positive")
         if self.modes is not None and self.modes < 1:
             raise ConfigurationError(f"mode count must be >= 1, got {self.modes}")
 
@@ -125,8 +125,7 @@ class GeneralBath:
     dispersion_derivative: Callable[[float], float] | None = None
 
     def __post_init__(self):
-        if not (self.cutoff > 0 and np.isfinite(self.cutoff)):
-            raise ConfigurationError(f"cutoff must be positive and finite, got {self.cutoff}")
+        checked_scalar("cutoff", self.cutoff, "positive")
 
     def density(self, omega) -> np.ndarray:
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
@@ -291,8 +290,7 @@ def correlation_kernel(spectrum: BathSpectrum, resonance: float, tau) -> np.ndar
     tau may be scalar or array, must be >= 0 (the kernel enters the reduced
     dynamics only at non-negative delays).
     """
-    if not (resonance > 0 and np.isfinite(resonance)):
-        raise ConfigurationError(f"resonance must be positive, got {resonance}")
+    checked_scalar("resonance", resonance, "positive")
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
     if np.any(tau_arr < 0):
         raise ConfigurationError("kernel delays must be >= 0")
@@ -424,8 +422,7 @@ def decay_rate_and_shift(spectrum: BathSpectrum, resonance: float) -> RatesResul
     to 1e-6 relative. Generic spectra are evaluated in the frequency domain:
     A = f(omega0) and the principal-value shift (method "frequency_pv").
     """
-    if not (resonance > 0 and np.isfinite(resonance)):
-        raise ConfigurationError(f"resonance must be positive, got {resonance}")
+    checked_scalar("resonance", resonance, "positive")
     if isinstance(spectrum, RectangularBath):
         if spectrum.coupling == 0.0:
             return RatesResult(0.0, 0.0, "closed_form", 0.0, 0.0)
@@ -525,10 +522,8 @@ class DirectionalCoupling:
     """
 
     def __init__(self, amplitude, cutoff: float):
-        if not (cutoff > 0 and np.isfinite(cutoff)):
-            raise ConfigurationError(f"coupling cutoff must be positive, got {cutoff}")
         self.amplitude = amplitude
-        self.cutoff = float(cutoff)
+        self.cutoff = checked_scalar("cutoff", cutoff, "positive")
 
     def __call__(self, omega: float, e: np.ndarray) -> np.ndarray:
         n = e.shape[0]
@@ -598,8 +593,7 @@ def _angle_integrated_density(spectrum: DirectionalSpectrum3D,
 
 
 def rate_map_3d(geometry: DetectorGeometry, spectrum: DirectionalSpectrum3D,
-                points: np.ndarray, *, n_polar: int = 24, n_azimuth: int = 48,
-                include_shift: bool = True) -> RateMap:
+                points: np.ndarray, *, include_shift: bool = True) -> RateMap:
     """Decay-rate and level-shift maps for a 3D multi-spin detector.
 
     Additive over spins; each spin contributes its multiplicity times the
@@ -615,7 +609,7 @@ def rate_map_3d(geometry: DetectorGeometry, spectrum: DirectionalSpectrum3D,
     if len(spectrum.couplings) != geometry.spin_count:
         raise ConfigurationError("need one directional coupling per spin")
     eff = modified_frequencies(geometry)
-    e, w = _sphere_quadrature(n_polar, n_azimuth)
+    e, w = _sphere_quadrature(SPHERE_POLAR_NODES, SPHERE_AZIMUTH_NODES)
     a_map = np.zeros(pts.shape[0])
     d_map = np.zeros(pts.shape[0])
     spontaneous = spectrum.spontaneous or (None,) * len(spectrum.couplings)
@@ -638,7 +632,7 @@ def rate_map_3d(geometry: DetectorGeometry, spectrum: DirectionalSpectrum3D,
 
 def scaled_ensemble(geometry: DetectorGeometry, spectrum: DirectionalSpectrum3D,
                     points: np.ndarray, ensemble_size: int,
-                    scaling_exponent: float = 0.5, **quadrature) -> RateMap:
+                    scaling_exponent: float = 0.5) -> RateMap:
     """Rate map of N co-located spins per region with couplings / N^p.
 
     Every spin's multiplicity is multiplied by ensemble_size and every
@@ -651,7 +645,7 @@ def scaled_ensemble(geometry: DetectorGeometry, spectrum: DirectionalSpectrum3D,
         raise ConfigurationError(f"ensemble size must be >= 1, got {ensemble_size}")
     if geometry.regions_3d is None:
         raise ConfigurationError("geometry has no 3D spin regions")
-    factor = float(ensemble_size) ** (-scaling_exponent)
+    factor = float(ensemble_size) ** -checked_scalar("scaling_exponent", scaling_exponent)
     regions = tuple(
         SpinRegion3D(sensitivity=r.sensitivity,
                      multiplicity=r.multiplicity * ensemble_size,
@@ -668,4 +662,4 @@ def scaled_ensemble(geometry: DetectorGeometry, spectrum: DirectionalSpectrum3D,
     scaled_spectrum = DirectionalSpectrum3D(
         dispersion=spectrum.dispersion, couplings=couplings, spontaneous=spont,
         dispersion_derivative=spectrum.dispersion_derivative)
-    return rate_map_3d(scaled_geometry, scaled_spectrum, points, **quadrature)
+    return rate_map_3d(scaled_geometry, scaled_spectrum, points)

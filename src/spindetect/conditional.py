@@ -66,7 +66,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
-from .errors import ConfigurationError, NumericsError
+from .errors import ConfigurationError, NumericsError, checked_scalar
 from .model import Grid1D, Sensitivity
 from .units import HBAR, UnitSystem
 
@@ -117,8 +117,8 @@ class ComplexPotential:
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise ConfigurationError(f"{name} must have shape ({n},)")
-        if not np.all(np.isfinite(self.decay_profile)):
-            raise ConfigurationError("decay profile must be finite")
+            if not np.all(np.isfinite(arr)):
+                raise ConfigurationError(f"{name} must be finite")
         if np.any(self.decay_profile < 0.0):
             raise ConfigurationError("decay profile must be nonnegative")
 
@@ -146,9 +146,7 @@ def build_conditional_potential(decay_rate, level_shift, sensitivity: Sensitivit
     decay = np.asarray(decay_rate, dtype=float)
     shift = np.asarray(level_shift, dtype=float)
     if decay.ndim == 0:
-        if decay < 0.0:
-            raise ConfigurationError("decay rate must be nonnegative")
-        decay = float(decay) * chi2
+        decay = checked_scalar("decay_rate", decay, "nonnegative") * chi2
     elif decay.shape == (grid.n_points,):
         if np.any(decay < 0.0):
             raise ConfigurationError("decay rate profile must be nonnegative")
@@ -156,7 +154,7 @@ def build_conditional_potential(decay_rate, level_shift, sensitivity: Sensitivit
     else:
         raise ConfigurationError("decay rate must be scalar or one value per grid point")
     if shift.ndim == 0:
-        shift = float(shift) * chi2
+        shift = checked_scalar("level_shift", shift) * chi2
     elif shift.shape != (grid.n_points,):
         raise ConfigurationError("level shift must be scalar or one value per grid point")
     else:
@@ -231,9 +229,9 @@ class ConditionalTrajectory:
 
     def __post_init__(self):
         p0 = self.no_detection_prob
-        if np.any(p0 < -1e-12) or np.any(p0 > 1.0 + 1e-8):
+        if not np.all((p0 >= -1e-12) & (p0 <= 1.0 + 1e-8)):
             raise NumericsError("survival probability left [0, 1]")
-        if np.any(np.diff(p0) > 1e-10):
+        if not np.all(np.diff(p0) <= 1e-10):
             raise NumericsError("survival probability increased between steps")
 
     @property
@@ -294,13 +292,11 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
     n = grid.n_points
     if any(np.shape(f) != (n,) for f in fields):
         raise ConfigurationError("initial field shape does not match the grid")
-    t0, t1 = float(t_span[0]), float(t_span[1])
+    t0, t1 = (checked_scalar("t_span", t) for t in t_span)
     if not t1 > t0:
         raise ConfigurationError("t_span must be increasing")
-    if not dt > 0.0:
-        raise ConfigurationError("dt must be positive")
-    if mass <= 0.0:
-        raise ConfigurationError("mass must be positive")
+    dt = checked_scalar("dt", dt, "positive")
+    mass = checked_scalar("mass", mass, "positive")
     if not np.isfinite(vmax):
         raise ConfigurationError("|V|max must be finite")
     refine = max(1, math.ceil(dt * vmax / (HBAR * PHASE_BUDGET)))
@@ -476,8 +472,8 @@ def propagate_two_channel(ground0: np.ndarray, excited0: np.ndarray, rabi: float
     is lit.support.
     """
     n = grid.n_points
-    if linewidth < 0.0:
-        raise ConfigurationError("linewidth must be nonnegative")
+    rabi, detuning = checked_scalar("rabi", rabi), checked_scalar("detuning", detuning)
+    linewidth = checked_scalar("linewidth", linewidth, "nonnegative")
     omega_x = rabi * lit(grid.points())
     excited_diag = 0.5 * (-2.0 * detuning - 1j * linewidth)   # 1/s
     half_rabi = np.max(np.abs(omega_x)) / 2.0
@@ -527,6 +523,8 @@ def one_channel_limit_potential(rabi: float, lit: Sensitivity, detuning: float,
     absorbing -i hbar Omega^2 / (2 linewidth); at linewidth = 0 it is the
     real light shift hbar Omega^2 / (4 detuning).
     """
+    rabi, detuning = checked_scalar("rabi", rabi), checked_scalar("detuning", detuning)
+    linewidth = checked_scalar("linewidth", linewidth, "nonnegative")
     denom = 4.0 * detuning ** 2 + linewidth ** 2
     if denom == 0.0:
         raise ConfigurationError("detuning and linewidth cannot both vanish")
@@ -540,8 +538,10 @@ def adiabaticity_ratio(rabi_max: float, detuning: float, linewidth: float,
     """Ratio of the excited-channel energy scale hbar|2*detuning + i*linewidth|/2
     to the larger of the coupling hbar*Omega/2 and the kinetic energy.  The
     one-channel reduction is trustworthy when this is large (>= 20)."""
-    gap = 0.5 * HBAR * abs(2.0 * detuning + 1j * linewidth)
-    drive = max(0.5 * HBAR * rabi_max, kinetic_energy)
+    gap = 0.5 * HBAR * abs(2.0 * checked_scalar("detuning", detuning)
+                           + 1j * checked_scalar("linewidth", linewidth, "nonnegative"))
+    drive = max(0.5 * HBAR * abs(checked_scalar("rabi_max", rabi_max)),
+                checked_scalar("kinetic_energy", kinetic_energy, "nonnegative"))
     if drive <= 0.0:
         return np.inf
     return gap / drive

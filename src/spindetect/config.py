@@ -386,6 +386,10 @@ def resolve_config(raw: dict, kind: str | None = None, *,
 
     if "bath" in cfg and ("cutoff_per_s" in cfg["bath"]) == ("cutoff_ratio" in cfg["bath"]):
         _fail("bath", "give exactly one of cutoff_per_s and cutoff_ratio")
+    # the one-channel limit divides by 4 detuning^2 + linewidth^2
+    fl = cfg.get("fluorescence")
+    if fl and fl["detuning_per_s"] == 0.0 and fl["linewidth_per_s"] == 0.0:
+        _fail("fluorescence", "detuning_per_s and linewidth_per_s cannot both vanish")
 
     if "sweep" in cfg:
         sw = cfg["sweep"]

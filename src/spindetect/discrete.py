@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import RectangularBath
-from .errors import ConfigurationError, NumericsError
+from .errors import ConfigurationError, NumericsError, checked_scalar
 from .model import DetectorGeometry, Grid1D
 from .output import write_csv
 from .packets import GaussianPacketSpec, momentum_amplitude
@@ -446,7 +446,7 @@ class ScatteringSynthesis:
         h = float(self.units.length_in(grid.spacing))
         nx = grid.n_points
         n_neg = int(np.count_nonzero(x0 + h * np.arange(nx) < 0.0))
-        c_t = self.time_phases(np.array([t_si]))[:, 0]
+        c_t = self.time_phases(np.array([checked_scalar("t_si", t_si)]))[:, 0]
         no_flip = np.empty(nx, dtype=complex)
         flipped = np.empty((self.basis.n_modes, nx), dtype=complex)
         if n_neg:

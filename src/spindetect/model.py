@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, checked_scalar
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,8 @@ class Grid1D:
     n_points: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
-            raise ConfigurationError("grid bounds must be finite")
+        for name in ("x_min", "x_max"):
+            checked_scalar(name, getattr(self, name))
         if not self.x_max > self.x_min:
             raise ConfigurationError(
                 f"grid needs x_max > x_min, got [{self.x_min}, {self.x_max}]")
@@ -53,7 +53,7 @@ class HalfLineSensitivity:
     """chi(x) = Theta(x - start): detector occupies [start, +inf)."""
 
     def __init__(self, start: float = 0.0):
-        self.start = float(start)
+        self.start = checked_scalar("start", start)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -67,10 +67,8 @@ class IntervalSensitivity:
     """chi(x) = 1 on [start, start + width], 0 elsewhere."""
 
     def __init__(self, width: float, start: float = 0.0):
-        if not (width > 0 and np.isfinite(width)):
-            raise ConfigurationError(f"interval width must be positive, got {width}")
-        self.start = float(start)
-        self.width = float(width)
+        self.start = checked_scalar("start", start)
+        self.width = checked_scalar("width", width, "positive")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -136,8 +134,7 @@ class SpinRegion3D:
 def ball_region(center, radius: float) -> Callable[[np.ndarray], np.ndarray]:
     """Indicator sensitivity of a ball, for building SpinRegion3D objects."""
     center = np.asarray(center, dtype=float).reshape(3)
-    if not radius > 0:
-        raise ConfigurationError(f"ball radius must be positive, got {radius}")
+    radius = checked_scalar("radius", radius, "positive")
 
     def chi(points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -166,8 +163,7 @@ class DetectorGeometry:
         if len(self.resonances) < 1:
             raise ConfigurationError("geometry needs at least one spin")
         for w in self.resonances:
-            if not (w > 0 and np.isfinite(w)):
-                raise ConfigurationError(f"spin resonance must be positive, got {w}")
+            checked_scalar("resonance", w, "positive")
         if self.exchange is not None:
             ex = np.asarray(self.exchange, dtype=float)
             d = len(self.resonances)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, checked_scalar
 from .model import Grid1D
 from .units import HBAR
 
@@ -38,14 +38,10 @@ class GaussianPacketSpec:
     focus_position: float = 0.0  # m
 
     def __post_init__(self):
-        if not (self.mass > 0 and np.isfinite(self.mass)):
-            raise ConfigurationError(f"mass must be positive, got {self.mass}")
-        if not (self.mean_velocity > 0 and np.isfinite(self.mean_velocity)):
-            raise ConfigurationError(
-                f"mean_velocity must be positive, got {self.mean_velocity}")
-        if not (self.momentum_width > 0 and np.isfinite(self.momentum_width)):
-            raise ConfigurationError(
-                f"momentum_width must be positive, got {self.momentum_width}")
+        for name in ("mass", "mean_velocity", "momentum_width"):
+            checked_scalar(name, getattr(self, name), "positive")
+        for name in ("focus_time", "focus_position"):
+            checked_scalar(name, getattr(self, name))
 
     @property
     def mean_wavenumber(self) -> float:
@@ -125,7 +121,7 @@ def free_evolved_packet(spec: GaussianPacketSpec, t: float, grid: Grid1D) -> np.
             f"grid spacing {grid.spacing:.3e} m does not resolve the packet "
             f"(needs < pi/k_max = {np.pi / k_hi:.3e} m)")
     x = grid.points()
-    theta = HBAR * (t - spec.focus_time) / spec.mass
+    theta = HBAR * (checked_scalar("t", t) - spec.focus_time) / spec.mass
     big_x = x - spec.focus_position
     b = 1.0 / (4.0 * sk**2) + 0.5j * theta
     return ((2.0 * np.pi * sk**2) ** -0.25 / np.sqrt(2.0 * b)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import checked_scalar
 
 HBAR = 1.054571817e-34  # J s
 CESIUM_MASS_KG = 2.2069e-25  # cesium-133 atom
@@ -32,11 +32,8 @@ class UnitSystem:
     mass: float  # kg
 
     def __post_init__(self):
-        if not (self.reference_frequency > 0.0 and np.isfinite(self.reference_frequency)):
-            raise ConfigurationError(
-                f"reference_frequency must be positive and finite, got {self.reference_frequency}")
-        if not (self.mass > 0.0 and np.isfinite(self.mass)):
-            raise ConfigurationError(f"mass must be positive and finite, got {self.mass}")
+        checked_scalar("reference_frequency", self.reference_frequency, "positive")
+        checked_scalar("mass", self.mass, "positive")
 
     @property
     def time_unit(self) -> float:

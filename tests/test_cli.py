@@ -93,6 +93,20 @@ def test_too_few_simpson_points_are_a_config_error(tmp_path, capsys):
     assert "fewer than 3 Simpson points" in capsys.readouterr().err
 
 
+def test_fluorescence_without_detuning_or_linewidth_fails_before_running(tmp_path, capsys):
+    """The one-channel limit needs detuning or linewidth; resolving the
+    config says so, before the two-channel leg runs and writes its CSV."""
+    cfg = helpers.fluorescence_config()
+    cfg["fluorescence"]["linewidth_per_s"] = 0.0
+    cfg["numerics"]["continuum"].update(time_start_t0=-5.0, time_stop_t0=-4.0)
+    out = tmp_path / "out"
+    assert main(["fluorescence", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(out)]) == 2
+    assert ("config error at fluorescence: detuning_per_s and linewidth_per_s cannot "
+            "both vanish") in capsys.readouterr().err
+    assert not (out / "w1_fluor.csv").exists()
+
+
 def test_unknown_preset_lists_available(capsys):
     assert main(["rates", "--preset", "definitely-not-a-preset"]) == 2
     err = capsys.readouterr().err

@@ -78,6 +78,10 @@ def test_potential_rejects_gain_and_bad_shapes():
                                     HalfLineSensitivity(), grid)
     with pytest.raises(ConfigurationError, match="per grid point"):
         build_conditional_potential(np.ones(3), 0.0, HalfLineSensitivity(), grid)
+    bad = np.full(grid.n_points, np.nan)
+    for name, args in (("decay_profile", (bad, 0.0)), ("shift_profile", (0.0, bad))):
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            build_conditional_potential(*args, HalfLineSensitivity(), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +390,7 @@ def test_propagation_guards():
     _assert_refined(lambda: propagate_conditional(psi0, hot, (0.0, 0.1 * T0), 0.01 * T0,
                                                   mass=packet.mass),
                     0.01 * T0, hot.max_magnitude)
-    # an infinite shift makes |V|max inf: an error, not an unbounded refinement
+    # an infinite shift is an error, not an unbounded refinement
     with np.errstate(invalid="ignore"), pytest.raises(ConfigurationError, match="finite"):
         unbounded = build_conditional_potential(0.0, np.inf, HalfLineSensitivity(), grid)
         propagate_conditional(psi0, unbounded, (0.0, 1.0 * T0), 0.01 * T0,
@@ -430,6 +434,10 @@ def test_trajectory_record_rejects_bad_histories():
         _fake_trajectory([1.0, 0.9, 0.95, 0.9])
     with pytest.raises(NumericsError, match=r"left \[0, 1\]"):
         _fake_trajectory([1.2, 1.1, 1.0])
+    # NaN compares false both ways: the checks must fail it, not pass it
+    for p0 in ([1.0, np.nan, 0.8], [np.nan] * 3):
+        with pytest.raises(NumericsError, match=r"left \[0, 1\]"):
+            _fake_trajectory(p0)
     # only the lead norm is checked: the excited mass of a two-channel run
     # may rise
     _fake_trajectory([1.0, 0.9, 0.8], norms={"excited_mass": [0.0, 0.1, 0.2]})
@@ -508,7 +516,8 @@ def test_two_channel_with_dark_drive_is_free():
 
 def test_rabi_sign_is_a_phase_convention():
     """-rabi flips the excited channel's sign and nothing else: the same
-    refinement, emission density and ground field, and the same limit."""
+    refinement, emission density and ground field, the same limit and the
+    same adiabaticity ratio."""
     u = make_units()
     packet = slow_packet()
     grid = internal_grid(-90.0, 90.0, 0.2)
@@ -529,6 +538,8 @@ def test_rabi_sign_is_a_phase_convention():
         np.testing.assert_array_equal(
             getattr(one_channel_limit_potential(-rabi, lit, 0.1, 1.0, grid), name),
             getattr(one_channel_limit_potential(rabi, lit, 0.1, 1.0, grid), name))
+    assert (adiabaticity_ratio(-1e9, 0.0, 1e8, 0.0) == adiabaticity_ratio(1e9, 0.0, 1e8, 0.0)
+            == pytest.approx(0.1, rel=1e-15))
 
 
 def test_two_channel_csv_and_snapshots(tmp_path):
