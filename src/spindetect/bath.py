@@ -209,12 +209,12 @@ def _converged_integral(integrand, lo: float, hi: float, what: str,
     """size integrals over [lo, hi] by the composite rule on 2, 4, ...,
     MAX_SEGMENTS segments, each done at the first level that agrees with the
     one before to TOLERANCE x its scale; only the open ones go on, and one
-    still open at MAX_SEGMENTS is a NumericsError.  The first level has two
-    segments: a comparison of one against two let a line 1/960 of [lo, hi]
-    wide fall between the nodes of both and agree.  Spectral lines down to a
-    Gaussian 1/e half-width of 1e-3 of [lo, hi] are resolved; a narrower
-    line can fall between the nodes of two levels and be missed.
-    integrand(x, w, rows)
+    still open at MAX_SEGMENTS is a NumericsError, as is a level whose sums
+    or scales are not finite.  The first level has two segments: a
+    comparison of one against two let a line 1/960 of [lo, hi] wide fall
+    between the nodes of both and agree.  Spectral lines down to a Gaussian
+    1/e half-width of 1e-3 of [lo, hi] are resolved; a narrower line can
+    fall between the nodes of two levels and be missed.  integrand(x, w, rows)
     returns, for the open integrals rows, the sums of g w and their scales:
     the sums of the magnitudes g w is computed from, which bound its rounding.
     """
@@ -222,6 +222,8 @@ def _converged_integral(integrand, lo: float, hi: float, what: str,
     rows = np.arange(size)
     for n_seg in 2 ** np.arange(1, MAX_SEGMENTS.bit_length()):
         total, scale = integrand(*_gauss_legendre(lo, hi, n_seg), rows)
+        if not (np.all(np.isfinite(total)) and np.all(np.isfinite(scale))):
+            raise NumericsError(f"{what}: the integrand is not finite")
         # nan on the first level; tiny: a subnormal sum has no relative precision
         excess = np.abs(total - out[rows]) / (TOLERANCE * scale + np.finfo(float).tiny)
         out[rows] = total

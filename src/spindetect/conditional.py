@@ -37,14 +37,15 @@ limit is the detector's potential form with two-level rates on lit
 (one_channel_limit_potential).
 
 Both propagators share one core (_propagate: validation, units, step loop,
-edge mass, initial norm) that returns one record, ConditionalTrajectory;
-they supply only their solver (LAPACK zgttrs for one channel, SuperLU on
-the interleaved pair), density and norm formulas, and detector region.
-Norms are plain (pairwise) sums h * sum |psi|^2, as is the mass ledger
-(analysis.mass_accounting), and norm_balance checks the drain identity on
-either model's record.  The norms are computed from the field alone, never
-from the density, so that check stays a real test.  Edge mass and an
-initial norm off 1 raise UserWarnings.
+density, norms, edge mass, initial norm) that returns one record,
+ConditionalTrajectory; they supply only their step (LAPACK zgttrs for one
+channel, SuperLU on the interleaved pair), the decay rates of their
+draining channel (the detector's decay profile, or the linewidth on the
+excited channel) and their region.  Norms are plain (pairwise) sums
+h * sum |psi|^2, as is the mass ledger (analysis.mass_accounting), and
+norm_balance checks the drain identity on either model's record.  The norms
+are computed from the field alone, never from the density, so that check
+stays a real test.  Edge mass and an initial norm off 1 raise UserWarnings.
 
 dt is the requested step.  The core divides it by the least integer that
 keeps the potential phase per step dt |V|max / hbar within PHASE_BUDGET,
@@ -273,8 +274,8 @@ def _edge_mass(y: np.ndarray, channels: int, spacing: float) -> float:
 
 
 def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
-               mass: float, vmax: float, frequency_scales, reference_frequency,
-               snapshots: int, solver, norm_names,
+               mass: float, vmax: float, reference_frequency, snapshots: int,
+               stepper, decay: np.ndarray, norm_names,
                region: tuple[float, float]) -> ConditionalTrajectory:
     """Shared core of the conditional propagators; checks every input first.
 
@@ -282,12 +283,15 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
     y[c::len(fields)].  dt is the requested step: it is divided by the least
     integer N keeping dt |V|max / hbar within PHASE_BUDGET, vmax being
     |V|max in joules, and N > 1 raises a UserWarning.  The record's dt is
-    the step used; the kinetic and whole-step checks apply to it.  Positive
-    frequency_scales (1/s) may raise the default reference frequency.
-    solver(h_int, dt_int, omega) returns (step, density, norms): the next
-    state, the midpoint detection density (1/s), and a tuple of norms led
-    by the survival probability, recorded under norm_names.  Edge mass
-    above EDGE_MASS_WARN and an initial norm off 1 raise UserWarnings.
+    the step used; the kinetic and whole-step checks apply to it.  Without a
+    reference_frequency the internal unit is the grid frequency
+    hbar / (m h^2); dt H / hbar does not depend on it.  stepper(h_int,
+    dt_int, omega) returns the step, state to next state.  decay (1/s, one
+    per grid point) drains the last channel and no other, so the midpoint
+    density is w1 = sum decay |y + y_next|^2 h / 4 over that channel.  With
+    the channel masses h sum |y_c|^2, the norms recorded under norm_names
+    are their sum P0, then each mass after the first.  Edge mass above
+    EDGE_MASS_WARN and an initial norm off 1 raise UserWarnings.
     """
     n = grid.n_points
     if any(np.shape(f) != (n,) for f in fields):
@@ -317,14 +321,23 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
 
     if reference_frequency is None:
         # the grid-scale frequency makes the internal spacing exactly 1
-        reference_frequency = max([s for s in frequency_scales if s > 0.0]
-                                  + [HBAR / (mass * grid.spacing ** 2)])
+        reference_frequency = HBAR / (mass * grid.spacing ** 2)
     units = UnitSystem(reference_frequency=reference_frequency, mass=mass)
     h_int = grid.spacing / units.length_unit
-    step, density, norms = solver(h_int, dt * reference_frequency, reference_frequency)
+    step = stepper(h_int, dt * reference_frequency, reference_frequency)
+    channels = len(fields)
+    # the density only needs the detector: first to last nonzero decay
+    lo, hi = np.flatnonzero(decay)[[0, -1]] + (0, 1) if np.any(decay) else (0, 0)
+    span = slice(lo * channels + channels - 1, hi * channels, channels)
+    decay_w = decay[lo:hi] * (0.25 * h_int)
+
+    def norms(y):
+        dens = _abs2(y)
+        masses = [np.sum(dens[c::channels]) * h_int for c in range(channels)]
+        return (sum(masses), *masses[1:])
+
     # internal field: y_int = y_SI * sqrt(L0) keeps ||.||^2 dimensionless
     scale = np.sqrt(units.length_unit)
-    channels = len(fields)
     y = np.stack(fields, axis=1).reshape(-1).astype(complex) * scale
     first = norms(y)
     if not first[0] > 0.0:
@@ -342,7 +355,7 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
     edge_max = 0.0
     for k in range(1, n_steps + 1):
         y_next = step(y)
-        w1[k - 1] = density(y, y_next)
+        w1[k - 1] = np.sum(decay_w * _abs2(y[span] + y_next[span]))
         y = y_next
         recorded[:, k] = norms(y)
         if snap_pos < snap_idx.size and k == snap_idx[snap_pos]:
@@ -384,22 +397,13 @@ def propagate_conditional(psi0: np.ndarray, potential: ComplexPotential,
     error.
     """
     grid = potential.grid
-
-    def solver(h_int, dt_int, omega):
-        stepper = CrankNicolson1D(grid.n_points, h_int, potential.values / (HBAR * omega),
-                                  dt_int)
-        # the density only needs the detector: first to last nonzero decay
-        lit = np.flatnonzero(potential.decay_profile)
-        span = slice(lit[0], lit[-1] + 1) if lit.size else slice(0, 0)
-        decay_w = potential.decay_profile[span] * (0.25 * h_int)
-        return (stepper.step,
-                lambda y, y_next: np.sum(decay_w * _abs2(y[span] + y_next[span])),
-                lambda y: (np.sum(_abs2(y)) * h_int,))
-
-    return _propagate((psi0,), grid, t_span, dt, mass=mass, vmax=potential.max_magnitude,
-                      frequency_scales=(), reference_frequency=reference_frequency,
-                      snapshots=snapshots, solver=solver,
-                      norm_names=("no_detection_prob",), region=potential.region)
+    return _propagate(
+        (psi0,), grid, t_span, dt, mass=mass, vmax=potential.max_magnitude,
+        reference_frequency=reference_frequency, snapshots=snapshots,
+        stepper=lambda h_int, dt_int, omega: CrankNicolson1D(
+            grid.n_points, h_int, potential.values / (HBAR * omega), dt_int).step,
+        decay=potential.decay_profile, norm_names=("no_detection_prob",),
+        region=potential.region)
 
 
 def norm_balance(trajectory) -> dict[str, float]:
@@ -436,21 +440,19 @@ def norm_balance(trajectory) -> dict[str, float]:
 # two-channel fluorescence analog
 
 
-def _two_channel_matrix(n: int, h_int: float, rabi_int: np.ndarray,
+def _two_channel_matrix(n: int, h_int: float, dt_int: float, rabi_int: np.ndarray,
                         excited_diag_int: complex) -> sp.csc_matrix:
-    """Interleaved (ground, excited) Hamiltonian in internal units; returns
-    a pentadiagonal sparse matrix of size 2n."""
-    kin_diag = 1.0 / h_int ** 2
-    kin_off = -0.5 / h_int ** 2
+    """Forward matrix 1 + i dt H / 2 of the interleaved (ground, excited)
+    Hamiltonian in internal units: a pentadiagonal sparse matrix of size 2n."""
+    z = 0.5j * dt_int
     m = 2 * n
-    diag = np.empty(m, dtype=complex)
-    diag[0::2] = kin_diag
-    diag[1::2] = kin_diag + excited_diag_int
+    diag = np.full(m, 1.0 / h_int ** 2, dtype=complex)
+    diag[1::2] += excited_diag_int
     off1 = np.zeros(m - 1, dtype=complex)
     off1[0::2] = 0.5 * rabi_int          # couples site j ground <-> excited
-    off2 = np.full(m - 2, kin_off, dtype=complex)
-    return sp.diags([off2, off1, diag, off1, off2], [-2, -1, 0, 1, 2],
-                    format="csc")
+    off2 = np.full(m - 2, -0.5 / h_int ** 2, dtype=complex)
+    return sp.diags([z * off2, z * off1, 1.0 + z * diag, z * off1, z * off2],
+                    [-2, -1, 0, 1, 2], format="csc")
 
 
 def propagate_two_channel(ground0: np.ndarray, excited0: np.ndarray, rabi: float,
@@ -478,11 +480,10 @@ def propagate_two_channel(ground0: np.ndarray, excited0: np.ndarray, rabi: float
     excited_diag = 0.5 * (-2.0 * detuning - 1j * linewidth)   # 1/s
     half_rabi = np.max(np.abs(omega_x)) / 2.0
 
-    def solver(h_int, dt_int, omega):
-        ham = _two_channel_matrix(n, h_int, omega_x / omega, excited_diag / omega)
-        forward = sp.identity(2 * n, dtype=complex, format="csc") + 0.5j * dt_int * ham
+    def stepper(h_int, dt_int, omega):
         # the interleaved matrix is already a pentadiagonal band: no reordering
-        lu = splu(forward.tocsc(), permc_spec="NATURAL")
+        lu = splu(_two_channel_matrix(n, h_int, dt_int, omega_x / omega, excited_diag / omega),
+                  permc_spec="NATURAL")
 
         def step(y):
             # Cayley identity, as in CrankNicolson1D.step
@@ -491,22 +492,13 @@ def propagate_two_channel(ground0: np.ndarray, excited0: np.ndarray, rabi: float
             out -= y
             return out
 
-        def norms(y):
-            dens = _abs2(y)
-            excited = np.sum(dens[1::2]) * h_int
-            return np.sum(dens[0::2]) * h_int + excited, excited
-
-        return (step,
-                lambda y, y_next: 0.25 * linewidth * np.sum(
-                    _abs2(y[1::2] + y_next[1::2])) * h_int,
-                norms)
+        return step
 
     return _propagate((ground0, excited0), grid, t_span, dt, mass=mass,
                       vmax=HBAR * max(half_rabi, abs(excited_diag)),
-                      frequency_scales=(half_rabi, abs(detuning), linewidth / 2.0),
-                      reference_frequency=None, snapshots=snapshots,
-                      solver=solver, norm_names=("no_detection_prob", "excited_mass"),
-                      region=lit.support)
+                      reference_frequency=None, snapshots=snapshots, stepper=stepper,
+                      decay=np.broadcast_to(linewidth, n),
+                      norm_names=("no_detection_prob", "excited_mass"), region=lit.support)
 
 
 def one_channel_limit_potential(rabi: float, lit: Sensitivity, detuning: float,

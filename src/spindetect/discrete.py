@@ -88,7 +88,6 @@ class InteriorEigenbasis:
 
     resonance: float             # omega0, rad/s
     mode_frequencies: np.ndarray  # (N,), rad/s
-    mode_couplings: np.ndarray   # (N,), rad/s, complex
     levels: np.ndarray           # (N+1,), internal energy units
     vectors: np.ndarray          # (N+1, N+1) complex
 
@@ -129,8 +128,7 @@ def interior_eigenmodes(geometry: DetectorGeometry,
     unit_err = np.max(np.abs(vectors.conj().T @ vectors - np.eye(n + 1)))
     if unit_err > 1e-12:
         raise NumericsError(f"eigenvector matrix not unitary to 1e-12 ({unit_err:.3e})")
-    return InteriorEigenbasis(resonance=omega0,
-                              mode_frequencies=freqs, mode_couplings=coups,
+    return InteriorEigenbasis(resonance=omega0, mode_frequencies=freqs,
                               levels=levels, vectors=vectors)
 
 
@@ -332,13 +330,10 @@ class ScatteringSynthesis:
 
     def __init__(self, packet: GaussianPacketSpec, geometry: DetectorGeometry,
                  bath: RectangularBath, *, k_nodes: int = 2001):
-        self.packet = packet
         self.basis = interior_eigenmodes(geometry, bath)
-        self.bath = bath
         self.units = UnitSystem(reference_frequency=geometry.resonance, mass=packet.mass)
         k_si, w_si = packet.quadrature_nodes(k_nodes)
         psi = momentum_amplitude(packet, k_si)
-        self.k_si = k_si
         self.solution = match_at_origin(self.basis, packet.mass, k_si)
         n_failed = int(np.sum(self.solution.failed))
         if n_failed:
@@ -378,8 +373,8 @@ class ScatteringSynthesis:
         |field|^2. Returns the series plus edge-mass diagnostics; the right
         edge density is the maximum over the last five grid rows.
         """
-        if not (x_min < 0.0 < x_max):
-            raise ConfigurationError("series window must straddle the interface at 0")
+        if not (-np.inf < x_min < 0.0 < x_max < np.inf):
+            raise ConfigurationError("series window must be finite and straddle 0")
         if right_points % 2 == 0:
             right_points += 1
         if right_points < 3:

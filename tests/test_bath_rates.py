@@ -5,6 +5,8 @@ and against the defining formulas evaluated inline, so the library cannot
 drift without a test noticing.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -512,6 +514,32 @@ def test_rate_map_rejects_strong_spontaneous():
     with pytest.raises(ConfigurationError):
         rate_map_3d(geo, spec, np.zeros((1, 3)))
 
+
+
+def test_non_finite_integrand_fails_at_the_first_level():
+    """A NaN coupling fails at the first composite level (two segments) of
+    the rates, the kernel and a 3D rate map, instead of refining to
+    MAX_SEGMENTS."""
+    samples = []
+
+    def nan_coupling(w):
+        samples.append(w.size)
+        return np.full(w.shape, np.nan)
+
+    bath = GeneralBath(dispersion=1.0, cutoff=3.0, coupling=nan_coupling)
+    for run in (lambda: decay_rate_and_shift(bath, 1.0),
+                lambda: correlation_kernel(bath, 1.0, np.array([0.0, 1.0]))):
+        samples.clear()
+        with pytest.raises(NumericsError, match="integrand is not finite"):
+            run()
+        # the rates sample the resonance twice before the first level
+        assert sum(samples) <= 2 + 2 * GL_ORDER
+    spec = DirectionalSpectrum3D(dispersion=1.0,
+                                 couplings=(DirectionalCoupling(np.nan, 5.0),))
+    start = time.perf_counter()
+    with pytest.raises(NumericsError, match="integrand is not finite"):
+        rate_map_3d(_ball_geometry(multiplicity=1), spec, np.zeros((1, 3)))
+    assert time.perf_counter() - start < 1.0
 
 def test_scaled_ensemble_square_root_invariance():
     geo = _ball_geometry()

@@ -163,6 +163,35 @@ def test_two_channel_step_matches_dense_solve():
                                atol=1e-13 * scale)
 
 
+
+def test_only_the_one_channel_loop_calls_the_cn_step(monkeypatch):
+    """The one-channel loop calls CrankNicolson1D.step once per step and the
+    two-channel loop never does: per-step timings taken by wrapping that
+    method count on both."""
+    calls = []
+    original = CrankNicolson1D.step
+
+    def counted(self, psi):
+        calls.append(psi.size)
+        return original(self, psi)
+
+    monkeypatch.setattr(CrankNicolson1D, "step", counted)
+    u = make_units()
+    packet = slow_packet()
+    grid = internal_grid(-90.0, 90.0, 0.1)
+    psi0 = free_evolved_packet(packet, -1.0 * T0, grid)
+    pot = build_conditional_potential(0.2 * u.reference_frequency, 0.0,
+                                      HalfLineSensitivity(), grid)
+    traj = propagate_conditional(psi0, pot, (-1.0 * T0, 1.0 * T0), 0.02 * T0,
+                                 mass=packet.mass)
+    assert len(calls) == len(traj.times) - 1
+    calls.clear()
+    propagate_two_channel(psi0, np.zeros_like(psi0), 0.3 * u.reference_frequency,
+                          _lit(0.0, 20.0), 0.1 * u.reference_frequency,
+                          0.5 * u.reference_frequency, grid, (-1.0 * T0, 1.0 * T0),
+                          0.02 * T0, mass=packet.mass)
+    assert calls == []
+
 # ---------------------------------------------------------------------------
 # propagation: free limit, drain identity, convergence
 

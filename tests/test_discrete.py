@@ -347,6 +347,19 @@ def test_detection_series_validation():
                                    x_min=-100 * lu, x_max=100 * lu)
 
 
+
+@pytest.mark.parametrize("bounds_l0", [(-50.0, np.inf), (-np.inf, 50.0)])
+def test_infinite_series_window_is_rejected(bounds_l0):
+    """An infinite window end is a configuration error, not an all-NaN
+    flip probability."""
+    units = make_units()
+    lu = units.length_unit
+    times = np.arange(0.0, 2.0 + 1e-9, 0.5) * units.time_unit
+    with pytest.raises(ConfigurationError, match="finite and straddle"):
+        detection_density_discrete(fig1_packet(), fig1_geometry(), make_bath(modes=8),
+                                   times, x_min=bounds_l0[0] * lu,
+                                   x_max=bounds_l0[1] * lu, k_nodes=51)
+
 def test_window_beyond_recurrence_warns():
     units = make_units()
     bath = make_bath(modes=2)   # tiny ladder: recurrence after ~2.7 periods
