@@ -14,7 +14,7 @@ a two-channel fluorescence analog with its one-channel limit, and 3D
 multi-spin rate maps with ensemble scaling.
 """
 
-from .analysis import ArrivalStats, CurveComparison, arrival_stats, compare_curves, mass_accounting
+from .analysis import arrival_stats, compare_curves, mass_accounting
 from .bath import (DirectionalCoupling, DirectionalSpectrum3D, GeneralBath,
                    MarkovSummary, RateMap, RatesResult, RectangularBath,
                    correlation_kernel, decay_rate_and_shift, markov_summary,
@@ -38,8 +38,7 @@ from .units import CESIUM_MASS_KG, HBAR, UnitSystem
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrivalStats", "CurveComparison", "arrival_stats", "compare_curves",
-    "mass_accounting",
+    "arrival_stats", "compare_curves", "mass_accounting",
     "DirectionalCoupling", "DirectionalSpectrum3D", "GeneralBath", "MarkovSummary",
     "RateMap", "RatesResult", "RectangularBath", "correlation_kernel",
     "decay_rate_and_shift", "markov_summary", "modified_frequencies",

@@ -5,20 +5,21 @@ packet is reflected without ever flipping a spin, so the integral of w1
 is the total detection probability, not 1.  Statistics (mean, spread,
 mode) are therefore taken against w1 renormalized by plain division with
 its own integral over the analysis window.
+
+arrival_stats, compare_curves and mass_accounting return plain dicts whose
+keys, in order, are the ones the manifest and comparison.json store, so a
+run writes their results as they are.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericsError
 
 __all__ = [
-    "ArrivalStats",
-    "CurveComparison",
     "arrival_stats",
     "compare_curves",
     "mass_accounting",
@@ -33,46 +34,17 @@ UNDEFINED_MASS = 1e-9
 RESIDUAL_WARN = 1e-3
 
 
-@dataclass(frozen=True)
-class ArrivalStats:
-    """Summary of an arrival-time density over a window.  mean/std/mode are
-    None when the captured probability is too small to support them."""
-
-    total_detection_probability: float
-    mean: float | None
-    std: float | None
-    mode: float | None
-    window: tuple[float, float]
-
-    def __post_init__(self):
-        if not -1e-12 <= self.total_detection_probability <= 1.0 + 1e-6:
-            raise NumericsError(
-                f"total detection probability {self.total_detection_probability!r} "
-                "outside [0, 1]")
-        if self.total_detection_probability > UNDEFINED_MASS:
-            for name in ("mean", "std", "mode"):
-                v = getattr(self, name)
-                if v is None or not np.isfinite(v):
-                    raise NumericsError(f"{name} must be finite when mass is captured")
-
-    def as_dict(self) -> dict:
-        return {
-            "total_detection_probability": self.total_detection_probability,
-            "mean_arrival_s": self.mean,
-            "std_arrival_s": self.std,
-            "mode_arrival_s": self.mode,
-            "window_s": list(self.window),
-        }
-
-
 def arrival_stats(times: np.ndarray, density: np.ndarray,
-                  window: tuple[float, float] | None = None) -> ArrivalStats:
+                  window: tuple[float, float] | None = None) -> dict:
     """Total detection probability and renormalized moments of density(t).
 
     times must be strictly increasing.  Entries of density more negative
     than NEGATIVE_DENSITY_TOL times the peak are an error; milder negatives
     are treated as zero.  When the window captures less than UNDEFINED_MASS
-    of probability the moments are undefined and returned as None.
+    of probability the moments are undefined and returned as None.  A total
+    outside [-1e-12, 1 + 1e-6], or a moment that is not finite when mass is
+    captured, is a NumericsError.  Keys: total_detection_probability,
+    mean_arrival_s, std_arrival_s, mode_arrival_s and window_s [lo, hi].
     """
     t = np.asarray(times, dtype=float)
     w = np.asarray(density, dtype=float).copy()
@@ -97,49 +69,30 @@ def arrival_stats(times: np.ndarray, density: np.ndarray,
     ts, ws = t[sel], w[sel]
 
     total = float(np.trapezoid(ws, ts))
+    if not -1e-12 <= total <= 1.0 + 1e-6:
+        raise NumericsError(f"total detection probability {total!r} outside [0, 1]")
+    stats = {"total_detection_probability": total, "mean_arrival_s": None,
+             "std_arrival_s": None, "mode_arrival_s": None, "window_s": [lo, hi]}
     if total <= UNDEFINED_MASS:
-        return ArrivalStats(total_detection_probability=max(total, 0.0),
-                            mean=None, std=None, mode=None, window=(lo, hi))
+        return stats
     mean = float(np.trapezoid(ts * ws, ts) / total)
     second = float(np.trapezoid(ts * ts * ws, ts) / total)
     var = max(second - mean * mean, 0.0)
-    mode = float(ts[np.argmax(ws)])
-    return ArrivalStats(total_detection_probability=total, mean=mean,
-                        std=float(np.sqrt(var)), mode=mode, window=(lo, hi))
-
-
-@dataclass(frozen=True)
-class CurveComparison:
-    """Distance between two time series resampled to a shared uniform grid.
-    Relative numbers are against the larger peak of the two curves."""
-
-    window: tuple[float, float]
-    n_nodes: int
-    peak: float
-    linf: float
-    l2: float
-    linf_relative: float
-    l2_relative: float
-
-    def as_dict(self) -> dict:
-        return {
-            "window_s": list(self.window),
-            "n_nodes": self.n_nodes,
-            "peak": self.peak,
-            "linf": self.linf,
-            "l2_rms": self.l2,
-            "linf_relative": self.linf_relative,
-            "l2_relative": self.l2_relative,
-        }
+    stats.update(mean_arrival_s=mean, std_arrival_s=float(np.sqrt(var)),
+                 mode_arrival_s=float(ts[np.argmax(ws)]))
+    for key in ("mean_arrival_s", "std_arrival_s", "mode_arrival_s"):
+        if not np.isfinite(stats[key]):
+            raise NumericsError(f"{key} must be finite when mass is captured")
+    return stats
 
 
 def compare_curves(times_a: np.ndarray, curve_a: np.ndarray,
                    times_b: np.ndarray, curve_b: np.ndarray,
                    window: tuple[float, float] | None = None,
-                   n_resample: int = 2048) -> CurveComparison:
+                   n_resample: int = 2048) -> dict:
     """Resample both curves onto a uniform grid over the overlap of their
     time ranges (optionally intersected with an explicit window) and report
-    absolute and peak-relative L_inf and RMS distances.
+    absolute and peak-relative L_inf and RMS (l2_rms) distances.
 
     Disjoint time ranges are an error.  The metric is symmetric in the two
     inputs and obeys the triangle inequality for curves sharing a window.
@@ -169,13 +122,10 @@ def compare_curves(times_a: np.ndarray, curve_a: np.ndarray,
     peak = float(max(np.max(np.abs(ra)), np.max(np.abs(rb))))
     linf = float(np.max(diff))
     l2 = float(np.sqrt(np.trapezoid(diff * diff, grid) / (hi - lo)))
-    if peak > 0.0:
-        rel_inf, rel_2 = linf / peak, l2 / peak
-    else:
-        rel_inf, rel_2 = 0.0, 0.0
-    return CurveComparison(window=(float(lo), float(hi)), n_nodes=n_resample,
-                           peak=peak, linf=linf, l2=l2,
-                           linf_relative=rel_inf, l2_relative=rel_2)
+    return {"window_s": [float(lo), float(hi)], "n_nodes": n_resample, "peak": peak,
+            "linf": linf, "l2_rms": l2,
+            "linf_relative": linf / peak if peak > 0.0 else 0.0,
+            "l2_relative": l2 / peak if peak > 0.0 else 0.0}
 
 
 def mass_fractions(fields: np.ndarray, grid, region: tuple[float, float],

@@ -56,49 +56,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> dict:
+    """The raw config the flags pick; a file that cannot be read is a
+    configuration error."""
     if args.preset is not None:
         return load_preset(args.preset)
-    return config_from_file(args.config)
+    try:
+        return config_from_file(args.config)
+    except OSError as exc:
+        raise ConfigurationError(str(exc)) from exc
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         raw = _load_config(args)
-    except (OSError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.command == "validate":
-        try:
+        if args.command == "validate":
             cfg = resolve_config(raw, require_kind=False)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        label = cfg.get("label")
-        print(f"config OK: kind={cfg.get('kind', 'unspecified')}"
-              + (f" label={label}" if label else ""))
-        return 0
-    kind = args.command
-
-    try:
-        cfg = resolve_config(raw, kind=kind)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    from .runner import run_config
-    try:
+            label = cfg.get("label")
+            print(f"config OK: kind={cfg.get('kind', 'unspecified')}"
+                  + (f" label={label}" if label else ""))
+            return 0
+        cfg = resolve_config(raw, kind=args.command)
+        from .runner import run_config
         manifest = run_config(cfg, args.out, jobs=args.jobs)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SpindetectError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigurationError) else 1
 
-    for name, fname in manifest["outputs"].items():
+    for fname in manifest["outputs"].values():
         print(f"wrote {Path(args.out) / fname}")
     print(f"wrote {Path(args.out) / 'manifest.json'}")
     for w in manifest["warnings"]:

@@ -45,7 +45,8 @@ excited channel) and their region.  Norms are plain (pairwise) sums
 h * sum |psi|^2, as is the mass ledger (analysis.mass_accounting), and
 norm_balance checks the drain identity on either model's record.  The norms
 are computed from the field alone, never from the density, so that check
-stays a real test.  Edge mass and an initial norm off 1 raise UserWarnings.
+stays a real test.  Edge mass and an initial norm below 1 raise
+UserWarnings; an initial norm above 1 is a ConfigurationError.
 
 dt is the requested step.  The core divides it by the least integer that
 keeps the potential phase per step dt |V|max / hbar within PHASE_BUDGET,
@@ -133,33 +134,19 @@ class ComplexPotential:
         return float(np.max(np.abs(self.values)))
 
 
-def build_conditional_potential(decay_rate, level_shift, sensitivity: Sensitivity,
-                                grid: Grid1D, *, include_shift: bool = True) -> ComplexPotential:
+def build_conditional_potential(decay_rate: float, level_shift: float,
+                                sensitivity: Sensitivity, grid: Grid1D, *,
+                                include_shift: bool = True) -> ComplexPotential:
     """Assemble V(x) = (hbar/2)(shift - i decay) * chi(x)^2 on the grid.
 
     decay_rate and level_shift are scalars (1/s) multiplying the squared
-    sensitivity profile, or arrays already sampled on the grid (a rate map
-    evaluated along the axis).  A negative scalar decay rate, or any
-    negative entry of an array one, is rejected: gain is outside the model.
+    sensitivity profile; a negative decay rate is rejected, as gain is
+    outside the model.  A profile already sampled on the grid (a rate map
+    evaluated along the axis) builds a ComplexPotential directly.
     """
-    x = grid.points()
-    chi2 = np.asarray(sensitivity(x), dtype=float) ** 2
-    decay = np.asarray(decay_rate, dtype=float)
-    shift = np.asarray(level_shift, dtype=float)
-    if decay.ndim == 0:
-        decay = checked_scalar("decay_rate", decay, "nonnegative") * chi2
-    elif decay.shape == (grid.n_points,):
-        if np.any(decay < 0.0):
-            raise ConfigurationError("decay rate profile must be nonnegative")
-        decay = decay.copy()
-    else:
-        raise ConfigurationError("decay rate must be scalar or one value per grid point")
-    if shift.ndim == 0:
-        shift = checked_scalar("level_shift", shift) * chi2
-    elif shift.shape != (grid.n_points,):
-        raise ConfigurationError("level shift must be scalar or one value per grid point")
-    else:
-        shift = shift.copy()
+    chi2 = np.asarray(sensitivity(grid.points()), dtype=float) ** 2
+    decay = checked_scalar("decay_rate", decay_rate, "nonnegative") * chi2
+    shift = checked_scalar("level_shift", level_shift) * chi2
     if not include_shift:
         shift = np.zeros_like(shift)
     lo, hi = sensitivity.support
@@ -291,7 +278,9 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
     density is w1 = sum decay |y + y_next|^2 h / 4 over that channel.  With
     the channel masses h sum |y_c|^2, the norms recorded under norm_names
     are their sum P0, then each mass after the first.  Edge mass above
-    EDGE_MASS_WARN and an initial norm off 1 raise UserWarnings.
+    EDGE_MASS_WARN and an initial norm more than 1e-6 below 1 raise
+    UserWarnings; an initial norm above 1 + 1e-8, the record's bound on P0,
+    is a ConfigurationError before the first step.
     """
     n = grid.n_points
     if any(np.shape(f) != (n,) for f in fields):
@@ -342,6 +331,8 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
     first = norms(y)
     if not first[0] > 0.0:
         raise ConfigurationError("initial field has zero norm")
+    if first[0] > 1.0 + 1e-8:
+        raise ConfigurationError(f"initial norm {float(first[0])!r} exceeds 1")
 
     times = t0 + dt * np.arange(n_steps + 1)
     recorded = np.empty((len(first), n_steps + 1))
@@ -367,7 +358,7 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
     if edge_max > EDGE_MASS_WARN:
         warnings.warn(f"edge mass reached {edge_max:.3e} (> {EDGE_MASS_WARN:g}); "
                       "boundary reflections may contaminate the run", stacklevel=3)
-    if abs(first[0] - 1.0) > 1e-6:
+    if first[0] < 1.0 - 1e-6:
         warnings.warn(f"initial norm {float(first[0])!r} differs from 1; mass ledger is "
                       "renormalized", stacklevel=3)
     snaps /= scale
@@ -393,8 +384,8 @@ def propagate_conditional(psi0: np.ndarray, potential: ComplexPotential,
     KINETIC_SAFETY grid kinetic times (2 m dx^2 / hbar) * pi and must divide
     t_span into whole steps.
     Mass accumulating within EDGE_CELLS of either grid end above 1e-6, and
-    an initial norm off 1 by more than 1e-6, raise a UserWarning, not an
-    error.
+    an initial norm below 1 by more than 1e-6, raise a UserWarning, not an
+    error; an initial norm above 1 is a configuration error.
     """
     grid = potential.grid
     return _propagate(

@@ -139,11 +139,10 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "coupling_sqrt_per_s": _NONNEG,
-                "cutoff_per_s": _POS,
                 "cutoff_ratio": {"type": "number", "exclusiveMinimum": 1.0},
                 "modes": {"type": "integer", "minimum": 1},
             },
-            "required": ["coupling_sqrt_per_s"],
+            "required": ["coupling_sqrt_per_s", "cutoff_ratio"],
         },
         "rates_override": {
             "type": "object",
@@ -384,8 +383,6 @@ def resolve_config(raw: dict, kind: str | None = None, *,
             and sens != {"kind": "half_line", "start_l0": 0.0}):
         _fail("detector.sensitivity", "the discrete route needs a half_line at start_l0 0")
 
-    if "bath" in cfg and ("cutoff_per_s" in cfg["bath"]) == ("cutoff_ratio" in cfg["bath"]):
-        _fail("bath", "give exactly one of cutoff_per_s and cutoff_ratio")
     # the one-channel limit divides by 4 detuning^2 + linewidth^2
     fl = cfg.get("fluorescence")
     if fl and fl["detuning_per_s"] == 0.0 and fl["linewidth_per_s"] == 0.0:

@@ -316,7 +316,6 @@ class SectorState:
     """All channel fields at one time on a shared grid (SI)."""
 
     grid: Grid1D
-    time: float
     no_flip: np.ndarray        # psi in |up, vac>, m^-1/2
     flipped: np.ndarray        # (N, nx) fields in |down, 1_l>
 
@@ -464,8 +463,7 @@ class ScatteringSynthesis:
                 no_flip[n_neg + start:n_neg + stop] = u_mat[0] @ block
                 flipped[:, n_neg + start:n_neg + stop] = u_mat[1:] @ block
         scale = 1.0 / (ROOT_2PI * np.sqrt(self.units.length_unit))
-        return SectorState(grid=grid, time=t_si, no_flip=no_flip * scale,
-                           flipped=flipped * scale)
+        return SectorState(grid=grid, no_flip=no_flip * scale, flipped=flipped * scale)
 
 
 def evolve_packet_discrete(packet: GaussianPacketSpec, t: float, grid: Grid1D,
@@ -487,7 +485,6 @@ class DiscreteDetectionSeries:
     times: np.ndarray
     flip_probability: np.ndarray      # P_flip(t)
     detection_density: np.ndarray     # dP_flip/dt, 1/s
-    recurrence_time: float            # s
 
     def to_csv(self, path) -> None:
         write_csv(path, ["t_s", "detection_density_per_s", "flip_probability"],
@@ -532,4 +529,4 @@ def detection_density_discrete(packet: GaussianPacketSpec,
         warnings.warn(f"probability density at the window edges reaches "
                       f"~{edge_mass:.2e} (fraction scale); widen [x_min, x_max]")
     return DiscreteDetectionSeries(times=times, flip_probability=p_flip,
-                                   detection_density=w1, recurrence_time=t_rec)
+                                   detection_density=w1)

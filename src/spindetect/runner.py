@@ -86,8 +86,8 @@ def build_scene(cfg: dict) -> Scene:
     bath = t_rec = tau_c = rates = None
     if "bath" in cfg:
         b = cfg["bath"]
-        cutoff = b.get("cutoff_per_s", b.get("cutoff_ratio", 0.0) * resonance)
-        bath = RectangularBath(coupling=b["coupling_sqrt_per_s"], cutoff=cutoff,
+        bath = RectangularBath(coupling=b["coupling_sqrt_per_s"],
+                               cutoff=b["cutoff_ratio"] * resonance,
                                modes=b.get("modes"))
         if bath.modes:
             t_rec = bath.recurrence_time()
@@ -175,9 +175,8 @@ def _run_discrete(cfg: dict, scene: Scene, out_dir: Path):
         x_min=x_min, x_max=x_max, right_points=right_points,
         k_nodes=num["k_nodes"])
     series.to_csv(out_dir / "w1_disc.csv")
-    stats = arrival_stats(series.times, series.detection_density)
     summary = {"discrete": {"flip_probability_final": float(series.flip_probability[-1]),
-                            "arrival": stats.as_dict()}}
+                            "arrival": arrival_stats(series.times, series.detection_density)}}
     return {"w1_disc": "w1_disc.csv"}, summary, series
 
 
@@ -209,11 +208,10 @@ def _run_continuum(cfg: dict, scene: Scene, out_dir: Path):
     if num["write_fields"]:
         traj.snapshots_to_csv(out_dir / "fields_cont.csv")
         outputs["fields_cont"] = "fields_cont.csv"
-    split = mass_accounting(traj)
-    stats = arrival_stats(traj.detection_density_times, traj.detection_density)
-    summary = {"continuum": {"mass_split": split, "arrival": stats.as_dict(),
-                             "survival_final": traj.final_survival,
-                             "norm_balance": norm_balance(traj)}}
+    summary = {"continuum": {
+        "mass_split": mass_accounting(traj),
+        "arrival": arrival_stats(traj.detection_density_times, traj.detection_density),
+        "survival_final": traj.final_survival, "norm_balance": norm_balance(traj)}}
     return outputs, summary, traj
 
 
@@ -226,12 +224,12 @@ def _run_compare(cfg: dict, scene: Scene, out_dir: Path):
                         traj.detection_density_times, traj.detection_density,
                         window=(lo_f * scene.recurrence_time, hi_f * scene.recurrence_time),
                         n_resample=cfg["comparison"]["n_resample"])
-    payload = {"comparison": cc.as_dict(),
+    payload = {"comparison": cc,
                "window_recurrence_fraction": cfg["comparison"]["window_recurrence_fraction"],
                "discrete": sum_d["discrete"], "continuum": sum_c["continuum"]}
     write_json(out_dir / "comparison.json", payload)
     outputs = {**out_d, **out_c, "comparison": "comparison.json"}
-    summary = {**sum_d, **sum_c, "comparison": cc.as_dict()}
+    summary = {**sum_d, **sum_c, "comparison": cc}
     return outputs, summary
 
 
@@ -265,21 +263,17 @@ def _run_fluorescence(cfg: dict, scene: Scene, out_dir: Path):
     ratio = adiabaticity_ratio(rabi, detuning, linewidth, kinetic)
     t_two = two.detection_density_times
     t_one = traj.detection_density_times
+    n_resample = cfg["comparison"]["n_resample"]
     raw = compare_curves(t_two, two.detection_density,
-                         t_one, traj.detection_density,
-                         n_resample=cfg["comparison"]["n_resample"])
+                         t_one, traj.detection_density, n_resample=n_resample)
     tot_two = float(np.trapezoid(two.detection_density, t_two))
     tot_one = float(np.trapezoid(traj.detection_density, t_one))
-    if tot_two > 0.0 and tot_one > 0.0:
-        norm = compare_curves(t_two, two.detection_density / tot_two,
-                              t_one, traj.detection_density / tot_one,
-                              n_resample=cfg["comparison"]["n_resample"])
-        norm_dict = norm.as_dict()
-    else:
-        norm_dict = None
+    norm = (compare_curves(t_two, two.detection_density / tot_two,
+                           t_one, traj.detection_density / tot_one, n_resample=n_resample)
+            if tot_two > 0.0 and tot_one > 0.0 else None)
     payload = {"adiabaticity_ratio": ratio,
-               "raw_comparison": raw.as_dict(),
-               "normalized_comparison": norm_dict,
+               "raw_comparison": raw,
+               "normalized_comparison": norm,
                "two_channel_detected": tot_two,
                "one_channel_detected": tot_one}
     write_json(out_dir / "comparison.json", payload)
@@ -291,38 +285,37 @@ def _run_fluorescence(cfg: dict, scene: Scene, out_dir: Path):
 # sweeps
 
 
+# the columns of a sweep's summary.csv, one row per sub-run
+SWEEP_COLUMNS = ("value", "status_ok", "detected", "reflected",
+                 "mean_arrival_s", "std_arrival_s")
+
+
 def _sweep_subrun(args):
-    """Worker entry: run one sub-config, return its summary row."""
-    index, sub_cfg, sub_dir = args
+    """Worker entry: run one sub-config.  Returns (row, warnings, error), row
+    being the sub-run's summary.csv row.  A compare run's row is its
+    continuum leg; a failed run's row, and undefined moments, are NaN."""
+    value, sub_cfg, sub_dir = args
+    row = dict.fromkeys(SWEEP_COLUMNS, math.nan)
+    row.update(value=value, status_ok=0.0)
     try:
         manifest = run_config(sub_cfg, Path(sub_dir), jobs=1)
-        row = _summary_row_from(manifest)
-        return index, row, manifest.get("warnings", []), None
     except SpindetectError as exc:
-        return index, None, [], str(exc)
+        return row, [], str(exc)
     except Exception as exc:  # keep the sweep alive, report at the end
-        return index, None, [], f"{type(exc).__name__}: {exc}"
-
-
-def _summary_row_from(manifest: dict) -> dict:
-    summary = manifest.get("summary", {})
-    row = {"detected": math.nan, "reflected": math.nan,
-           "mean_arrival_s": math.nan, "std_arrival_s": math.nan}
-    cont = summary.get("continuum")
-    disc = summary.get("discrete")
-    if cont:
-        row["detected"] = cont["mass_split"]["detected"]
-        row["reflected"] = cont["mass_split"]["reflected"]
-        arr = cont["arrival"]
-    elif disc:
-        row["detected"] = disc["flip_probability_final"]
-        arr = disc["arrival"]
+        return row, [], f"{type(exc).__name__}: {exc}"
+    summary = manifest["summary"]
+    if "continuum" in summary:
+        split = summary["continuum"]["mass_split"]
+        row.update(detected=split["detected"], reflected=split["reflected"])
+        arrival = summary["continuum"]["arrival"]
     else:
-        return row
-    if arr["mean_arrival_s"] is not None:
-        row["mean_arrival_s"] = arr["mean_arrival_s"]
-        row["std_arrival_s"] = arr["std_arrival_s"]
-    return row
+        row["detected"] = summary["discrete"]["flip_probability_final"]
+        arrival = summary["discrete"]["arrival"]
+    if arrival["mean_arrival_s"] is not None:
+        row.update(mean_arrival_s=arrival["mean_arrival_s"],
+                   std_arrival_s=arrival["std_arrival_s"])
+    row["status_ok"] = 1.0
+    return row, manifest["warnings"], None
 
 
 def _run_sweep(cfg: dict, out_dir: Path, jobs: int):
@@ -342,8 +335,9 @@ def _run_sweep(cfg: dict, out_dir: Path, jobs: int):
         sub_cfg["label"] = f"{cfg.get('label', 'sweep')}_{i:03d}"
         sub_dir = out_dir / f"run_{i:03d}"
         sub_dir.mkdir(parents=True, exist_ok=True)
-        tasks.append((i, sub_cfg, str(sub_dir)))
+        tasks.append((value, sub_cfg, str(sub_dir)))
 
+    # pool.map and the serial list both keep the order of the tasks
     if jobs > 1:
         # only parallel sweeps need the executor; serial runs skip its import
         from concurrent.futures import ProcessPoolExecutor
@@ -351,34 +345,17 @@ def _run_sweep(cfg: dict, out_dir: Path, jobs: int):
             results = list(pool.map(_sweep_subrun, tasks))
     else:
         results = [_sweep_subrun(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
 
-    n = len(values)
-    cols = {name: np.full(n, math.nan) for name in
-            ("value", "status_ok", "detected", "reflected",
-             "mean_arrival_s", "std_arrival_s")}
-    sub_reports = []
-    failed = 0
-    for (i, row, sub_warn, error), value in zip(results, values):
-        cols["value"][i] = value
-        cols["status_ok"][i] = 0.0 if error else 1.0
-        if error:
-            failed += 1
-            sub_reports.append({"index": i, "value": value, "error": error})
-        else:
-            for key in ("detected", "reflected", "mean_arrival_s", "std_arrival_s"):
-                cols[key][i] = row[key]
-            sub_reports.append({"index": i, "value": value, "error": None})
+    for i, (_, sub_warn, _) in enumerate(results):
         for w in sub_warn:
             warnings.warn(f"run_{i:03d}: {w}")
-
-    write_csv(out_dir / "summary.csv",
-              ["value", "status_ok", "detected", "reflected",
-               "mean_arrival_s", "std_arrival_s"],
-              [cols[k] for k in ("value", "status_ok", "detected", "reflected",
-                                 "mean_arrival_s", "std_arrival_s")])
+    write_csv(out_dir / "summary.csv", SWEEP_COLUMNS,
+              [np.array([row[c] for row, _, _ in results]) for c in SWEEP_COLUMNS])
+    runs = [{"index": i, "value": row["value"], "error": error}
+            for i, (row, _, error) in enumerate(results)]
+    failed = sum(error is not None for _, _, error in results)
     summary = {"sweep": {"parameter": path, "values": values,
-                         "failed": failed, "runs": sub_reports}}
+                         "failed": failed, "runs": runs}}
     return {"summary": "summary.csv"}, summary, {}, failed
 
 

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spindetect import (
-    ArrivalStats,
     HalfLineSensitivity,
     IntervalSensitivity,
     arrival_stats,
@@ -28,10 +27,10 @@ from helpers import (PROPERTY_SETTINGS, internal_grid, make_units, slow_packet,
 def test_flat_density_moments():
     t = np.linspace(0.0, 1.0, 2001)
     stats = arrival_stats(t, np.ones_like(t))
-    assert stats.total_detection_probability == pytest.approx(1.0, rel=1e-12)
-    assert stats.mean == pytest.approx(0.5, rel=1e-12)
-    assert stats.std == pytest.approx(1.0 / np.sqrt(12.0), rel=1e-6)
-    assert stats.window == (0.0, 1.0)
+    assert stats["total_detection_probability"] == pytest.approx(1.0, rel=1e-12)
+    assert stats["mean_arrival_s"] == pytest.approx(0.5, rel=1e-12)
+    assert stats["std_arrival_s"] == pytest.approx(1.0 / np.sqrt(12.0), rel=1e-6)
+    assert stats["window_s"] == [0.0, 1.0]
 
 
 def test_gaussian_peak_moments():
@@ -39,13 +38,11 @@ def test_gaussian_peak_moments():
     sigma, center, mass = 0.1, 2.0, 0.4
     w = mass * np.exp(-0.5 * ((t - center) / sigma) ** 2) / (sigma * np.sqrt(2 * np.pi))
     stats = arrival_stats(t, w)
-    assert stats.total_detection_probability == pytest.approx(mass, rel=1e-9)
-    assert stats.mean == pytest.approx(center, abs=1e-9)
-    assert stats.std == pytest.approx(sigma, rel=1e-6)
-    assert stats.mode == pytest.approx(center, abs=1e-3)
-    d = stats.as_dict()
-    assert d["mean_arrival_s"] == stats.mean
-    assert d["window_s"] == [0.0, 4.0]
+    assert stats["total_detection_probability"] == pytest.approx(mass, rel=1e-9)
+    assert stats["mean_arrival_s"] == pytest.approx(center, abs=1e-9)
+    assert stats["std_arrival_s"] == pytest.approx(sigma, rel=1e-6)
+    assert stats["mode_arrival_s"] == pytest.approx(center, abs=1e-3)
+    assert stats["window_s"] == [0.0, 4.0]
 
 
 def test_window_restricts_the_mass():
@@ -53,17 +50,18 @@ def test_window_restricts_the_mass():
     sigma, center = 0.1, 2.0
     w = 0.4 * np.exp(-0.5 * ((t - center) / sigma) ** 2) / (sigma * np.sqrt(2 * np.pi))
     half = arrival_stats(t, w, window=(1.5, 2.0))
-    assert half.total_detection_probability == pytest.approx(0.2, rel=1e-3)
+    assert half["total_detection_probability"] == pytest.approx(0.2, rel=1e-3)
     # mean of the left half-Gaussian sits sigma*sqrt(2/pi) below the center
-    assert half.mean == pytest.approx(center - sigma * np.sqrt(2.0 / np.pi), rel=1e-3)
-    assert half.window == (1.5, 2.0)
+    assert half["mean_arrival_s"] == pytest.approx(center - sigma * np.sqrt(2.0 / np.pi),
+                                                   rel=1e-3)
+    assert half["window_s"] == [1.5, 2.0]
 
 
 def test_empty_density_has_undefined_moments():
     t = np.linspace(0.0, 1.0, 101)
     stats = arrival_stats(t, np.zeros_like(t))
-    assert stats.total_detection_probability == 0.0
-    assert stats.mean is None and stats.std is None and stats.mode is None
+    assert stats["total_detection_probability"] == 0.0
+    assert stats["mean_arrival_s"] is stats["std_arrival_s"] is stats["mode_arrival_s"] is None
 
 
 def test_negative_density_policy():
@@ -72,7 +70,7 @@ def test_negative_density_policy():
     mild = w.copy()
     mild[0] = -1e-8
     stats = arrival_stats(t, mild)
-    assert stats.total_detection_probability > 0.0
+    assert stats["total_detection_probability"] > 0.0
     bad = w.copy()
     bad[0] = -1e-3
     with pytest.raises(ConfigurationError, match="negative entries"):
@@ -92,25 +90,29 @@ def test_arrival_stats_input_validation():
         arrival_stats(t, w, window=(0.42, 0.48))
 
 
-def test_arrival_stats_record_guards():
-    with pytest.raises(NumericsError, match="outside"):
-        ArrivalStats(total_detection_probability=1.5, mean=0.0, std=0.0,
-                     mode=0.0, window=(0.0, 1.0))
-    with pytest.raises(NumericsError, match="finite"):
-        ArrivalStats(total_detection_probability=0.5, mean=None, std=0.1,
-                     mode=0.2, window=(0.0, 1.0))
+def test_arrival_stats_output_checks():
+    """A captured probability above 1, or moments that overflow, are
+    NumericsErrors of arrival_stats itself."""
+    t = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(NumericsError, match=r"probability 1\.5.* outside \[0, 1\]"):
+        arrival_stats(t, np.full_like(t, 1.5))
+    # a total of 0.5 whose second moment t^2 w overflows to inf
+    t = np.linspace(1.0e160, 2.0e160, 11)
+    with (np.errstate(over="ignore"),
+          pytest.raises(NumericsError, match="must be finite when mass is captured")):
+        arrival_stats(t, np.full_like(t, 0.5e-160))
 
 
 def test_identical_curves_compare_to_zero():
     t = np.linspace(0.0, 1.0, 301)
     w = np.sin(np.pi * t) ** 2
     cmp = compare_curves(t, w, t, w)
-    assert cmp.linf == 0.0 and cmp.l2 == 0.0
-    assert cmp.linf_relative == 0.0 and cmp.l2_relative == 0.0
+    assert cmp["linf"] == 0.0 and cmp["l2_rms"] == 0.0
+    assert cmp["linf_relative"] == 0.0 and cmp["l2_relative"] == 0.0
     # the peak is read off the resampled polyline, which undershoots the
     # true maximum by the chord error
-    assert cmp.peak == pytest.approx(1.0, rel=1e-4)
-    assert cmp.window == (0.0, 1.0)
+    assert cmp["peak"] == pytest.approx(1.0, rel=1e-4)
+    assert cmp["window_s"] == [0.0, 1.0]
 
 
 def test_shifted_curve_distance_and_symmetry():
@@ -121,10 +123,10 @@ def test_shifted_curve_distance_and_symmetry():
     b = np.exp(-0.5 * ((tb - 1.0 - delta) / sigma) ** 2)
     ab = compare_curves(ta, a, tb, b)
     ba = compare_curves(tb, b, ta, a)
-    assert ab.linf == ba.linf and ab.l2 == ba.l2
+    assert ab["linf"] == ba["linf"] and ab["l2_rms"] == ba["l2_rms"]
     # small shift: L_inf ~ delta * max|slope| = delta * exp(-1/2)/sigma
-    assert ab.linf_relative == pytest.approx(delta * np.exp(-0.5) / sigma, rel=0.05)
-    assert 0.0 < ab.l2_relative < ab.linf_relative
+    assert ab["linf_relative"] == pytest.approx(delta * np.exp(-0.5) / sigma, rel=0.05)
+    assert 0.0 < ab["l2_relative"] < ab["linf_relative"]
 
 
 @st.composite
@@ -148,10 +150,10 @@ def test_compare_curves_is_a_metric(a, b, c, n_resample):
         return compare_curves(*x, *y, n_resample=n_resample)
 
     ab, ba, bc, ac = dist(a, b), dist(b, a), dist(b, c), dist(a, c)
-    assert (ab.window, ab.peak, ab.linf, ab.l2) == (ba.window, ba.peak, ba.linf, ba.l2)
-    slack = 1e-12 * max(ab.peak, bc.peak)
-    assert ac.linf <= ab.linf + bc.linf + slack
-    assert ac.l2 <= ab.l2 + bc.l2 + slack
+    assert ab == ba
+    slack = 1e-12 * max(ab["peak"], bc["peak"])
+    assert ac["linf"] <= ab["linf"] + bc["linf"] + slack
+    assert ac["l2_rms"] <= ab["l2_rms"] + bc["l2_rms"] + slack
 
 
 def test_compare_window_and_failure_modes():
@@ -159,9 +161,9 @@ def test_compare_window_and_failure_modes():
     tb = np.linspace(0.5, 1.5, 101)
     cmp = compare_curves(ta, np.ones_like(ta), tb, np.ones_like(tb),
                          window=(0.6, 0.9), n_resample=64)
-    assert cmp.window == (0.6, 0.9)
-    assert cmp.n_nodes == 64
-    assert cmp.linf == 0.0
+    assert cmp["window_s"] == [0.6, 0.9]
+    assert cmp["n_nodes"] == 64
+    assert cmp["linf"] == 0.0
     with pytest.raises(ConfigurationError, match="no overlapping"):
         compare_curves(ta, np.ones_like(ta), ta + 5.0, np.ones_like(ta))
     with pytest.raises(ConfigurationError, match="at least 2"):

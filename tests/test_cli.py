@@ -402,3 +402,120 @@ def test_sweep_over_decay_rate(tmp_path):
 def test_config_file_must_exist(capsys):
     assert main(["rates", "--config", "/nonexistent/cfg.json"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# run summaries: the manifest's summary and comparison.json
+
+
+def _paths(tree, prefix=""):
+    """Every key path of nested dicts, in order."""
+    out = []
+    for key, value in tree.items():
+        out.append(prefix + key)
+        if isinstance(value, dict):
+            out += _paths(value, f"{prefix}{key}.")
+    return out
+
+
+def _under(prefix, keys):
+    return [f"{prefix}.{key}" for key in keys]
+
+
+ARRIVAL = ["total_detection_probability", "mean_arrival_s", "std_arrival_s",
+           "mode_arrival_s", "window_s"]
+CURVES = ["window_s", "n_nodes", "peak", "linf", "l2_rms", "linf_relative", "l2_relative"]
+BALANCE = ["continuity_residual_relative", "detection_integral_gap"]
+DISCRETE = ["flip_probability_final", "arrival", *_under("arrival", ARRIVAL)]
+CONTINUUM = ["mass_split", *_under("mass_split", ["reflected", "transmitted_undetected",
+                                                  "residual_in_region", "detected"]),
+             "arrival", *_under("arrival", ARRIVAL), "survival_final",
+             "norm_balance", *_under("norm_balance", BALANCE)]
+COMPARE_JSON = ["comparison", *_under("comparison", CURVES), "window_recurrence_fraction",
+                "discrete", *_under("discrete", DISCRETE),
+                "continuum", *_under("continuum", CONTINUUM)]
+FLUORESCENCE_JSON = ["adiabaticity_ratio", "raw_comparison", *_under("raw_comparison", CURVES),
+                     "normalized_comparison", *_under("normalized_comparison", CURVES),
+                     "two_channel_detected", "one_channel_detected"]
+
+
+def _discrete_config():
+    cfg = helpers.small_compare_config()
+    cfg["kind"] = "discrete"
+    del cfg["numerics"]["continuum"], cfg["comparison"]
+    return cfg
+
+
+@pytest.mark.parametrize("build, summary, payload", [
+    (helpers.small_compare_config,
+     ["discrete", *_under("discrete", DISCRETE), "continuum", *_under("continuum", CONTINUUM),
+      "comparison", *_under("comparison", CURVES)], COMPARE_JSON),
+    (small_continuum_config, ["continuum", *_under("continuum", CONTINUUM)], None),
+    (_discrete_config, ["discrete", *_under("discrete", DISCRETE)], None),
+    (rates_config, [], None),
+], ids=["compare", "continuum", "discrete", "rates"])
+def test_summary_key_order(tmp_path, build, summary, payload):
+    """The manifest's summary, and comparison.json where a run writes one,
+    keep their keys and key order."""
+    manifest = runner.run_config(build(), tmp_path)
+    assert _paths(manifest["summary"]) == summary
+    if payload is None:
+        assert not (tmp_path / "comparison.json").exists()
+    else:
+        assert _paths(json.loads((tmp_path / "comparison.json").read_text())) == payload
+
+
+def test_fluorescence_summary_key_order(refined_fluorescence):
+    out, manifest = refined_fluorescence
+    assert _paths(json.loads((out / "comparison.json").read_text())) == FLUORESCENCE_JSON
+    assert _paths(manifest["summary"]) == [
+        "fluorescence", *_under("fluorescence", FLUORESCENCE_JSON), "fluorescence.norm_balance",
+        *_under("fluorescence.norm_balance", ["two_channel", *_under("two_channel", BALANCE),
+                                              "one_channel", *_under("one_channel", BALANCE)])]
+
+
+@pytest.fixture(scope="module")
+def failing_sweep(tmp_path_factory):
+    """A three-leg sweep whose middle leg has a negative decay rate, run
+    serially and on two worker processes: (exit code, out dir) per jobs."""
+    root = tmp_path_factory.mktemp("failing_sweep")
+    cfg = tiny_continuum_config()
+    cfg["kind"] = "sweep"
+    cfg["sweep"] = {"parameter": "rates_override.decay_per_s",
+                    "values": [1.2e7, -1.0, 0.0], "run": "continuum"}
+    path = write_config(root, cfg)
+    runs = {}
+    for jobs in (1, 2):
+        out = root / f"jobs{jobs}"
+        runs[jobs] = main(["sweep", "--config", str(path), "--out", str(out),
+                           "--jobs", str(jobs)]), out
+    return runs
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_reports_a_failed_sub_run(failing_sweep, jobs):
+    """The failed leg is a status_ok 0 row of NaN and an error naming the bad
+    path; the other legs still run, and the CLI exits 1."""
+    code, out = failing_sweep[jobs]
+    assert code == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failed_sub_runs"] == 1
+    sweep = manifest["summary"]["sweep"]
+    assert _paths(sweep) == ["parameter", "values", "failed", "runs"]
+    assert sweep["failed"] == 1
+    assert [list(run) for run in sweep["runs"]] == [["index", "value", "error"]] * 3
+    assert [run["error"] is None for run in sweep["runs"]] == [True, False, True]
+    assert sweep["runs"][1]["error"].startswith(
+        "config error at rates_override.decay_per_s: -1.0 is less than")
+    cols = read_csv(out / "summary.csv")
+    assert list(cols) == ["value", "status_ok", "detected", "reflected",
+                          "mean_arrival_s", "std_arrival_s"]
+    np.testing.assert_array_equal(cols["value"], [1.2e7, -1.0, 0.0])
+    np.testing.assert_array_equal(cols["status_ok"], [1.0, 0.0, 1.0])
+    assert all(np.isnan(cols[name][1]) for name in list(cols)[2:])
+    assert cols["detected"][0] > 0.01 and np.isfinite(cols["mean_arrival_s"][0])
+
+
+def test_sweep_summary_does_not_depend_on_jobs(failing_sweep):
+    (_, serial), (_, parallel) = failing_sweep[1], failing_sweep[2]
+    assert (serial / "summary.csv").read_bytes() == (parallel / "summary.csv").read_bytes()

@@ -1,13 +1,13 @@
 """Conditional propagation: complex potential, Cayley stepping, norm drain,
 and the two-channel fluorescence analog."""
 
-import contextlib
 import warnings
 
 import numpy as np
 import pytest
 
 from spindetect import (
+    ComplexPotential,
     Grid1D,
     HBAR,
     HalfLineSensitivity,
@@ -61,27 +61,30 @@ def test_potential_shift_can_be_dropped():
 
 
 def test_potential_accepts_sampled_profiles():
+    """Profiles sampled on the grid (a rate map along the axis) build a
+    ComplexPotential directly; the builder takes scalar rates only."""
     grid = internal_grid(-2.0, 2.0, 0.5)
     decay = np.linspace(0.0, 4.0e6, grid.n_points)
     shift = np.linspace(-1.0e6, 1.0e6, grid.n_points)
-    pot = build_conditional_potential(decay, shift, HalfLineSensitivity(), grid)
-    # sampled profiles are taken verbatim, not multiplied by chi^2 again
+    pot = ComplexPotential(grid, decay, shift, region=(0.0, np.inf))
     np.testing.assert_allclose(pot.values, 0.5 * HBAR * (shift - 1j * decay))
+    with pytest.raises(TypeError):
+        build_conditional_potential(decay, 0.0, HalfLineSensitivity(), grid)
 
 
 def test_potential_rejects_gain_and_bad_shapes():
     grid = internal_grid(-2.0, 2.0, 0.5)
     with pytest.raises(ConfigurationError, match="nonnegative"):
         build_conditional_potential(-1.0, 0.0, HalfLineSensitivity(), grid)
-    with pytest.raises(ConfigurationError, match="nonnegative"):
-        build_conditional_potential(np.full(grid.n_points, -2.0), 0.0,
-                                    HalfLineSensitivity(), grid)
-    with pytest.raises(ConfigurationError, match="per grid point"):
-        build_conditional_potential(np.ones(3), 0.0, HalfLineSensitivity(), grid)
+    ok = np.zeros(grid.n_points)
     bad = np.full(grid.n_points, np.nan)
-    for name, args in (("decay_profile", (bad, 0.0)), ("shift_profile", (0.0, bad))):
-        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
-            build_conditional_potential(*args, HalfLineSensitivity(), grid)
+    for decay, shift, error in (
+            (np.full(grid.n_points, -2.0), ok, "decay profile must be nonnegative"),
+            (np.ones(3), ok, rf"decay_profile must have shape \({grid.n_points},\)"),
+            (bad, ok, "decay_profile must be finite"),
+            (ok, bad, "shift_profile must be finite")):
+        with pytest.raises(ConfigurationError, match=error):
+            ComplexPotential(grid, decay, shift, region=(0.0, np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +114,7 @@ def test_density_on_decay_support_matches_full_grid():
     x = grid.points() / L0
     decay = np.where(((x >= -6.0) & (x <= -2.0)) | ((x >= 1.0) & (x <= 5.0)),
                      0.2 * u.reference_frequency, 0.0)
-    pot = build_conditional_potential(decay, 0.0, HalfLineSensitivity(), grid)
+    pot = ComplexPotential(grid, decay, np.zeros_like(decay), region=(-6.0 * L0, 5.0 * L0))
     psi0 = free_evolved_packet(packet, 0.0, grid)
     traj = propagate_conditional(psi0, pot, (0.0, 1.0 * T0), 0.01 * T0,
                                  mass=packet.mass, snapshots=101)
@@ -396,6 +399,27 @@ def test_initial_norm_mismatch_is_flagged(absorbing_run):
         assert sum(mass_accounting(traj).values()) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_over_normalized_launch_fails_before_the_first_step(absorbing_run, monkeypatch):
+    """A launch norm above 1 would put P0 above 1: it is a configuration
+    error before any step, not a warning and then a NumericsError after the
+    whole run."""
+    packet, grid, pot, _ = absorbing_run
+    psi0 = np.sqrt(1.01) * free_evolved_packet(packet, 0.0, grid)
+    calls = []
+    original = CrankNicolson1D.step
+
+    def counted(self, psi):
+        calls.append(psi.size)
+        return original(self, psi)
+
+    monkeypatch.setattr(CrankNicolson1D, "step", counted)
+    with (warnings.catch_warnings(record=True) as caught,
+          pytest.raises(ConfigurationError, match=r"^initial norm .* exceeds 1$")):
+        warnings.simplefilter("always")
+        propagate_conditional(psi0, pot, (0.0, 0.1 * T0), 0.005 * T0, mass=packet.mass)
+    assert calls == [] and caught == []
+
+
 def test_edge_mass_triggers_warning():
     """The packet reaches the ends of a +-20 l0 grid, which also cuts off
     its launch tails: one edge-mass and one initial-norm warning."""
@@ -618,17 +642,20 @@ def test_two_channel_validation():
 
 
 def test_two_channel_record_bounds_the_survival():
-    """The two-channel run shares the record's check that P0 stays in
-    [0, 1]: an over-normalized launch is rejected."""
+    """The two-channel run shares the check that P0 stays in [0, 1]: an
+    over-normalized launch is rejected, in the shared core before any step,
+    without a warning."""
     u = make_units()
     packet = slow_packet()
     grid = internal_grid(-90.0, 90.0, 0.2)
     psi = 1.2 * free_evolved_packet(packet, 0.0, grid)
-    with (pytest.warns(UserWarning, match="initial norm"),
-          pytest.raises(NumericsError, match=r"left \[0, 1\]")):
+    with (warnings.catch_warnings(record=True) as caught,
+          pytest.raises(ConfigurationError, match=r"^initial norm .* exceeds 1$")):
+        warnings.simplefilter("always")
         propagate_two_channel(psi, np.zeros_like(psi), 0.0, HalfLineSensitivity(), 0.0,
                               u.reference_frequency, grid, (0.0, 0.1 * T0), 0.01 * T0,
                               mass=packet.mass)
+    assert caught == []
 
 
 def test_two_channel_guards():
@@ -749,20 +776,22 @@ def test_two_channel_region_is_the_lit_support():
 
 @pytest.mark.parametrize("norm", [0.99, 1.01])
 def test_two_channel_initial_norm_mismatch_is_flagged(norm):
-    """The two-channel launch warns of an initial norm off 1 as the
-    one-channel one does, at the caller's line; over 1, the record then
-    rejects the survival series."""
+    """The two-channel launch warns of an initial norm below 1 as the
+    one-channel one does, at the caller's line; over 1, it fails before the
+    first step."""
     u = make_units()
     packet = slow_packet()
     grid = internal_grid(-90.0, 90.0, 0.2)
     ground0 = np.sqrt(norm) * free_evolved_packet(packet, 0.0, grid)
-    rejected = (pytest.raises(NumericsError, match=r"left \[0, 1\]") if norm > 1.0
-                else contextlib.nullcontext())
-    with pytest.warns(UserWarning, match="initial norm .* differs from 1") as record, rejected:
+    outcome = (pytest.raises(ConfigurationError, match=r"^initial norm .* exceeds 1$")
+               if norm > 1.0 else
+               pytest.warns(UserWarning, match="initial norm .* differs from 1"))
+    with outcome as record:
         propagate_two_channel(ground0, np.zeros_like(ground0), 0.0, _lit(0.0, 10.0), 0.0,
                               u.reference_frequency, grid, (0.0, 0.1 * T0), 0.02 * T0,
                               mass=packet.mass)
-    assert [w.filename for w in record] == [__file__]
+    if norm < 1.0:
+        assert [w.filename for w in record] == [__file__]
 
 
 def test_adiabaticity_ratio_definition():

@@ -326,15 +326,22 @@ def test_bath_and_override_are_exclusive(build, error):
         resolve_config(cfg)
 
 
-def test_bath_cutoff_exclusivity():
+def test_bath_cutoff_is_a_ratio_above_one():
+    """The cutoff is given only as cutoff_ratio, cutoff / resonance: the
+    closed-form rates need a resonance below the cutoff, so a ratio <= 1
+    fails on validation, and an absolute cutoff_per_s is an unknown key."""
     cfg = rates_config()
-    cfg["bath"]["cutoff_per_s"] = 1.1e9
-    with pytest.raises(ConfigurationError, match="exactly one"):
+    cfg["bath"]["cutoff_per_s"] = 1.0e8
+    with pytest.raises(ConfigurationError,
+                       match=r"at bath: .*'cutoff_per_s' was unexpected"):
+        resolve_config(cfg)
+    del cfg["bath"]["cutoff_per_s"]
+    cfg["bath"]["cutoff_ratio"] = 1.0
+    with pytest.raises(ConfigurationError, match=r"at bath\.cutoff_ratio: 1\.0 is less"):
         resolve_config(cfg)
     del cfg["bath"]["cutoff_ratio"]
-    assert resolve_config(cfg)["kind"] == "rates"
-    del cfg["bath"]["cutoff_per_s"]
-    with pytest.raises(ConfigurationError, match="exactly one"):
+    with pytest.raises(ConfigurationError,
+                       match="at bath: 'cutoff_ratio' is a required property"):
         resolve_config(cfg)
 
 
