@@ -1,14 +1,15 @@
 """Command line interface.
 
     spindetect <kind> (--config cfg.json | --preset figure1) [--out DIR]
-               [--jobs N]
+    spindetect sweep --config cfg.json [--out DIR] [--jobs N]
     spindetect validate (--config cfg.json | --preset figure1)
 
 Every option of a run lives in its config; the flags only pick the config,
-the output directory and the number of sweep worker processes.
+the output directory and, for a sweep, the number of worker processes.
 
 Exit codes: 0 success, 1 runtime failure (including partially failed
-sweeps), 2 configuration or usage error.
+sweeps), 2 configuration or usage error (an output directory that cannot
+be created is one).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", type=Path, default=Path("spindetect-out"),
                            metavar="DIR", help="output directory "
                            "(default: ./spindetect-out)")
+        if kind == "sweep":
             p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
                            metavar="N", help="sweep worker processes (at least 1)")
     return parser
@@ -77,8 +79,12 @@ def main(argv=None) -> int:
                   + (f" label={label}" if label else ""))
             return 0
         cfg = resolve_config(raw, kind=args.command)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot create --out {args.out}: {exc}") from exc
         from .runner import run_config
-        manifest = run_config(cfg, args.out, jobs=args.jobs)
+        manifest = run_config(cfg, args.out, jobs=getattr(args, "jobs", 1))
     except SpindetectError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigurationError) else 1

@@ -22,10 +22,10 @@ split into Hermitian and anti-Hermitian discrete parts, the step map is
 4 Im<y|B y> <= 0.  Equality holds exactly when the field does not overlap
 the decay profile.  Since 1 - iB = 2 - (1 + iB), the step is
 
-    psi_{n+1} = 2 (1 + iB)^{-1} psi_n - psi_n,
+    mid = (1 + iB)^{-1} psi_n,   psi_{n+1} = 2 mid - psi_n,
 
-one solve and no explicit product; the solve output (1 + iB)^{-1} psi_n is
-the step midpoint (psi_n + psi_{n+1})/2, where the density is sampled.
+one solve and no explicit product; the solve output mid is the step
+midpoint (psi_n + psi_{n+1})/2, where the density is sampled.
 
 The same stepper, on an interleaved two-channel grid, propagates the
 fluorescence analog
@@ -38,15 +38,17 @@ limit is the detector's potential form with two-level rates on lit
 
 Both propagators share one core (_propagate: validation, units, step loop,
 density, norms, edge mass, initial norm) that returns one record,
-ConditionalTrajectory; they supply only their step (LAPACK zgttrs for one
-channel, SuperLU on the interleaved pair), the decay rates of their
-draining channel (the detector's decay profile, or the linewidth on the
-excited channel) and their region.  Norms are plain (pairwise) sums
-h * sum |psi|^2, as is the mass ledger (analysis.mass_accounting), and
-norm_balance checks the drain identity on either model's record.  The norms
-are computed from the field alone, never from the density, so that check
-stays a real test.  Edge mass and an initial norm below 1 raise
-UserWarnings; an initial norm above 1 is a ConfigurationError.
+ConditionalTrajectory; they supply only their solve y -> (1 + iB)^{-1} y
+(LAPACK zgttrs for one channel, SuperLU on the interleaved pair), the
+decay rates of their draining channel (the detector's decay profile, or
+the linewidth on the excited channel) and their region.  The core reads
+the density off the solve's output and applies the Cayley update once.
+Norms are plain (pairwise) sums h * sum |psi|^2, as is the mass ledger
+(analysis.mass_accounting), and norm_balance checks the drain identity on
+either model's record.  The norms are computed from the field alone, never
+from the density, so that check stays a real test.  Edge mass and an
+initial norm below 1 raise UserWarnings; an initial norm above 1 is a
+ConfigurationError.
 
 dt is the requested step.  The core divides it by the least integer that
 keeps the potential phase per step dt |V|max / hbar within PHASE_BUDGET,
@@ -160,9 +162,10 @@ class CrankNicolson1D:
     Works in dimensionless detector units: the caller supplies the
     potential as V / (hbar * omega_ref) and the time step as dt * omega_ref;
     the grid spacing must already be in units of the associated length.
-    The forward matrix 1 + iB is tridiagonal, factored by LAPACK zgttrf; a
-    step is the Cayley identity 2 (1 + iB)^{-1} psi - psi, one zgttrs solve
-    whose output is the midpoint (psi + next)/2.
+    The forward matrix 1 + iB is tridiagonal, factored by LAPACK zgttrf.
+    step(psi) is one zgttrs solve, (1 + iB)^{-1} psi: the midpoint
+    (psi + next)/2 of the Crank-Nicolson step from psi, whose next state is
+    2 step(psi) - psi.
     """
 
     def __init__(self, n_points: int, spacing: float, potential: np.ndarray, dt: float):
@@ -171,18 +174,14 @@ class CrankNicolson1D:
         # H psi = -(psi'' )/2 + V psi with the 3-point Laplacian
         diag = 1.0 + z * (1.0 / h2 + potential.astype(complex))
         dl = np.full(n_points - 1, z * (-0.5 / h2), dtype=complex)
-        dlf, df, duf, du2, ipiv, info = lapack.zgttrf(dl, diag, dl.copy())
+        *self._factors, info = lapack.zgttrf(dl, diag, dl.copy())
         if info != 0:
             raise NumericsError(f"step matrix factorization failed (info={info})")
-        self._factors = (dlf, df, duf, du2, ipiv)
 
     def step(self, psi: np.ndarray) -> np.ndarray:
-        dlf, df, duf, du2, ipiv = self._factors
-        out, info = lapack.zgttrs(dlf, df, duf, du2, ipiv, psi)
+        out, info = lapack.zgttrs(*self._factors, psi)
         if info != 0:
             raise NumericsError(f"tridiagonal solve failed (info={info})")
-        out *= 2.0
-        out -= psi
         return out
 
 
@@ -273,9 +272,10 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
     the step used; the kinetic and whole-step checks apply to it.  Without a
     reference_frequency the internal unit is the grid frequency
     hbar / (m h^2); dt H / hbar does not depend on it.  stepper(h_int,
-    dt_int, omega) returns the step, state to next state.  decay (1/s, one
-    per grid point) drains the last channel and no other, so the midpoint
-    density is w1 = sum decay |y + y_next|^2 h / 4 over that channel.  With
+    dt_int, omega) returns the solve y -> (1 + iB)^{-1} y, whose output mid
+    is the step midpoint; the next state is 2 mid - y.  decay (1/s, one per
+    grid point) drains the last channel and no other, so the midpoint
+    density is w1 = sum decay |mid|^2 h over that channel.  With
     the channel masses h sum |y_c|^2, the norms recorded under norm_names
     are their sum P0, then each mass after the first.  Edge mass above
     EDGE_MASS_WARN and an initial norm more than 1e-6 below 1 raise
@@ -313,12 +313,12 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
         reference_frequency = HBAR / (mass * grid.spacing ** 2)
     units = UnitSystem(reference_frequency=reference_frequency, mass=mass)
     h_int = grid.spacing / units.length_unit
-    step = stepper(h_int, dt * reference_frequency, reference_frequency)
+    solve = stepper(h_int, dt * reference_frequency, reference_frequency)
     channels = len(fields)
     # the density only needs the detector: first to last nonzero decay
     lo, hi = np.flatnonzero(decay)[[0, -1]] + (0, 1) if np.any(decay) else (0, 0)
     span = slice(lo * channels + channels - 1, hi * channels, channels)
-    decay_w = decay[lo:hi] * (0.25 * h_int)
+    decay_w = decay[lo:hi] * h_int
 
     def norms(y):
         dens = _abs2(y)
@@ -345,9 +345,11 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
     snap_pos = 1
     edge_max = 0.0
     for k in range(1, n_steps + 1):
-        y_next = step(y)
-        w1[k - 1] = np.sum(decay_w * _abs2(y[span] + y_next[span]))
-        y = y_next
+        mid = solve(y)
+        w1[k - 1] = np.sum(decay_w * _abs2(mid[span]))
+        mid *= 2.0
+        mid -= y
+        y = mid
         recorded[:, k] = norms(y)
         if snap_pos < snap_idx.size and k == snap_idx[snap_pos]:
             snaps[:, snap_pos] = y.reshape(n, channels).T
@@ -473,17 +475,8 @@ def propagate_two_channel(ground0: np.ndarray, excited0: np.ndarray, rabi: float
 
     def stepper(h_int, dt_int, omega):
         # the interleaved matrix is already a pentadiagonal band: no reordering
-        lu = splu(_two_channel_matrix(n, h_int, dt_int, omega_x / omega, excited_diag / omega),
-                  permc_spec="NATURAL")
-
-        def step(y):
-            # Cayley identity, as in CrankNicolson1D.step
-            out = lu.solve(y)
-            out *= 2.0
-            out -= y
-            return out
-
-        return step
+        return splu(_two_channel_matrix(n, h_int, dt_int, omega_x / omega,
+                                        excited_diag / omega), permc_spec="NATURAL").solve
 
     return _propagate((ground0, excited0), grid, t_span, dt, mass=mass,
                       vmax=HBAR * max(half_rabi, abs(excited_diag)),

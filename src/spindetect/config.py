@@ -409,6 +409,21 @@ def resolve_config(raw: dict, kind: str | None = None, *,
     cw = cfg.get("comparison", {}).get("window_recurrence_fraction")
     if cw and cw[1] <= cw[0]:
         _fail("comparison.window_recurrence_fraction", "must be increasing")
+
+    # each leg of a sweep is resolved as the sweep will run it
+    if kind == "sweep":
+        sw = cfg["sweep"]
+        key = "values" if "values" in sw else "factors"
+        base = 1.0 if key == "values" else float(get_by_path(cfg, sw["parameter"]))
+        for i, v in enumerate(sw[key]):
+            leg = set_by_path(cfg, sw["parameter"], base * float(v))
+            del leg["sweep"]
+            leg["kind"] = sw["run"]
+            try:
+                resolve_config(leg)
+            except ConfigurationError as exc:
+                message = str(exc).removeprefix("config error at ").removeprefix("config error: ")
+                _fail(f"sweep.{key}[{i}]", message)
     return cfg
 
 

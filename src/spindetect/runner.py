@@ -181,31 +181,32 @@ def _run_discrete(cfg: dict, scene: Scene, out_dir: Path):
 
 
 def _continuum_setup(cfg: dict, scene: Scene):
-    """Grid, time window, requested time step and launch packet of the
-    continuum and fluorescence runs; the propagators refine the step.
-    Returns (grid, t_span, dt, psi0)."""
+    """Grid, time window, requested time step, launch packet and snapshot
+    count of the continuum and fluorescence runs; the propagators refine
+    the step.  A run that writes no fields keeps only the 2 snapshots every
+    record holds, the launch and final fields.
+    Returns (grid, t_span, dt, psi0, snapshots)."""
     num = cfg["numerics"]["continuum"]
     u = scene.units
     grid = _space_grid(num, u.length_unit)
     times = _time_grid(num, u.time_unit)
     t0, t1 = float(times[0]), float(times[-1])
     psi0 = free_evolved_packet(scene.packet, t0, grid)
-    return grid, (t0, t1), num["time_step_t0"] * u.time_unit, psi0
+    snapshots = num["snapshots"] if num["write_fields"] else 2
+    return grid, (t0, t1), num["time_step_t0"] * u.time_unit, psi0, snapshots
 
 
 def _run_continuum(cfg: dict, scene: Scene, out_dir: Path):
-    num = cfg["numerics"]["continuum"]
-    grid, span, dt, psi0 = _continuum_setup(cfg, scene)
+    grid, span, dt, psi0, snapshots = _continuum_setup(cfg, scene)
     potential = build_conditional_potential(
         scene.rates.decay_rate, scene.rates.level_shift,
         scene.geometry.sensitivity, grid, include_shift=cfg["include_shift"])
     traj = propagate_conditional(
         psi0, potential, span, dt, mass=scene.packet.mass,
-        reference_frequency=scene.units.reference_frequency,
-        snapshots=num["snapshots"])
+        reference_frequency=scene.units.reference_frequency, snapshots=snapshots)
     traj.to_csv(out_dir / "w1_cont.csv")
     outputs = {"w1_cont": "w1_cont.csv"}
-    if num["write_fields"]:
+    if cfg["numerics"]["continuum"]["write_fields"]:
         traj.snapshots_to_csv(out_dir / "fields_cont.csv")
         outputs["fields_cont"] = "fields_cont.csv"
     summary = {"continuum": {
@@ -234,19 +235,17 @@ def _run_compare(cfg: dict, scene: Scene, out_dir: Path):
 
 
 def _run_fluorescence(cfg: dict, scene: Scene, out_dir: Path):
-    num = cfg["numerics"]["continuum"]
     fl = cfg["fluorescence"]
     u = scene.units
     lit = _build_sensitivity({"kind": "interval", **fl["region"]}, u)
     rabi, detuning, linewidth = fl["rabi_per_s"], fl["detuning_per_s"], fl["linewidth_per_s"]
-    grid, span, dt, psi0 = _continuum_setup(cfg, scene)
+    grid, span, dt, psi0, snapshots = _continuum_setup(cfg, scene)
     two = propagate_two_channel(psi0, np.zeros_like(psi0), rabi, lit, detuning, linewidth,
-                                grid, span, dt, mass=scene.packet.mass,
-                                snapshots=num["snapshots"])
+                                grid, span, dt, mass=scene.packet.mass, snapshots=snapshots)
     two.to_csv(out_dir / "w1_fluor.csv")
     outputs = {"w1_fluor": "w1_fluor.csv", "w1_limit": "w1_limit.csv",
                "comparison": "comparison.json"}
-    if num["write_fields"]:
+    if cfg["numerics"]["continuum"]["write_fields"]:
         two.snapshots_to_csv(out_dir / "fields_fluor.csv")
         outputs["fields_fluor"] = "fields_fluor.csv"
 
@@ -256,7 +255,7 @@ def _run_fluorescence(cfg: dict, scene: Scene, out_dir: Path):
     # |2 detuning + i linewidth|, else the limit leg refines further
     traj = propagate_conditional(
         psi0, potential, span, two.dt, mass=scene.packet.mass,
-        reference_frequency=u.reference_frequency, snapshots=num["snapshots"])
+        reference_frequency=u.reference_frequency, snapshots=snapshots)
     traj.to_csv(out_dir / "w1_limit.csv")
 
     kinetic = (HBAR * scene.packet.mean_wavenumber) ** 2 / (2.0 * scene.packet.mass)

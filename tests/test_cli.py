@@ -164,17 +164,31 @@ def test_continuum_run_with_config_overrides(tmp_path):
     assert split["detected"] > 0.01
 
 
-@pytest.mark.parametrize("flags", [["--no-shift"], ["--snapshots", "3"], ["--fields"],
-                                   ["--jobs", "0"], ["--jobs", "-5"]])
-def test_removed_flags_and_nonpositive_jobs_are_usage_errors(tmp_path, flags, capsys):
-    """The three override flags are gone (their config keys remain), and
-    --jobs below 1 is refused rather than clamped."""
+@pytest.mark.parametrize("command, flags", [
+    ("rates", ["--no-shift"]), ("rates", ["--snapshots", "3"]), ("rates", ["--fields"]),
+    ("sweep", ["--jobs", "0"]), ("sweep", ["--jobs", "-5"]), ("compare", ["--jobs", "2"])])
+def test_removed_flags_and_nonpositive_jobs_are_usage_errors(tmp_path, command, flags, capsys):
+    """The three override flags are gone (their config keys remain), --jobs
+    below 1 is refused rather than clamped, and only a sweep takes --jobs.
+    The flags fail before the config is read."""
     path = write_config(tmp_path, rates_config())
     with pytest.raises(SystemExit) as stop:
-        main(["rates", "--config", str(path), "--out", str(tmp_path / "out")] + flags)
+        main([command, "--config", str(path), "--out", str(tmp_path / "out")] + flags)
     assert stop.value.code == 2
     assert flags[0] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_out_that_cannot_be_created_is_a_usage_error(tmp_path, capsys):
+    """An --out naming an existing file is one error line and exit 2, not a
+    traceback."""
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    path = write_config(tmp_path, rates_config())
+    assert main(["rates", "--config", str(path), "--out", str(afile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create --out {afile}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_tabulated_table_is_relative_to_the_detector_start(tmp_path):
@@ -303,6 +317,27 @@ def refined_fluorescence_config():
 def refined_fluorescence(tmp_path_factory):
     out = tmp_path_factory.mktemp("refined_fluorescence")
     return out, runner.run_config(refined_fluorescence_config(), out)
+
+
+@pytest.mark.parametrize("build, fields_flag", [
+    (tiny_continuum_config, False), (tiny_continuum_config, True),
+    (refined_fluorescence_config, False), (refined_fluorescence_config, True),
+], ids=["continuum", "continuum-fields", "fluorescence", "fluorescence-fields"])
+def test_runs_keep_snapshots_only_when_they_write_fields(tmp_path, monkeypatch, build,
+                                                        fields_flag):
+    """Every propagation of a run keeps the configured snapshot count when
+    it writes fields, and only the launch and final fields (2) otherwise."""
+    seen = []
+    for name in ("propagate_conditional", "propagate_two_channel"):
+        def recording(*args, _original=getattr(runner, name), **kwargs):
+            seen.append(kwargs["snapshots"])
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(runner, name, recording)
+    cfg = build()
+    cfg["numerics"]["continuum"].update(snapshots=7, write_fields=fields_flag)
+    runner.run_config(cfg, tmp_path)
+    legs = 2 if cfg["kind"] == "fluorescence" else 1
+    assert seen == [7 if fields_flag else 2] * legs
 
 
 def test_refinement_is_one_manifest_warning(refined_fluorescence):
@@ -476,13 +511,14 @@ def test_fluorescence_summary_key_order(refined_fluorescence):
 
 @pytest.fixture(scope="module")
 def failing_sweep(tmp_path_factory):
-    """A three-leg sweep whose middle leg has a negative decay rate, run
-    serially and on two worker processes: (exit code, out dir) per jobs."""
+    """A three-leg sweep whose middle leg resolves but has a grid too coarse
+    for the packet, run serially and on two worker processes: (exit code,
+    out dir) per jobs."""
     root = tmp_path_factory.mktemp("failing_sweep")
     cfg = tiny_continuum_config()
     cfg["kind"] = "sweep"
-    cfg["sweep"] = {"parameter": "rates_override.decay_per_s",
-                    "values": [1.2e7, -1.0, 0.0], "run": "continuum"}
+    cfg["sweep"] = {"parameter": "numerics.continuum.grid_spacing_l0",
+                    "values": [0.05, 1.0, 0.05], "run": "continuum"}
     path = write_config(root, cfg)
     runs = {}
     for jobs in (1, 2):
@@ -494,8 +530,8 @@ def failing_sweep(tmp_path_factory):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_reports_a_failed_sub_run(failing_sweep, jobs):
-    """The failed leg is a status_ok 0 row of NaN and an error naming the bad
-    path; the other legs still run, and the CLI exits 1."""
+    """The failed leg is a status_ok 0 row of NaN and its run-time error; the
+    other legs still run, and the CLI exits 1."""
     code, out = failing_sweep[jobs]
     assert code == 1
     manifest = json.loads((out / "manifest.json").read_text())
@@ -505,12 +541,12 @@ def test_sweep_reports_a_failed_sub_run(failing_sweep, jobs):
     assert sweep["failed"] == 1
     assert [list(run) for run in sweep["runs"]] == [["index", "value", "error"]] * 3
     assert [run["error"] is None for run in sweep["runs"]] == [True, False, True]
-    assert sweep["runs"][1]["error"].startswith(
-        "config error at rates_override.decay_per_s: -1.0 is less than")
+    assert sweep["runs"][1]["error"].startswith("grid spacing ")
+    assert "does not resolve the packet" in sweep["runs"][1]["error"]
     cols = read_csv(out / "summary.csv")
     assert list(cols) == ["value", "status_ok", "detected", "reflected",
                           "mean_arrival_s", "std_arrival_s"]
-    np.testing.assert_array_equal(cols["value"], [1.2e7, -1.0, 0.0])
+    np.testing.assert_array_equal(cols["value"], [0.05, 1.0, 0.05])
     np.testing.assert_array_equal(cols["status_ok"], [1.0, 0.0, 1.0])
     assert all(np.isnan(cols[name][1]) for name in list(cols)[2:])
     assert cols["detected"][0] > 0.01 and np.isfinite(cols["mean_arrival_s"][0])
@@ -519,3 +555,25 @@ def test_sweep_reports_a_failed_sub_run(failing_sweep, jobs):
 def test_sweep_summary_does_not_depend_on_jobs(failing_sweep):
     (_, serial), (_, parallel) = failing_sweep[1], failing_sweep[2]
     assert (serial / "summary.csv").read_bytes() == (parallel / "summary.csv").read_bytes()
+
+
+@pytest.mark.parametrize("parameter, values, error", [
+    ("bath.cutoff_ratio", [4.6, 0.5],
+     "config error at sweep.values[1]: bath.cutoff_ratio: 0.5 is less than or equal to"),
+    ("numerics.continuum.snapshots", [5.0, 2.5],
+     "config error at sweep.values[1]: numerics.continuum.snapshots: 2.5 is not of type"),
+    ("bath.cutoff_ratio", None, "config error at sweep.factors[1]: bath.cutoff_ratio: "),
+], ids=["schema-bound", "integer", "factor"])
+def test_sweep_legs_are_validated_before_any_runs(tmp_path, capsys, parameter, values, error):
+    """Each leg is resolved as the sweep would run it: validate and sweep
+    both exit 2 naming the leg, and no sub-run directory is made."""
+    cfg = helpers.sweep_tradeoff_config()
+    cfg["sweep"] = ({"parameter": parameter, "values": values, "run": "continuum"}
+                    if values else {"parameter": parameter, "factors": [1.0, 0.1]})
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out), "--jobs", "1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+    assert not (out / "run_000").exists()

@@ -92,6 +92,8 @@ def test_potential_rejects_gain_and_bad_shapes():
 
 
 def test_step_matches_dense_solve():
+    """step is the solve (1 + iB)^{-1} psi, the step midpoint, and the
+    Cayley update 2 step(psi) - psi is the Crank-Nicolson step."""
     rng = np.random.default_rng(3)
     n, h, dt = 16, 0.7, 0.13
     v = rng.normal(size=n) - 1j * rng.uniform(0.0, 0.5, size=n)
@@ -99,9 +101,11 @@ def test_step_matches_dense_solve():
         + np.diag(np.full(n - 1, -0.5 / h**2), -1)
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
     stepper = CrankNicolson1D(n, h, v, dt)
-    expected = np.linalg.solve(np.eye(n) + 0.5j * dt * ham,
-                               (np.eye(n) - 0.5j * dt * ham) @ psi)
-    np.testing.assert_allclose(stepper.step(psi), expected, atol=1e-13)
+    forward = np.eye(n) + 0.5j * dt * ham
+    mid = stepper.step(psi)
+    np.testing.assert_allclose(mid, np.linalg.solve(forward, psi), atol=1e-13)
+    expected = np.linalg.solve(forward, (np.eye(n) - 0.5j * dt * ham) @ psi)
+    np.testing.assert_allclose(2.0 * mid - psi, expected, atol=1e-13)
 
 
 def test_density_on_decay_support_matches_full_grid():
