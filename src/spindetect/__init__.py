@@ -25,8 +25,7 @@ from .conditional import (ComplexPotential, ConditionalTrajectory,
                           propagate_conditional, propagate_two_channel)
 from .config import load_preset, preset_names, resolve_config
 from .discrete import (DiscreteDetectionSeries, InteriorEigenbasis, ScatteringSolution,
-                       ScatteringSynthesis, SectorState, channel_wavenumbers,
-                       detection_density_discrete, evolve_packet_discrete,
+                       ScatteringSynthesis, SectorState, detection_density_discrete,
                        interior_eigenmodes, match_at_origin)
 from .errors import ConfigurationError, NumericsError, SpindetectError
 from .model import (DetectorGeometry, Grid1D, HalfLineSensitivity, IntervalSensitivity,
@@ -48,9 +47,8 @@ __all__ = [
     "one_channel_limit_potential", "propagate_conditional", "propagate_two_channel",
     "load_preset", "preset_names", "resolve_config",
     "DiscreteDetectionSeries", "InteriorEigenbasis", "ScatteringSolution",
-    "ScatteringSynthesis", "SectorState", "channel_wavenumbers",
-    "detection_density_discrete", "evolve_packet_discrete", "interior_eigenmodes",
-    "match_at_origin",
+    "ScatteringSynthesis", "SectorState", "detection_density_discrete",
+    "interior_eigenmodes", "match_at_origin",
     "ConfigurationError", "NumericsError", "SpindetectError",
     "DetectorGeometry", "Grid1D", "HalfLineSensitivity", "IntervalSensitivity",
     "SpinRegion3D", "TabulatedSensitivity", "ball_region", "single_spin",

@@ -374,7 +374,7 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
 def propagate_conditional(psi0: np.ndarray, potential: ComplexPotential,
                           t_span: tuple[float, float], dt: float, *, mass: float,
                           reference_frequency: float | None = None,
-                          snapshots: int = 512) -> ConditionalTrajectory:
+                          snapshots: int = 2) -> ConditionalTrajectory:
     """Propagate psi0 (SI, units m^-1/2) under p^2/2m + V from t_span[0] to
     t_span[1] in uniform steps, recording the survival probability at
     every step boundary and the detection density at every step midpoint.
@@ -388,6 +388,8 @@ def propagate_conditional(psi0: np.ndarray, potential: ComplexPotential,
     Mass accumulating within EDGE_CELLS of either grid end above 1e-6, and
     an initial norm below 1 by more than 1e-6, raise a UserWarning, not an
     error; an initial norm above 1 is a configuration error.
+    snapshots is the number of field snapshots kept, evenly spaced in
+    steps; the default 2 keeps the launch and final fields only.
     """
     grid = potential.grid
     return _propagate(
@@ -451,7 +453,7 @@ def _two_channel_matrix(n: int, h_int: float, dt_int: float, rabi_int: np.ndarra
 def propagate_two_channel(ground0: np.ndarray, excited0: np.ndarray, rabi: float,
                           lit: Sensitivity, detuning: float, linewidth: float,
                           grid: Grid1D, t_span: tuple[float, float], dt: float, *,
-                          mass: float, snapshots: int = 128) -> ConditionalTrajectory:
+                          mass: float, snapshots: int = 2) -> ConditionalTrajectory:
     """Propagate the coupled ground/excited fields of the fluorescence model.
 
     The conditional generator is kinetic energy on both channels plus the
@@ -464,7 +466,8 @@ def propagate_two_channel(ground0: np.ndarray, excited0: np.ndarray, rabi: float
     in propagate_conditional (the step used is traj.dt), with |V|max the
     larger of hbar|Omega|/2 and hbar|2*detuning + i*linewidth|/2.  The
     record's norms are the combined norm P0 and the excited mass; its region
-    is lit.support.
+    is lit.support.  snapshots is as in propagate_conditional (default 2,
+    the launch and final fields).
     """
     n = grid.n_points
     rabi, detuning = checked_scalar("rabi", rabi), checked_scalar("detuning", detuning)

@@ -95,11 +95,6 @@ class InteriorEigenbasis:
     def n_modes(self) -> int:
         return len(self.mode_frequencies)
 
-    @property
-    def eigenfrequencies(self) -> np.ndarray:
-        """Omega_mu in rad/s."""
-        return 2.0 * self.levels * self.resonance
-
 
 def interior_eigenmodes(geometry: DetectorGeometry,
                         bath: RectangularBath) -> InteriorEigenbasis:
@@ -148,26 +143,6 @@ def _wavenumbers_internal(basis: InteriorEigenbasis, k_int: np.ndarray
     return k_l, q_mu
 
 
-def channel_wavenumbers(basis: InteriorEigenbasis, mass: float, k
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """SI channel wavenumbers (k_l, q_mu) for incident SI k > 0.
-
-    mass is the particle mass in kg (it enters through the kinetic term).
-    Returns complex arrays shaped (nk, N) and (nk, N+1); scalar k gives
-    (N,), (N+1,).
-    """
-    units = UnitSystem(reference_frequency=basis.resonance, mass=mass)
-    k_arr = np.atleast_1d(np.asarray(k, dtype=float))
-    if np.any(k_arr <= 0):
-        raise ConfigurationError("incident wavenumbers must be positive")
-    k_l, q_mu = _wavenumbers_internal(basis, units.wavenumber_in(k_arr))
-    k_l = k_l / units.length_unit
-    q_mu = q_mu / units.length_unit
-    if np.ndim(k) == 0:
-        return k_l[0], q_mu[0]
-    return k_l, q_mu
-
-
 # ---------------------------------------------------------------------------
 # Matching at the interface
 # ---------------------------------------------------------------------------
@@ -185,17 +160,6 @@ class ScatteringSolution:
     flux_defect: np.ndarray          # (nk,) relative defect
     matching_residual: np.ndarray    # (nk,) relative residual
     failed: np.ndarray               # (nk,) bool, nodes with no solution
-
-    @property
-    def open_interior(self) -> np.ndarray:
-        return np.abs(self.interior_wavenumbers.imag) == 0.0
-
-    def transmitted_flux_fraction(self) -> np.ndarray:
-        """Interior (detected-and-forward) flux share of the incident flux."""
-        q = self.interior_wavenumbers
-        share = np.sum(np.where(self.open_interior, q.real, 0.0)
-                       * np.abs(self.interior_amplitudes) ** 2, axis=1)
-        return share / self.k
 
 
 def _matching_residual(basis, k_int, k_l, q_mu, r0, r_l, alpha) -> np.ndarray:
@@ -324,7 +288,9 @@ class ScatteringSynthesis:
     """Shared machinery: quadrature, matching solutions, packet coefficients.
 
     Heavy pieces (matching solve, overlap Gram matrix) are built once and
-    reused by both the time series and the field snapshots.
+    reused by both the time series and the field snapshots. Only the matched
+    k-nodes are kept: a node that `match_at_origin` marks failed is dropped,
+    with a warning, from every per-node array (`solution` keeps all nodes).
     """
 
     def __init__(self, packet: GaussianPacketSpec, geometry: DetectorGeometry,
@@ -333,22 +299,23 @@ class ScatteringSynthesis:
         self.units = UnitSystem(reference_frequency=geometry.resonance, mass=packet.mass)
         k_si, w_si = packet.quadrature_nodes(k_nodes)
         psi = momentum_amplitude(packet, k_si)
-        self.solution = match_at_origin(self.basis, packet.mass, k_si)
-        n_failed = int(np.sum(self.solution.failed))
+        self.solution = sol = match_at_origin(self.basis, packet.mass, k_si)
+        n_failed = int(np.sum(sol.failed))
         if n_failed:
             warnings.warn(f"dropping {n_failed} failed matching nodes from synthesis")
+        # the matched nodes; a slice when all matched, so that indexing
+        # takes views of the solution instead of copies
+        ok = ~sol.failed if n_failed else slice(None)
         lu = self.units.length_unit
-        self.k_int = np.asarray(self.units.wavenumber_in(k_si))
+        self.k_int = np.asarray(self.units.wavenumber_in(k_si[ok]))
         # combined coefficient w * psi in internal units
-        self.coeff = np.where(self.solution.failed, 0.0, w_si * psi * np.sqrt(lu))
+        self.coeff = (w_si * psi * np.sqrt(lu))[ok]
         self.energies_int = 0.5 * self.k_int**2
-        self.k_l_int = self.solution.flipped_wavenumbers * lu
-        self.q_mu_int = self.solution.interior_wavenumbers * lu
-        self.r0 = np.where(self.solution.failed, 0.0, self.solution.reflection_undetected)
-        self.r_l = np.where(self.solution.failed[:, None], 0.0,
-                            self.solution.reflection_detected)
-        self.alpha = np.where(self.solution.failed[:, None], 0.0,
-                              self.solution.interior_amplitudes)
+        self.k_l_int = sol.flipped_wavenumbers[ok] * lu
+        self.q_mu_int = sol.interior_wavenumbers[ok] * lu
+        self.r0 = sol.reflection_undetected[ok]
+        self.r_l = sol.reflection_detected[ok]
+        self.alpha = sol.interior_amplitudes[ok]
         # no-flip interior amplitudes: beta_mu = U[0, mu] * alpha_mu
         self.beta = self.alpha * self.basis.vectors[0, :][None, :]
 
@@ -418,7 +385,6 @@ class ScatteringSynthesis:
         left_edge = np.max(np.abs(phi_at_edge @ c_mat) ** 2) / (2.0 * np.pi)
         return {
             "no_flip_mass": left + right,
-            "left_mass": left,
             "right_mass": right,
             "edge_density_internal": max(edge_density, left_edge),
         }
@@ -464,14 +430,6 @@ class ScatteringSynthesis:
                 flipped[:, n_neg + start:n_neg + stop] = u_mat[1:] @ block
         scale = 1.0 / (ROOT_2PI * np.sqrt(self.units.length_unit))
         return SectorState(grid=grid, no_flip=no_flip * scale, flipped=flipped * scale)
-
-
-def evolve_packet_discrete(packet: GaussianPacketSpec, t: float, grid: Grid1D,
-                           geometry: DetectorGeometry, bath: RectangularBath,
-                           *, k_nodes: int = 2001) -> SectorState:
-    """All channel fields at time t (one-off convenience wrapper)."""
-    synth = ScatteringSynthesis(packet, geometry, bath, k_nodes=k_nodes)
-    return synth.state(t, grid)
 
 
 # ---------------------------------------------------------------------------

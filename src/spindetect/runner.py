@@ -252,10 +252,10 @@ def _run_fluorescence(cfg: dict, scene: Scene, out_dir: Path):
     potential = one_channel_limit_potential(rabi, lit, detuning, linewidth, grid)
     # the two-channel leg's step, so both densities share one time grid; the
     # limit potential's |V|max is below the two-channel one when Omega <=
-    # |2 detuning + i linewidth|, else the limit leg refines further
-    traj = propagate_conditional(
-        psi0, potential, span, two.dt, mass=scene.packet.mass,
-        reference_frequency=u.reference_frequency, snapshots=snapshots)
+    # |2 detuning + i linewidth|, else the limit leg refines further.  Its
+    # fields are never written, so it keeps the default 2 snapshots
+    traj = propagate_conditional(psi0, potential, span, two.dt, mass=scene.packet.mass,
+                                 reference_frequency=u.reference_frequency)
     traj.to_csv(out_dir / "w1_limit.csv")
 
     kinetic = (HBAR * scene.packet.mean_wavenumber) ** 2 / (2.0 * scene.packet.mass)

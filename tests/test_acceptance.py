@@ -18,11 +18,11 @@ from spindetect import (
     DirectionalCoupling,
     DirectionalSpectrum3D,
     Grid1D,
+    ScatteringSynthesis,
     SpinRegion3D,
     ball_region,
     build_conditional_potential,
     decay_rate_and_shift,
-    evolve_packet_discrete,
     free_evolved_packet,
     interior_eigenmodes,
     match_at_origin,
@@ -237,9 +237,8 @@ def test_free_limits_recover_analytic_packet(criterion_report):
     packet_d = fig1_packet()
     grid_d = Grid1D(-120.0 * l0u, 160.0 * l0u, 14001)
     t_d = 10.0 * t0u
-    state = evolve_packet_discrete(packet_d, t_d, grid_d, fig1_geometry(),
-                                   make_bath(coupling=0.0, modes=8),
-                                   k_nodes=1201)
+    state = ScatteringSynthesis(packet_d, fig1_geometry(), make_bath(coupling=0.0, modes=8),
+                                k_nodes=1201).state(t_d, grid_d)
     gap_disc = l2_distance(grid_d, state.no_flip,
                            free_evolved_packet(packet_d, t_d, grid_d))
 

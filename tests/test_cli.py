@@ -325,19 +325,21 @@ def refined_fluorescence(tmp_path_factory):
 ], ids=["continuum", "continuum-fields", "fluorescence", "fluorescence-fields"])
 def test_runs_keep_snapshots_only_when_they_write_fields(tmp_path, monkeypatch, build,
                                                         fields_flag):
-    """Every propagation of a run keeps the configured snapshot count when
-    it writes fields, and only the launch and final fields (2) otherwise."""
-    seen = []
+    """A propagation keeps the configured snapshot count when the run writes
+    its fields, and only the launch and final fields (2) otherwise; the
+    fluorescence limit leg's fields are never written."""
+    kept = []
     for name in ("propagate_conditional", "propagate_two_channel"):
         def recording(*args, _original=getattr(runner, name), **kwargs):
-            seen.append(kwargs["snapshots"])
-            return _original(*args, **kwargs)
+            traj = _original(*args, **kwargs)
+            kept.append(traj.snapshots.shape[1])
+            return traj
         monkeypatch.setattr(runner, name, recording)
     cfg = build()
     cfg["numerics"]["continuum"].update(snapshots=7, write_fields=fields_flag)
     runner.run_config(cfg, tmp_path)
-    legs = 2 if cfg["kind"] == "fluorescence" else 1
-    assert seen == [7 if fields_flag else 2] * legs
+    written = 7 if fields_flag else 2
+    assert kept == ([written, 2] if cfg["kind"] == "fluorescence" else [written])
 
 
 def test_refinement_is_one_manifest_warning(refined_fluorescence):

@@ -620,6 +620,29 @@ def test_two_channel_csv_and_snapshots(tmp_path):
                           "detection_density_per_s"]
 
 
+def test_both_propagators_keep_launch_and_final_fields_by_default():
+    """Called without `snapshots`, either propagator keeps exactly two field
+    snapshots: the launch field at t0 and the final field at t1."""
+    u = make_units()
+    packet = slow_packet()
+    grid = internal_grid(-90.0, 90.0, 0.2)
+    psi0 = free_evolved_packet(packet, 0.0, grid)
+    span = (0.0, 1.0 * T0)
+    one = propagate_conditional(
+        psi0, build_conditional_potential(2.0 * u.reference_frequency, 0.0,
+                                          _lit(0.0, 10.0), grid),
+        span, 0.02 * T0, mass=packet.mass)
+    two = propagate_two_channel(psi0, np.zeros_like(psi0), 0.2 * u.reference_frequency,
+                                _lit(0.0, 10.0), 0.0, 2.0 * u.reference_frequency, grid,
+                                span, 0.02 * T0, mass=packet.mass)
+    for traj in (one, two):
+        assert traj.times.size > 3
+        np.testing.assert_array_equal(traj.snapshot_times, [traj.times[0], traj.times[-1]])
+        assert traj.snapshot_times[-1] == pytest.approx(span[1], rel=1e-12)
+        np.testing.assert_array_equal(traj.snapshots[:, -1], traj.final_fields)
+    np.testing.assert_allclose(one.snapshots[0, 0], psi0, rtol=1e-14, atol=1e-12)
+
+
 def test_two_channel_validation():
     u = make_units()
     packet = slow_packet()

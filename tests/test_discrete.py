@@ -7,9 +7,7 @@ from spindetect import (
     Grid1D,
     HalfLineSensitivity,
     ScatteringSynthesis,
-    channel_wavenumbers,
     detection_density_discrete,
-    evolve_packet_discrete,
     free_evolved_packet,
     interior_eigenmodes,
     match_at_origin,
@@ -22,7 +20,6 @@ from spindetect.output import read_csv
 from helpers import (
     CESIUM_MASS_KG,
     MODES,
-    RESONANCE,
     fig1_geometry,
     fig1_packet,
     l2_distance,
@@ -50,16 +47,16 @@ def test_eigenbasis_levels(fig1_basis):
     # weak coupling barely moves the bare sector levels -1/2 + l/N * 4.6
     assert lam[0] == pytest.approx(-0.5 + 4.6 / MODES, abs=2e-3)
     assert lam[-1] == pytest.approx(-0.5 + 4.6, abs=2e-3)
-    np.testing.assert_allclose(fig1_basis.eigenfrequencies,
-                               2.0 * lam * RESONANCE, rtol=1e-14)
 
 
 def test_channel_wavenumbers_consistent(fig1_basis):
     mass = CESIUM_MASS_KG
     k1 = np.array([fig1_packet().mean_wavenumber])
     k2 = 1.3 * k1
-    kl1, qm1 = channel_wavenumbers(fig1_basis, mass, k1)
-    kl2, qm2 = channel_wavenumbers(fig1_basis, mass, k2)
+    sol1 = match_at_origin(fig1_basis, mass, k1)
+    sol2 = match_at_origin(fig1_basis, mass, k2)
+    kl1, qm1 = sol1.flipped_wavenumbers, sol1.interior_wavenumbers
+    kl2, qm2 = sol2.flipped_wavenumbers, sol2.interior_wavenumbers
     # the offset k^2 - k_l^2 is a property of the channel, not of k
     np.testing.assert_allclose(k1**2 - kl1**2, k2**2 - kl2**2, rtol=1e-10)
     np.testing.assert_allclose(k1**2 - qm1**2, k2**2 - qm2**2, rtol=1e-10)
@@ -96,10 +93,10 @@ def test_matching_at_channel_thresholds(fig1_basis, closing):
     else:
         lam = fig1_basis.levels
         k = np.sqrt(2.0 * lam[lam > 0.5] - 1.0) / lu
-    k_l, q_mu = channel_wavenumbers(fig1_basis, CESIUM_MASS_KG, k)
-    closed = np.min(np.abs(k_l if closing == "flipped" else q_mu), axis=1)
-    assert np.all(closed * lu < 1e-7) and np.any(closed == 0.0)
     sol = match_at_origin(fig1_basis, CESIUM_MASS_KG, k)
+    closing_k = sol.flipped_wavenumbers if closing == "flipped" else sol.interior_wavenumbers
+    closed = np.min(np.abs(closing_k), axis=1)
+    assert np.all(closed * lu < 1e-7) and np.any(closed == 0.0)
     assert not sol.failed.any()
     assert np.max(sol.flux_defect) < 1e-8
     assert np.max(sol.matching_residual) < 1e-10
@@ -110,9 +107,52 @@ def test_zero_coupling_is_transparent():
     k = np.linspace(0.8, 1.2, 7) * fig1_packet().mean_wavenumber
     sol = match_at_origin(basis, CESIUM_MASS_KG, k)
     assert np.max(np.abs(sol.reflection_undetected)) < 1e-10
-    np.testing.assert_allclose(sol.transmitted_flux_fraction(), 1.0, atol=1e-10)
+    # the flux balance with no reflected flux leaves all of it transmitted
+    assert np.max(sol.flux_defect) < 1e-10
     # no boson can be emitted, so nothing comes back in a flipped channel
     assert np.max(np.abs(sol.reflection_detected)) < 1e-10
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0e7, [1.0e7, 0.0]], ids=["zero", "negative", "array"])
+def test_matching_rejects_nonpositive_wavenumbers(fig1_basis, k):
+    with pytest.raises(ConfigurationError, match="incident wavenumbers must be positive"):
+        match_at_origin(fig1_basis, CESIUM_MASS_KG, k)
+
+
+def test_failed_matching_node_is_dropped_from_the_synthesis(monkeypatch):
+    """A node that match_at_origin marks failed, its amplitudes NaN as in a
+    real failure, is dropped from every per-node array of the synthesis:
+    it holds k_nodes - 1 finite nodes, and its series and fields are
+    finite."""
+    from spindetect import discrete
+
+    solve = discrete.match_at_origin
+
+    def first_node_fails(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        solution.failed[0] = True
+        for amplitudes in (solution.reflection_undetected, solution.reflection_detected,
+                           solution.interior_amplitudes):
+            amplitudes[0] = np.nan
+        return solution
+
+    monkeypatch.setattr(discrete, "match_at_origin", first_node_fails)
+    units = make_units()
+    lu, tu = units.length_unit, units.time_unit
+    with pytest.warns(UserWarning, match="dropping 1 failed matching nodes from synthesis"):
+        synth = ScatteringSynthesis(fig1_packet(), fig1_geometry(), make_bath(modes=6),
+                                    k_nodes=101)
+    assert len(synth.solution.k) == 101
+    for per_node in (synth.k_int, synth.coeff, synth.energies_int, synth.k_l_int,
+                     synth.q_mu_int, synth.r0, synth.r_l, synth.alpha, synth.beta):
+        assert len(per_node) == 100
+        assert np.all(np.isfinite(per_node))
+    times = np.array([-4.0, 0.0, 4.0]) * tu
+    series = synth.no_flip_norm_series(times, x_min=-150.0 * lu, x_max=150.0 * lu,
+                                       right_points=2001)
+    assert all(np.all(np.isfinite(v)) for v in series.values())
+    state = synth.state(0.0, Grid1D(-50.0 * lu, 50.0 * lu, 201))
+    assert np.all(np.isfinite(state.no_flip)) and np.all(np.isfinite(state.flipped))
 
 
 def test_free_synthesis_matches_analytic_packet():
@@ -124,8 +164,7 @@ def test_free_synthesis_matches_analytic_packet():
     lu = units.length_unit
     grid = Grid1D(-80.0 * lu, 120.0 * lu, 4001)
     t = 5.0 * units.time_unit
-    state = evolve_packet_discrete(packet, t, grid, geometry, bath,
-                                   k_nodes=801)
+    state = ScatteringSynthesis(packet, geometry, bath, k_nodes=801).state(t, grid)
     exact = free_evolved_packet(packet, t, grid)
     assert l2_distance(grid, state.no_flip, exact) < 1e-6
     assert np.max(np.abs(state.flipped)) < 1e-10 * np.max(np.abs(exact))

@@ -25,7 +25,6 @@ from spindetect import (
     adiabaticity_ratio,
     ball_region,
     build_conditional_potential,
-    channel_wavenumbers,
     correlation_kernel,
     decay_rate_and_shift,
     free_evolved_packet,
@@ -111,8 +110,6 @@ SCALARS = [
      lambda v: decay_rate_and_shift(BATH, v)),
     ("markov_summary", "resonance", "positive", lambda v: markov_summary(BATH, v)),
     ("scaled_ensemble", "scaling_exponent", "", _scaled_ensemble),
-    ("channel_wavenumbers", "mass", "positive",
-     lambda v: channel_wavenumbers(interior_eigenmodes(fig1_geometry(), BATH), v, 1e7)),
     ("match_at_origin", "mass", "positive",
      lambda v: match_at_origin(interior_eigenmodes(fig1_geometry(), BATH), v, 1e7)),
     ("ScatteringSynthesis.state", "t_si", "", lambda v: _synthesis().state(v, GRID)),
