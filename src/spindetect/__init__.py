@@ -12,47 +12,44 @@ arrival-time density two ways and compares them:
 plus the bath decay rate / level shift in closed form and by quadrature,
 a two-channel fluorescence analog with its one-channel limit, and 3D
 multi-spin rate maps with ensemble scaling.
+
+Importing the package loads none of its modules: a public name is imported
+from its module when first read, and a submodule is an attribute once imported.
 """
 
-from .analysis import arrival_stats, compare_curves, mass_accounting
-from .bath import (DirectionalCoupling, DirectionalSpectrum3D, GeneralBath,
-                   MarkovSummary, RateMap, RatesResult, RectangularBath,
-                   correlation_kernel, decay_rate_and_shift, markov_summary,
-                   modified_frequencies, rate_map_3d, scaled_ensemble)
-from .conditional import (ComplexPotential, ConditionalTrajectory,
-                          adiabaticity_ratio, build_conditional_potential,
-                          norm_balance, one_channel_limit_potential,
-                          propagate_conditional, propagate_two_channel)
-from .config import load_preset, preset_names, resolve_config
-from .discrete import (DiscreteDetectionSeries, InteriorEigenbasis, ScatteringSolution,
-                       ScatteringSynthesis, SectorState, detection_density_discrete,
-                       interior_eigenmodes, match_at_origin)
-from .errors import ConfigurationError, NumericsError, SpindetectError
-from .model import (DetectorGeometry, Grid1D, HalfLineSensitivity, IntervalSensitivity,
-                    SpinRegion3D, TabulatedSensitivity, ball_region, single_spin)
-from .packets import GaussianPacketSpec, free_evolved_packet, momentum_amplitude
-from .runner import build_scene, run_config
-from .units import CESIUM_MASS_KG, HBAR, UnitSystem
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "arrival_stats", "compare_curves", "mass_accounting",
-    "DirectionalCoupling", "DirectionalSpectrum3D", "GeneralBath", "MarkovSummary",
-    "RateMap", "RatesResult", "RectangularBath", "correlation_kernel",
-    "decay_rate_and_shift", "markov_summary", "modified_frequencies",
-    "rate_map_3d", "scaled_ensemble",
-    "ComplexPotential", "ConditionalTrajectory",
-    "adiabaticity_ratio", "build_conditional_potential", "norm_balance",
-    "one_channel_limit_potential", "propagate_conditional", "propagate_two_channel",
-    "load_preset", "preset_names", "resolve_config",
-    "DiscreteDetectionSeries", "InteriorEigenbasis", "ScatteringSolution",
-    "ScatteringSynthesis", "SectorState", "detection_density_discrete",
-    "interior_eigenmodes", "match_at_origin",
-    "ConfigurationError", "NumericsError", "SpindetectError",
-    "DetectorGeometry", "Grid1D", "HalfLineSensitivity", "IntervalSensitivity",
-    "SpinRegion3D", "TabulatedSensitivity", "ball_region", "single_spin",
-    "GaussianPacketSpec", "free_evolved_packet", "momentum_amplitude",
-    "build_scene", "run_config",
-    "CESIUM_MASS_KG", "HBAR", "UnitSystem",
-]
+# each public name -> the module that defines it
+_MODULE_OF = {name: module for module, names in {
+    "analysis": ("arrival_stats", "compare_curves", "mass_accounting"),
+    "bath": ("DirectionalCoupling", "DirectionalSpectrum3D", "GeneralBath", "MarkovSummary",
+             "RateMap", "RatesResult", "RectangularBath", "correlation_kernel",
+             "decay_rate_and_shift", "markov_summary", "modified_frequencies",
+             "rate_map_3d", "scaled_ensemble"),
+    "conditional": ("ComplexPotential", "ConditionalTrajectory", "adiabaticity_ratio",
+                    "build_conditional_potential", "norm_balance",
+                    "one_channel_limit_potential", "propagate_conditional",
+                    "propagate_two_channel"),
+    "config": ("load_preset", "preset_names", "resolve_config"),
+    "discrete": ("DiscreteDetectionSeries", "InteriorEigenbasis", "ScatteringSolution",
+                 "ScatteringSynthesis", "SectorState", "detection_density_discrete",
+                 "interior_eigenmodes", "match_at_origin"),
+    "errors": ("ConfigurationError", "NumericsError", "SpindetectError"),
+    "model": ("DetectorGeometry", "Grid1D", "HalfLineSensitivity", "IntervalSensitivity",
+              "SpinRegion3D", "TabulatedSensitivity", "ball_region", "single_spin"),
+    "packets": ("GaussianPacketSpec", "free_evolved_packet", "momentum_amplitude"),
+    "runner": ("build_scene", "run_config"),
+    "units": ("CESIUM_MASS_KG", "HBAR", "UnitSystem"),
+}.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import a public name from its module on first use (PEP 562), then keep it."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return globals()[name]

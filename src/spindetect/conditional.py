@@ -48,7 +48,8 @@ Norms are plain (pairwise) sums h * sum |psi|^2, as is the mass ledger
 either model's record.  The norms are computed from the field alone, never
 from the density, so that check stays a real test.  Edge mass and an
 initial norm below 1 raise UserWarnings; an initial norm above 1 is a
-ConfigurationError.
+ConfigurationError.  LAPACK is imported with the module, in a run's set-up;
+scipy.sparse only by the two-channel run, its one user.
 
 dt is the requested step.  The core divides it by the least integer that
 keeps the potential phase per step dt |V|max / hbar within PHASE_BUDGET,
@@ -66,9 +67,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import lapack
-from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, NumericsError, checked_scalar
 from .model import Grid1D, Sensitivity
@@ -188,7 +187,7 @@ class CrankNicolson1D:
 @dataclass
 class ConditionalTrajectory:
     """Record of one conditional run of either propagator: norm series,
-    detection density, sparse field snapshots and the final fields.
+    detection density and sparse field snapshots.
 
     norms maps CSV column names to series on the step boundaries (`times`),
     led by no_detection_prob, the survival probability P0; the two-channel
@@ -197,8 +196,8 @@ class ConditionalTrajectory:
     [P0(n) - P0(n+1)]/dt = w1(midpoint) exactly.  Sampling it at the nodes
     instead would bias it against the P0 drain by the factor 1 + (E dt)^2/4
     from the fast kinetic phase.  dt is the step used, the requested one
-    divided down to PHASE_BUDGET.  snapshots are (channel, index, x) and
-    final_fields (channel, x), in SI; channel 0 is the ground field.  region
+    divided down to PHASE_BUDGET.  snapshots are (channel, index, x), in SI,
+    the last being final_fields; channel 0 is the ground field.  region
     is the support of the detector's sensitivity (of the lit region, for the
     two-channel run), which the mass ledger splits the final field around.
     """
@@ -211,7 +210,6 @@ class ConditionalTrajectory:
     detection_density: np.ndarray
     snapshot_times: np.ndarray
     snapshots: np.ndarray
-    final_fields: np.ndarray
     region: tuple[float, float]
 
     def __post_init__(self):
@@ -229,6 +227,11 @@ class ConditionalTrajectory:
     @property
     def final_survival(self) -> float:
         return float(self.no_detection_prob[-1])
+
+    @property
+    def final_fields(self) -> np.ndarray:
+        """The fields at the end of the run, the last snapshot (channel, x)."""
+        return self.snapshots[:, -1]
 
     def to_csv(self, path) -> None:
         """Rows on the midpoint grid; every norm is averaged onto it."""
@@ -367,8 +370,7 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
     return ConditionalTrajectory(
         grid=grid, times=times, dt=dt, norms=dict(zip(norm_names, recorded)),
         detection_density_times=times[:-1] + 0.5 * dt, detection_density=w1,
-        snapshot_times=times[snap_idx], snapshots=snaps,
-        final_fields=y.reshape(n, channels).T / scale, region=region)
+        snapshot_times=times[snap_idx], snapshots=snaps, region=region)
 
 
 def propagate_conditional(psi0: np.ndarray, potential: ComplexPotential,
@@ -436,9 +438,10 @@ def norm_balance(trajectory) -> dict[str, float]:
 
 
 def _two_channel_matrix(n: int, h_int: float, dt_int: float, rabi_int: np.ndarray,
-                        excited_diag_int: complex) -> sp.csc_matrix:
+                        excited_diag_int: complex):
     """Forward matrix 1 + i dt H / 2 of the interleaved (ground, excited)
-    Hamiltonian in internal units: a pentadiagonal sparse matrix of size 2n."""
+    Hamiltonian in internal units: a pentadiagonal CSC matrix of size 2n."""
+    import scipy.sparse as sp
     z = 0.5j * dt_int
     m = 2 * n
     diag = np.full(m, 1.0 / h_int ** 2, dtype=complex)
@@ -477,6 +480,7 @@ def propagate_two_channel(ground0: np.ndarray, excited0: np.ndarray, rabi: float
     half_rabi = np.max(np.abs(omega_x)) / 2.0
 
     def stepper(h_int, dt_int, omega):
+        from scipy.sparse.linalg import splu
         # the interleaved matrix is already a pentadiagonal band: no reordering
         return splu(_two_channel_matrix(n, h_int, dt_int, omega_x / omega,
                                         excited_diag / omega), permc_spec="NATURAL").solve

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .analysis import arrival_stats, compare_curves, mass_accounting
 from .bath import RatesResult, RectangularBath, decay_rate_and_shift, markov_summary
 from .conditional import (build_conditional_potential, one_channel_limit_potential,
@@ -32,12 +33,6 @@ from .model import (DetectorGeometry, Grid1D, HalfLineSensitivity,
 from .output import write_csv, write_json
 from .packets import GaussianPacketSpec, free_evolved_packet
 from .units import HBAR, UnitSystem
-
-try:
-    from importlib.metadata import version as _dist_version
-    TOOL_VERSION = _dist_version("spindetect")
-except Exception:
-    TOOL_VERSION = "0+unknown"
 
 __all__ = ["Scene", "build_scene", "run_config"]
 
@@ -337,6 +332,7 @@ def _run_sweep(cfg: dict, out_dir: Path, jobs: int):
         tasks.append((value, sub_cfg, str(sub_dir)))
 
     # pool.map and the serial list both keep the order of the tasks
+    jobs = min(jobs, len(tasks))    # a pool starts all its workers at once
     if jobs > 1:
         # only parallel sweeps need the executor; serial runs skip its import
         from concurrent.futures import ProcessPoolExecutor
@@ -396,7 +392,7 @@ def run_config(raw_cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
 
     manifest = {
         "tool": "spindetect",
-        "version": TOOL_VERSION,
+        "version": __version__,
         "kind": kind,
         "label": cfg.get("label"),
         "config": cfg,

@@ -136,6 +136,13 @@ def small_compare_config():
     }
 
 
+def small_discrete_config():
+    cfg = small_compare_config()
+    cfg["kind"] = "discrete"
+    del cfg["numerics"]["continuum"], cfg["comparison"]
+    return cfg
+
+
 def small_continuum_config():
     cfg = small_compare_config()
     cfg["kind"] = "continuum"
@@ -169,6 +176,17 @@ def fluorescence_config():
             "time_start_t0": -90.0, "time_stop_t0": 160.0,
             "time_step_t0": 0.01, "snapshots": 9}},
     }
+
+
+def refined_fluorescence_config():
+    """The fluorescence pair on a coarse grid at dt = 0.05 t0, 2.8x the phase
+    budget for |V|max = hbar linewidth / 2 = 5 hbar/t0: refined x3 (~1 s),
+    writing its ground-channel field snapshots."""
+    cfg = fluorescence_config()
+    cfg["numerics"]["continuum"].update(
+        x_min_l0=-90.0, x_max_l0=100.0, grid_spacing_l0=0.15, time_start_t0=-55.0,
+        time_stop_t0=15.0, time_step_t0=0.05, write_fields=True)
+    return cfg
 
 
 def sweep_tradeoff_config():

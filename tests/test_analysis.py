@@ -244,8 +244,7 @@ def test_mass_accounting_rejects_a_ledger_off_one():
         detection_density_times=np.array([0.5, 1.5]),
         detection_density=np.array([0.1, 0.1]),
         snapshot_times=np.array([0.0, 2.0]),
-        snapshots=np.zeros((1, 2, grid.n_points), dtype=complex),
-        final_fields=field, region=(0.0, 0.0))
+        snapshots=np.stack([np.zeros_like(field), field], axis=1), region=(0.0, 0.0))
     with pytest.raises(NumericsError, match="mass ledger sums to 0.7"):
         mass_accounting(traj)
 

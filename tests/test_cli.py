@@ -1,5 +1,6 @@
 """End-to-end command line runs on small configurations."""
 
+import concurrent.futures
 import json
 import os
 import re
@@ -11,12 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spindetect
 from spindetect import runner
 from spindetect.cli import main
 from spindetect.output import read_csv
 
 import helpers
-from helpers import rates_config, small_continuum_config
+from helpers import (rates_config, refined_fluorescence_config, small_continuum_config,
+                     small_discrete_config)
 
 
 def tiny_continuum_config():
@@ -284,6 +287,14 @@ def test_cli_prints_each_run_warning_once(tmp_path):
     assert done.stderr.splitlines() == [f"warning: {w}" for w in listed]
 
 
+def test_manifest_version_is_the_package_version(tmp_path):
+    # read with a regex: tomllib needs Python 3.11 and the project supports 3.10
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+    manifest = runner.run_config(rates_config(), tmp_path)
+    assert manifest["version"] == spindetect.__version__ == declared
+
+
 def test_any_warning_raised_during_a_run_reaches_the_manifest(tmp_path, monkeypatch):
     """run_config records every UserWarning raised inside it, wherever it
     comes from and each time it is raised, and does not let it escape to
@@ -300,17 +311,6 @@ def test_any_warning_raised_during_a_run_reaches_the_manifest(tmp_path, monkeypa
         warnings.simplefilter("error")
         manifest = runner.run_config(tiny_continuum_config(), tmp_path)
     assert manifest["warnings"].count("a probe warning from arrival_stats") == 2
-
-
-def refined_fluorescence_config():
-    """The fluorescence pair on a coarse grid at dt = 0.05 t0, 2.8x the phase
-    budget for |V|max = hbar linewidth / 2 = 5 hbar/t0: refined x3 (~1 s),
-    writing its ground-channel field snapshots."""
-    cfg = helpers.fluorescence_config()
-    cfg["numerics"]["continuum"].update(
-        x_min_l0=-90.0, x_max_l0=100.0, grid_spacing_l0=0.15, time_start_t0=-55.0,
-        time_stop_t0=15.0, time_step_t0=0.05, write_fields=True)
-    return cfg
 
 
 @pytest.fixture(scope="module")
@@ -436,6 +436,36 @@ def test_sweep_over_decay_rate(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["warnings"] == listed
 
 
+def test_sweep_starts_no_more_workers_than_legs(tmp_path, monkeypatch):
+    """A pool starts all its workers at once, so a sweep sizes it to its legs
+    and runs one leg serially.  A fake executor records its size and maps in
+    this process: the test starts no processes."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    cfg = tiny_continuum_config()
+    cfg["kind"] = "sweep"
+    for values in ([0.0, 1.2e7], [1.2e7]):
+        cfg["sweep"] = {"parameter": "rates_override.decay_per_s", "values": values,
+                        "run": "continuum"}
+        manifest = runner.run_config(cfg, tmp_path / f"legs{len(values)}", jobs=8)
+        assert manifest["failed_sub_runs"] == 0
+    assert sizes == [2]
+
+
 def test_config_file_must_exist(capsys):
     assert main(["rates", "--config", "/nonexistent/cfg.json"]) == 2
     assert "error" in capsys.readouterr().err
@@ -476,19 +506,12 @@ FLUORESCENCE_JSON = ["adiabaticity_ratio", "raw_comparison", *_under("raw_compar
                      "two_channel_detected", "one_channel_detected"]
 
 
-def _discrete_config():
-    cfg = helpers.small_compare_config()
-    cfg["kind"] = "discrete"
-    del cfg["numerics"]["continuum"], cfg["comparison"]
-    return cfg
-
-
 @pytest.mark.parametrize("build, summary, payload", [
     (helpers.small_compare_config,
      ["discrete", *_under("discrete", DISCRETE), "continuum", *_under("continuum", CONTINUUM),
       "comparison", *_under("comparison", CURVES)], COMPARE_JSON),
     (small_continuum_config, ["continuum", *_under("continuum", CONTINUUM)], None),
-    (_discrete_config, ["discrete", *_under("discrete", DISCRETE)], None),
+    (small_discrete_config, ["discrete", *_under("discrete", DISCRETE)], None),
     (rates_config, [], None),
 ], ids=["compare", "continuum", "discrete", "rates"])
 def test_summary_key_order(tmp_path, build, summary, payload):

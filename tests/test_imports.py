@@ -1,12 +1,17 @@
 """Every module-level import in the package is used (no linter runs here),
 every import anywhere in it is a declared dependency, starting a run imports
-nothing it does not need, and every config key is read.
+nothing it does not need, the package's public names resolve, and every
+config key is read.
 
 A name counts as used when it is read anywhere in its module (as a name or
-as the root of an attribute chain) or listed in the module's __all__.
+as the root of an attribute chain) or listed in a literal __all__ of the
+module; the package's own __all__ is computed from its name table, and the
+package binds none of those names by an import.
 """
 
 import ast
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -14,8 +19,11 @@ from pathlib import Path
 
 import pytest
 
+import spindetect
 from spindetect import runner
 from spindetect.config import CONFIG_SCHEMA, KIND_READS, SENSITIVITY_READS, _covers
+
+import helpers
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spindetect"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -38,7 +46,7 @@ def _used_names(tree: ast.Module) -> set[str]:
     used = {n.id for n in ast.walk(tree)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     for node in tree.body:
-        if (isinstance(node, ast.Assign)
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             used.update(ast.literal_eval(node.value))
     return used
@@ -49,6 +57,9 @@ def test_guard_sees_an_unused_import():
                      "__all__ = ['m']\nsys.exit\n")
     unused = set(_imported_names(tree)) - _used_names(tree)
     assert unused == {"os"}
+    # a computed __all__, like the package's, names nothing as used
+    tree = ast.parse("import re\n_MODULE_OF = {'re': 'x'}\n__all__ = list(_MODULE_OF)\n")
+    assert set(_imported_names(tree)) - _used_names(tree) == {"re"}
 
 
 def _foreign_imports(tree: ast.AST) -> list[tuple[str, int]]:
@@ -91,18 +102,61 @@ def test_module_imports_are_used(path):
         f"{name} (line {bound[name]})" for name in unused)
 
 
-def test_start_up_loads_neither_jsonschema_nor_scipy_special():
-    # config validation and the bath quadratures are self-contained; either
-    # package would add tens of milliseconds to every run's start-up
-    code = ("import sys, spindetect.runner, spindetect.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'\n"
-            "             or m == 'scipy.special' or m.startswith('scipy.special.')))")
+def _loaded_after(code: str, cwd: Path) -> set[str]:
+    """The modules a fresh interpreter holds after running code in cwd."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
                                                       env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True)
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def _under(modules: set[str], package: str) -> list[str]:
+    return sorted(m for m in modules if m == package or m.startswith(package + "."))
+
+
+def test_start_up_loads_neither_jsonschema_nor_scipy_special(tmp_path):
+    # config validation and the bath quadratures are self-contained; either
+    # package would add tens of milliseconds to every run's start-up
+    loaded = _loaded_after("import spindetect.runner, spindetect.cli", tmp_path)
+    assert _under(loaded, "jsonschema") + _under(loaded, "scipy.special") == []
+
+
+@pytest.mark.parametrize("code", [
+    "import spindetect.cli",
+    "import spindetect",
+    "from spindetect.cli import main\nassert main(['validate', '--preset', 'figure1']) == 0",
+], ids=["import-cli", "import-package", "validate"])
+def test_import_and_validate_load_no_numpy(tmp_path, code):
+    # the command line, the name table and config validation are pure Python
+    assert _under(_loaded_after(code, tmp_path), "numpy") == []
+
+
+@pytest.mark.parametrize("build, sparse", [
+    (helpers.rates_config, False), (helpers.small_discrete_config, False),
+    (helpers.small_continuum_config, False), (helpers.refined_fluorescence_config, True),
+], ids=["rates", "discrete", "continuum", "fluorescence"])
+def test_only_the_two_channel_run_loads_scipy_sparse(tmp_path, build, sparse):
+    cfg = build()
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    loaded = _loaded_after("from spindetect.cli import main\n"
+                           f"assert main([{cfg['kind']!r}, '--config', 'cfg.json', "
+                           "'--out', 'out']) == 0", tmp_path)
+    assert bool(_under(loaded, "scipy.sparse")) == sparse
+
+
+def test_public_names_resolve_on_first_use():
+    """Each name of the package's table is the object its module defines; a
+    submodule import still works; an unknown name is an AttributeError."""
+    for name in spindetect.__all__:
+        module = importlib.import_module(f"spindetect.{spindetect._MODULE_OF[name]}")
+        assert getattr(spindetect, name) is getattr(module, name), name
+    from spindetect import conditional
+    assert conditional is importlib.import_module("spindetect.conditional")
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        getattr(spindetect, "no_such_name")
 
 
 def _schema_leaves(schema: dict, path: tuple = ()):
