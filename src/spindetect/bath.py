@@ -44,13 +44,13 @@ from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericsError, checked_scalar
-from .model import DetectorGeometry, SpinRegion3D
+from .model import DetectorGeometry
 
 TWO_PI = 2.0 * np.pi
 GL_ORDER = 64            # nodes a segment of the composite rule
@@ -648,20 +648,10 @@ def scaled_ensemble(geometry: DetectorGeometry, spectrum: DirectionalSpectrum3D,
     if geometry.regions_3d is None:
         raise ConfigurationError("geometry has no 3D spin regions")
     factor = float(ensemble_size) ** -checked_scalar("scaling_exponent", scaling_exponent)
-    regions = tuple(
-        SpinRegion3D(sensitivity=r.sensitivity,
-                     multiplicity=r.multiplicity * ensemble_size,
-                     position=r.position)
-        for r in geometry.regions_3d)
-    scaled_geometry = DetectorGeometry(
-        resonances=geometry.resonances, sensitivity=geometry.sensitivity,
-        exchange=geometry.exchange, regions_3d=regions)
+    regions = tuple(replace(r, multiplicity=r.multiplicity * ensemble_size)
+                    for r in geometry.regions_3d)
     couplings = tuple(c.scaled(factor) for c in spectrum.couplings)
-    spont = None
-    if spectrum.spontaneous is not None:
-        spont = tuple(None if s is None else s.scaled(factor)
-                      for s in spectrum.spontaneous)
-    scaled_spectrum = DirectionalSpectrum3D(
-        dispersion=spectrum.dispersion, couplings=couplings, spontaneous=spont,
-        dispersion_derivative=spectrum.dispersion_derivative)
-    return rate_map_3d(scaled_geometry, scaled_spectrum, points)
+    spont = (None if spectrum.spontaneous is None else
+             tuple(None if s is None else s.scaled(factor) for s in spectrum.spontaneous))
+    return rate_map_3d(replace(geometry, regions_3d=regions),
+                       replace(spectrum, couplings=couplings, spontaneous=spont), points)

@@ -124,7 +124,6 @@ class SpinRegion3D:
 
     sensitivity: Callable[[np.ndarray], np.ndarray]
     multiplicity: int = 1
-    position: tuple[float, float, float] | None = None
 
     def __post_init__(self):
         if self.multiplicity < 1:

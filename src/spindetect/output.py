@@ -24,21 +24,10 @@ def format_value(v) -> str:
     return str(v)
 
 
-def _cells(part) -> map:
-    """format_value of each element of a column block.  Numeric arrays go
-    through one tolist(), whose Python floats and ints format_value would
-    print with repr and str; other columns stay element by element (a numpy
-    bool prints True, a Python bool 1)."""
-    if isinstance(part, np.ndarray) and part.dtype.kind == "f":
-        return map(repr, part.tolist())
-    if isinstance(part, np.ndarray) and part.dtype.kind in "iu":
-        return map(str, part.tolist())
-    return map(format_value, part)
-
-
 def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> Path:
     """Write columns (equal length) under the given header, CSV_BLOCK_ROWS
-    rows at a time."""
+    rows at a time.  Each block goes through one tolist(), whose Python
+    floats, ints and bools repr prints as format_value prints the elements."""
     path = Path(path)
     n = len(columns[0])
     for col in columns:
@@ -47,8 +36,9 @@ def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> Pat
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
         for start in range(0, n, CSV_BLOCK_ROWS):
-            rows = zip(*(_cells(col[start:start + CSV_BLOCK_ROWS]) for col in columns))
-            f.write("".join(",".join(row) + "\n" for row in rows))
+            cells = (map(repr, np.asarray(col[start:start + CSV_BLOCK_ROWS]).tolist())
+                     for col in columns)
+            f.write("".join(",".join(row) + "\n" for row in zip(*cells)))
     return path
 
 

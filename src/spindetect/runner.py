@@ -40,15 +40,15 @@ __all__ = ["Scene", "build_scene", "run_config"]
 @dataclass
 class Scene:
     """Physics objects of a run, built from the paths its kind reads: geometry
-    is None without a sensitivity, rates without a bath or rates_override."""
+    is None without a sensitivity, rates without a bath or rates_override;
+    derived is the manifest's derived block, which rates.csv also lists."""
 
     units: UnitSystem
     packet: GaussianPacketSpec
     geometry: DetectorGeometry | None
     bath: RectangularBath | None
     rates: RatesResult | None
-    correlation_time: float | None
-    recurrence_time: float | None
+    derived: dict
 
 
 def _build_sensitivity(sens: dict, units: UnitSystem):
@@ -96,28 +96,22 @@ def build_scene(cfg: dict) -> Scene:
     elif bath is not None:
         rates = RatesResult(0.0, 0.0, "zero_coupling")
 
-    return Scene(units=units, packet=packet, geometry=geometry, bath=bath,
-                 rates=rates, correlation_time=tau_c, recurrence_time=t_rec)
-
-
-def _derived_block(scene: Scene, cfg: dict) -> dict:
-    u = scene.units
-    rates = scene.rates
-    out = {"time_unit_s": u.time_unit, "length_unit_m": u.length_unit,
-           "mean_wavenumber_per_m": scene.packet.mean_wavenumber}
+    derived = {"time_unit_s": units.time_unit, "length_unit_m": units.length_unit,
+               "mean_wavenumber_per_m": packet.mean_wavenumber}
     if rates is not None:
-        out.update(decay_rate_per_s=rates.decay_rate, level_shift_per_s=rates.level_shift,
-                   rates_method=rates.method)
+        derived.update(decay_rate_per_s=rates.decay_rate, level_shift_per_s=rates.level_shift,
+                       rates_method=rates.method)
     if "include_shift" in cfg:
-        out["shift_included"] = cfg["include_shift"]
+        derived["shift_included"] = cfg["include_shift"]
     if rates is not None and rates.quadrature_decay_rate is not None:
-        out["quadrature_decay_rate_per_s"] = rates.quadrature_decay_rate
-        out["quadrature_level_shift_per_s"] = rates.quadrature_level_shift
-    if scene.correlation_time is not None:
-        out["correlation_time_s"] = scene.correlation_time
-    if scene.recurrence_time is not None:
-        out["recurrence_time_s"] = scene.recurrence_time
-    return out
+        derived.update(quadrature_decay_rate_per_s=rates.quadrature_decay_rate,
+                       quadrature_level_shift_per_s=rates.quadrature_level_shift)
+    if tau_c is not None:
+        derived["correlation_time_s"] = tau_c
+    if t_rec is not None:
+        derived["recurrence_time_s"] = t_rec
+    return Scene(units=units, packet=packet, geometry=geometry, bath=bath,
+                 rates=rates, derived=derived)
 
 
 def _time_grid(num: dict, unit: float) -> np.ndarray:
@@ -145,16 +139,16 @@ def _space_grid(num: dict, unit: float) -> Grid1D:
 # run kinds
 
 
+# the columns of rates.csv, NaN where the derived block has no such key
+RATES_COLUMNS = ("resonance_per_s", "decay_rate_per_s", "level_shift_per_s",
+                 "quadrature_decay_rate_per_s", "quadrature_level_shift_per_s",
+                 "correlation_time_s", "recurrence_time_s")
+
+
 def _run_rates(cfg: dict, scene: Scene, out_dir: Path):
-    rates = scene.rates
-    values = (float(cfg["detector"]["resonance_per_s"]), rates.decay_rate,
-              rates.level_shift, rates.quadrature_decay_rate,
-              rates.quadrature_level_shift, scene.correlation_time, scene.recurrence_time)
-    path = out_dir / "rates.csv"
-    write_csv(path, ["resonance_per_s", "decay_rate_per_s", "level_shift_per_s",
-                     "quadrature_decay_rate_per_s", "quadrature_level_shift_per_s",
-                     "correlation_time_s", "recurrence_time_s"],
-              [np.array([math.nan if v is None else v]) for v in values])
+    row = {"resonance_per_s": float(cfg["detector"]["resonance_per_s"]), **scene.derived}
+    write_csv(out_dir / "rates.csv", RATES_COLUMNS,
+              [np.array([row.get(c, math.nan)]) for c in RATES_COLUMNS])
     return {"rates": "rates.csv"}, {}
 
 
@@ -216,9 +210,10 @@ def _run_compare(cfg: dict, scene: Scene, out_dir: Path):
     out_c, sum_c, traj = _run_continuum(cfg, scene, out_dir)
     # a compare run reads bath.modes, so the recurrence time is set
     lo_f, hi_f = cfg["comparison"]["window_recurrence_fraction"]
+    t_rec = scene.derived["recurrence_time_s"]
     cc = compare_curves(series.times, series.detection_density,
                         traj.detection_density_times, traj.detection_density,
-                        window=(lo_f * scene.recurrence_time, hi_f * scene.recurrence_time),
+                        window=(lo_f * t_rec, hi_f * t_rec),
                         n_resample=cfg["comparison"]["n_resample"])
     payload = {"comparison": cc,
                "window_recurrence_fraction": cfg["comparison"]["window_recurrence_fraction"],
@@ -359,8 +354,7 @@ def _on_scene(run):
     The series that the discrete and continuum runs also return, for compare, is dropped."""
     def scene_run(cfg: dict, out_dir: Path, jobs: int):
         scene = build_scene(cfg)
-        derived = _derived_block(scene, cfg)
-        return (*run(cfg, scene, out_dir)[:2], derived, 0)
+        return (*run(cfg, scene, out_dir)[:2], scene.derived, 0)
     return scene_run
 
 

@@ -151,9 +151,9 @@ def test_ensemble_square_root_scaling_invariance(criterion_report):
     3D rate map unchanged; couplings / N suppress it like 1/N."""
     regions = (
         SpinRegion3D(sensitivity=ball_region(np.zeros(3), 2.0),
-                     multiplicity=3, position=(0.0, 0.0, 0.0)),
+                     multiplicity=3),
         SpinRegion3D(sensitivity=ball_region(np.array([4.0, 0.0, 0.0]), 1.5),
-                     multiplicity=1, position=(4.0, 0.0, 0.0)),
+                     multiplicity=1),
     )
     exchange = np.array([[0.0, 0.05], [0.0, 0.0]])
     geometry = DetectorGeometry(resonances=(1.0, 1.3), exchange=exchange,

@@ -443,7 +443,7 @@ def test_modified_frequencies_pairwise_lowering():
 
 def _ball_geometry(multiplicity=3, radius=2.0, resonance=1.0):
     region = SpinRegion3D(sensitivity=ball_region(np.zeros(3), radius),
-                          multiplicity=multiplicity, position=(0.0, 0.0, 0.0))
+                          multiplicity=multiplicity)
     return DetectorGeometry(resonances=(resonance,), regions_3d=(region,))
 
 
@@ -568,6 +568,26 @@ def test_scaled_ensemble_linear_exponent_suppresses():
     # every channel scales by N^(1-2p) = 1/N
     assert lin.decay_rate[0] == pytest.approx(base.decay_rate[0] / 100.0,
                                               rel=1e-10)
+
+
+def test_scaled_ensemble_of_one_keeps_every_other_field():
+    """N = 1 scales nothing (1 ** -p = 1), so the exchange, the dispersion
+    derivative and an absent spontaneous channel carried over unchanged give
+    the bare rate map bit for bit."""
+    regions = (SpinRegion3D(sensitivity=ball_region(np.zeros(3), 2.0), multiplicity=3),
+               SpinRegion3D(sensitivity=ball_region(np.array([3.0, 0.0, 0.0]), 1.0)))
+    geo = DetectorGeometry(resonances=(1.0, 1.3), exchange=np.array([[0.0, 0.05], [0.0, 0.0]]),
+                           regions_3d=regions)
+    spec = DirectionalSpectrum3D(
+        dispersion=lambda w: 1.5 + 0.2 * w, dispersion_derivative=lambda w: 0.2,
+        couplings=(DirectionalCoupling(lambda w, e: 0.3 + 0.1 * e[:, 2], 5.0),
+                   DirectionalCoupling(0.2, 5.0)),
+        spontaneous=(None, DirectionalCoupling(0.002, 5.0)))
+    pts = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [3.0, 0.5, 0.0], [9.0, 0.0, 0.0]])
+    base = rate_map_3d(geo, spec, pts)
+    one = scaled_ensemble(geo, spec, pts, ensemble_size=1, scaling_exponent=0.7)
+    np.testing.assert_array_equal(one.decay_rate, base.decay_rate)
+    np.testing.assert_array_equal(one.level_shift, base.level_shift)
 
 
 def test_rate_map_validation():

@@ -141,6 +141,28 @@ def test_rates_run_values_and_rerun_stability(tmp_path, capsys):
     assert main(["validate", "--config", str(out1 / "manifest.json")]) == 0
 
 
+@pytest.mark.parametrize("coupling, absent", [
+    (helpers.COUPLING, set()),
+    (0.0, {"quadrature_decay_rate_per_s", "quadrature_level_shift_per_s",
+           "correlation_time_s"}),
+], ids=["coupled", "zero-coupling"])
+def test_rates_csv_lists_the_manifest_values(tmp_path, coupling, absent):
+    """Each rates.csv column is the manifest's resonance or derived value of
+    that name, NaN where the derived block has none: a zero-coupling bath
+    has no quadrature rates and no correlation time."""
+    cfg = rates_config()
+    cfg["bath"]["coupling_sqrt_per_s"] = coupling
+    runner.run_config(cfg, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    listed = {"resonance_per_s": manifest["config"]["detector"]["resonance_per_s"],
+              **manifest["derived"]}
+    cols = read_csv(tmp_path / "rates.csv")
+    assert list(cols) == list(runner.RATES_COLUMNS)
+    assert {c for c in cols if c not in listed} == absent
+    for c, values in cols.items():
+        np.testing.assert_array_equal(values, [listed.get(c, np.nan)], err_msg=c)
+
+
 def test_continuum_run_with_config_overrides(tmp_path):
     cfg = tiny_continuum_config()
     cfg["include_shift"] = False

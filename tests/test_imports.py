@@ -102,6 +102,39 @@ def test_module_imports_are_used(path):
         f"{name} (line {bound[name]})" for name in unused)
 
 
+def _read_names(node: ast.AST) -> set[str]:
+    """Names node reads, as a name or as the attribute of an expression."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def _unused_private_definitions(trees: dict[str, ast.Module]) -> list[tuple[str, str]]:
+    """(module, name) of each module-level private def or class that no other
+    statement of any module reads: reading itself, as a recursive function
+    does, is no use."""
+    reads = [(node, _read_names(node)) for tree in trees.values() for node in tree.body]
+    return [(module, node.name) for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")
+            and not any(node.name in names for stmt, names in reads if stmt is not node)]
+
+
+def test_guard_sees_an_unused_private_definition():
+    trees = {"a": ast.parse("def _kept(): pass\ndef _unused(): pass\n"
+                            "def _recursive(n): return _recursive(n - 1)\n"
+                            "class _Read: pass\ndef __getattr__(name): pass\n"
+                            "def public(): return _kept()\n"),
+             "b": ast.parse("import a\nvalue = a._Read\na._unused = None\n")}
+    assert _unused_private_definitions(trees) == [("a", "_unused"), ("a", "_recursive")]
+
+
+def test_private_definitions_are_used():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    unused = _unused_private_definitions(trees)
+    assert not unused, "private definitions nothing reads: " + ", ".join(
+        f"{module}:{name}" for module, name in unused)
+
+
 def _loaded_after(code: str, cwd: Path) -> set[str]:
     """The modules a fresh interpreter holds after running code in cwd."""
     env = dict(os.environ)

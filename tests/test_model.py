@@ -89,4 +89,4 @@ def test_geometry_validation():
 def test_spin_region_multiplicity_positive():
     chi = ball_region(np.zeros(3), 1.0)
     with pytest.raises(ConfigurationError):
-        SpinRegion3D(sensitivity=chi, multiplicity=0, position=np.zeros(3))
+        SpinRegion3D(sensitivity=chi, multiplicity=0)
