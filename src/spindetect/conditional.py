@@ -51,9 +51,9 @@ initial norm below 1 raise UserWarnings; an initial norm above 1 is a
 ConfigurationError.  LAPACK is imported with the module, in a run's set-up;
 scipy.sparse only by the two-channel run, its one user.
 
-dt is the requested step.  The core divides it by the least integer that
-keeps the potential phase per step dt |V|max / hbar within PHASE_BUDGET,
-with a UserWarning when it divides; the step used is the record's dt.
+dt is the requested step.  time_step divides it to keep the potential phase
+per step within PHASE_BUDGET, and the core warns when it divides; the step
+used is the record's dt.
 
 All public inputs and outputs are SI; internally fields and operators are
 rescaled to detector units (see units.UnitSystem) before factoring the
@@ -81,6 +81,8 @@ __all__ = [
     "propagate_conditional",
     "norm_balance",
     "propagate_two_channel",
+    "two_channel_vmax",
+    "time_step",
     "one_channel_limit_potential",
     "adiabaticity_ratio",
 ]
@@ -262,6 +264,14 @@ def _edge_mass(y: np.ndarray, channels: int, spacing: float) -> float:
     return float((np.sum(_abs2(y[:k])) + np.sum(_abs2(y[-k:]))) * spacing)
 
 
+def time_step(dt: float, vmax: float) -> float:
+    """The step taken for a requested dt: dt / N, N the least whole number
+    keeping the phase dt vmax / hbar within PHASE_BUDGET (vmax: |V|max, J)."""
+    dt = checked_scalar("dt", dt, "positive")
+    vmax = checked_scalar("vmax", vmax, "nonnegative")
+    return dt / max(1, math.ceil(dt * vmax / (HBAR * PHASE_BUDGET)))
+
+
 def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
                mass: float, vmax: float, reference_frequency, snapshots: int,
                stepper, decay: np.ndarray, norm_names,
@@ -269,12 +279,11 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
     """Shared core of the conditional propagators; checks every input first.
 
     The channel fields (SI) are interleaved into one state y, channel c at
-    y[c::len(fields)].  dt is the requested step: it is divided by the least
-    integer N keeping dt |V|max / hbar within PHASE_BUDGET, vmax being
-    |V|max in joules, and N > 1 raises a UserWarning.  The record's dt is
-    the step used; the kinetic and whole-step checks apply to it.  Without a
-    reference_frequency the internal unit is the grid frequency
-    hbar / (m h^2); dt H / hbar does not depend on it.  stepper(h_int,
+    y[c::len(fields)].  dt is the requested step, which time_step divides
+    for vmax, |V|max in joules, with a UserWarning when it divides.  The
+    record's dt is the step used; the kinetic and whole-step checks apply
+    to it.  Without a reference_frequency the internal unit is the grid
+    frequency hbar / (m h^2); dt H / hbar does not depend on it.  stepper(h_int,
     dt_int, omega) returns the solve y -> (1 + iB)^{-1} y, whose output mid
     is the step midpoint; the next state is 2 mid - y.  decay (1/s, one per
     grid point) drains the last channel and no other, so the midpoint
@@ -291,15 +300,12 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
     t0, t1 = (checked_scalar("t_span", t) for t in t_span)
     if not t1 > t0:
         raise ConfigurationError("t_span must be increasing")
-    dt = checked_scalar("dt", dt, "positive")
     mass = checked_scalar("mass", mass, "positive")
-    if not np.isfinite(vmax):
-        raise ConfigurationError("|V|max must be finite")
-    refine = max(1, math.ceil(dt * vmax / (HBAR * PHASE_BUDGET)))
-    if refine > 1:
-        warnings.warn(f"time step refined x{refine} to respect the potential "
+    step = time_step(dt, vmax)
+    if step < dt:
+        warnings.warn(f"time step refined x{round(dt / step)} to respect the potential "
                       "phase bound dt|V|/hbar < 0.1", stacklevel=3)
-        dt /= refine
+    dt = step
     kinetic_scale = 2.0 * mass * grid.spacing ** 2 / HBAR * np.pi
     if dt >= KINETIC_SAFETY * kinetic_scale:
         raise ConfigurationError(
@@ -381,10 +387,9 @@ def propagate_conditional(psi0: np.ndarray, potential: ComplexPotential,
     t_span[1] in uniform steps, recording the survival probability at
     every step boundary and the detection density at every step midpoint.
 
-    dt is the requested step.  It is divided by the least integer keeping
-    dt |V|max / hbar within PHASE_BUDGET, with a UserWarning when it is
-    divided; the step used is traj.dt.  Preconditions enforced as
-    configuration errors, on the step used: it must stay below
+    dt is the requested step, divided by time_step for |V|max with a
+    UserWarning when it is divided; the step used is traj.dt.  Preconditions
+    enforced as configuration errors, on the step used: it must stay below
     KINETIC_SAFETY grid kinetic times (2 m dx^2 / hbar) * pi and must divide
     t_span into whole steps.
     Mass accumulating within EDGE_CELLS of either grid end above 1e-6, and
@@ -466,30 +471,37 @@ def propagate_two_channel(ground0: np.ndarray, excited0: np.ndarray, rabi: float
     emission drains the excited channel at rate linewidth, and the emission
     density is w1 = linewidth * ||excited||^2, balancing the combined norm
     loss.  dt is the requested step, refined to PHASE_BUDGET and checked as
-    in propagate_conditional (the step used is traj.dt), with |V|max the
-    larger of hbar|Omega|/2 and hbar|2*detuning + i*linewidth|/2.  The
-    record's norms are the combined norm P0 and the excited mass; its region
-    is lit.support.  snapshots is as in propagate_conditional (default 2,
-    the launch and final fields).
+    in propagate_conditional (the step used is traj.dt), with |V|max from
+    two_channel_vmax.  The record's norms are the combined norm P0 and the
+    excited mass; its region is lit.support.  snapshots is as in
+    propagate_conditional (default 2, the launch and final fields).
     """
     n = grid.n_points
-    rabi, detuning = checked_scalar("rabi", rabi), checked_scalar("detuning", detuning)
-    linewidth = checked_scalar("linewidth", linewidth, "nonnegative")
+    vmax = two_channel_vmax(rabi, lit, detuning, linewidth, grid)    # checks the rates
     omega_x = rabi * lit(grid.points())
     excited_diag = 0.5 * (-2.0 * detuning - 1j * linewidth)   # 1/s
-    half_rabi = np.max(np.abs(omega_x)) / 2.0
 
     def stepper(h_int, dt_int, omega):
         from scipy.sparse.linalg import splu
-        # the interleaved matrix is already a pentadiagonal band: no reordering
-        return splu(_two_channel_matrix(n, h_int, dt_int, omega_x / omega,
-                                        excited_diag / omega), permc_spec="NATURAL").solve
+        # the interleaved matrix is already a pentadiagonal band: no reordering;
+        # one-column panels shrink the factorization's workspace and peak RSS
+        matrix = _two_channel_matrix(n, h_int, dt_int, omega_x / omega, excited_diag / omega)
+        return splu(matrix, permc_spec="NATURAL", panel_size=1).solve
 
-    return _propagate((ground0, excited0), grid, t_span, dt, mass=mass,
-                      vmax=HBAR * max(half_rabi, abs(excited_diag)),
+    return _propagate((ground0, excited0), grid, t_span, dt, mass=mass, vmax=vmax,
                       reference_frequency=None, snapshots=snapshots, stepper=stepper,
                       decay=np.broadcast_to(linewidth, n),
                       norm_names=("no_detection_prob", "excited_mass"), region=lit.support)
+
+
+def two_channel_vmax(rabi: float, lit: Sensitivity, detuning: float, linewidth: float,
+                     grid: Grid1D) -> float:
+    """|V|max (joules) of the fluorescence block on the grid: the larger of
+    hbar|Omega(x)|/2 and hbar|2*detuning + i*linewidth|/2."""
+    rabi, detuning = checked_scalar("rabi", rabi), checked_scalar("detuning", detuning)
+    linewidth = checked_scalar("linewidth", linewidth, "nonnegative")
+    excited_diag = 0.5 * (-2.0 * detuning - 1j * linewidth)
+    return HBAR * max(np.max(np.abs(rabi * lit(grid.points()))) / 2.0, abs(excited_diag))
 
 
 def one_channel_limit_potential(rabi: float, lit: Sensitivity, detuning: float,

@@ -11,8 +11,13 @@ configs produce byte-identical files.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import sys
 import time as _time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -23,8 +28,8 @@ from . import __version__
 from .analysis import arrival_stats, compare_curves, mass_accounting
 from .bath import RatesResult, RectangularBath, decay_rate_and_shift, markov_summary
 from .conditional import (build_conditional_potential, one_channel_limit_potential,
-                          propagate_conditional, propagate_two_channel,
-                          adiabaticity_ratio, norm_balance)
+                          propagate_conditional, propagate_two_channel, time_step,
+                          two_channel_vmax, adiabaticity_ratio, norm_balance)
 from .config import get_by_path, resolve_config, set_by_path
 from .discrete import detection_density_discrete
 from .errors import ConfigurationError, SpindetectError
@@ -224,28 +229,86 @@ def _run_compare(cfg: dict, scene: Scene, out_dir: Path):
     return outputs, summary
 
 
+FORK_LEGS = sys.platform == "linux"    # Windows has no fork; macOS forks unsafely
+
+
+@contextmanager
+def _forked(leg):
+    """Start leg() in a forked child; yield join(), which returns its value and
+    re-raises its warnings, in order, and its exception.  An unjoined child is
+    killed and reaped.  Without FORK_LEGS, join is leg, run in this process."""
+    if not FORK_LEGS:
+        yield leg
+        return
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)    # fork beside threads
+        pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)    # so a reader that is gone breaks the write, not blocks it
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", UserWarning)
+                try:
+                    result = True, leg()
+                except BaseException as exc:
+                    result = False, exc
+            with open(write_fd, "wb") as pipe:
+                pickle.dump((*result, [w.message for w in caught]), pipe, pickle.HIGHEST_PROTOCOL)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_fd)
+    pipe, reaped = open(read_fd, "rb"), []
+
+    def join():
+        try:
+            ok, value, messages = pickle.load(pipe)    # a bytes copy would cost RSS
+        except (EOFError, pickle.UnpicklingError):
+            ok = None
+        reaped.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        if ok is None:
+            raise SpindetectError(f"a forked leg ended without a result (exit status {reaped[0]})")
+        for message in messages:
+            warnings.warn(message)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield join
+    finally:
+        pipe.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _run_fluorescence(cfg: dict, scene: Scene, out_dir: Path):
     fl = cfg["fluorescence"]
     u = scene.units
     lit = _build_sensitivity({"kind": "interval", **fl["region"]}, u)
     rabi, detuning, linewidth = fl["rabi_per_s"], fl["detuning_per_s"], fl["linewidth_per_s"]
     grid, span, dt, psi0, snapshots = _continuum_setup(cfg, scene)
-    two = propagate_two_channel(psi0, np.zeros_like(psi0), rabi, lit, detuning, linewidth,
-                                grid, span, dt, mass=scene.packet.mass, snapshots=snapshots)
-    two.to_csv(out_dir / "w1_fluor.csv")
-    outputs = {"w1_fluor": "w1_fluor.csv", "w1_limit": "w1_limit.csv",
-               "comparison": "comparison.json"}
-    if cfg["numerics"]["continuum"]["write_fields"]:
-        two.snapshots_to_csv(out_dir / "fields_fluor.csv")
-        outputs["fields_fluor"] = "fields_fluor.csv"
-
     potential = one_channel_limit_potential(rabi, lit, detuning, linewidth, grid)
-    # the two-channel leg's step, so both densities share one time grid; the
-    # limit potential's |V|max is below the two-channel one when Omega <=
-    # |2 detuning + i linewidth|, else the limit leg refines further.  Its
-    # fields are never written, so it keeps the default 2 snapshots
-    traj = propagate_conditional(psi0, potential, span, two.dt, mass=scene.packet.mass,
-                                 reference_frequency=u.reference_frequency)
+    # the limit leg, beside the two-channel one, takes that leg's step, so
+    # both densities share one time grid; the limit potential's |V|max is
+    # below the two-channel one when Omega <= |2 detuning + i linewidth|, else
+    # the limit leg refines further.  Its fields are never written, so it
+    # keeps the default 2 snapshots
+    step = time_step(dt, two_channel_vmax(rabi, lit, detuning, linewidth, grid))
+    with _forked(lambda: propagate_conditional(
+            psi0, potential, span, step, mass=scene.packet.mass,
+            reference_frequency=u.reference_frequency)) as limit_leg:
+        two = propagate_two_channel(psi0, np.zeros_like(psi0), rabi, lit, detuning, linewidth,
+                                    grid, span, dt, mass=scene.packet.mass, snapshots=snapshots)
+        two.to_csv(out_dir / "w1_fluor.csv")
+        outputs = {"w1_fluor": "w1_fluor.csv", "w1_limit": "w1_limit.csv",
+                   "comparison": "comparison.json"}
+        if cfg["numerics"]["continuum"]["write_fields"]:
+            two.snapshots_to_csv(out_dir / "fields_fluor.csv")
+            outputs["fields_fluor"] = "fields_fluor.csv"
+        traj = limit_leg()
     traj.to_csv(out_dir / "w1_limit.csv")
 
     kinetic = (HBAR * scene.packet.mean_wavenumber) ** 2 / (2.0 * scene.packet.mass)

@@ -15,6 +15,8 @@ import pytest
 import spindetect
 from spindetect import runner
 from spindetect.cli import main
+from spindetect.conditional import ConditionalTrajectory
+from spindetect.errors import NumericsError, SpindetectError
 from spindetect.output import read_csv
 
 import helpers
@@ -349,19 +351,79 @@ def test_runs_keep_snapshots_only_when_they_write_fields(tmp_path, monkeypatch, 
                                                         fields_flag):
     """A propagation keeps the configured snapshot count when the run writes
     its fields, and only the launch and final fields (2) otherwise; the
-    fluorescence limit leg's fields are never written."""
+    fluorescence limit leg's fields are never written.  Each record is seen
+    where this process writes its density CSV, as the fluorescence limit
+    leg propagates in a forked child."""
     kept = []
-    for name in ("propagate_conditional", "propagate_two_channel"):
-        def recording(*args, _original=getattr(runner, name), **kwargs):
-            traj = _original(*args, **kwargs)
-            kept.append(traj.snapshots.shape[1])
-            return traj
-        monkeypatch.setattr(runner, name, recording)
+    to_csv = ConditionalTrajectory.to_csv
+
+    def recording(traj, path):
+        kept.append(traj.snapshots.shape[1])
+        to_csv(traj, path)
+
+    monkeypatch.setattr(ConditionalTrajectory, "to_csv", recording)
     cfg = build()
     cfg["numerics"]["continuum"].update(snapshots=7, write_fields=fields_flag)
     runner.run_config(cfg, tmp_path)
     written = 7 if fields_flag else 2
     assert kept == ([written, 2] if cfg["kind"] == "fluorescence" else [written])
+
+
+def _artifacts(out: Path) -> dict:
+    """Every file of a run directory, the manifest without its clock fields."""
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    manifest = json.loads(files.pop("manifest.json"))
+    del manifest["wall_clock_s"], manifest["created_utc"]
+    return {**files, "manifest.json": manifest}
+
+
+@pytest.mark.parametrize("fields_flag", [False, True], ids=["no-fields", "fields"])
+def test_forked_limit_leg_is_the_in_process_run(tmp_path, monkeypatch, fields_flag):
+    """The limit leg forked beside the two-channel leg and the same leg run
+    in this process write the same bytes and manifest, warnings in order:
+    the limit leg's after the two-channel leg's."""
+    limit_leg = runner.propagate_conditional
+
+    def warning_leg(*args, **kwargs):
+        for i in range(2):
+            warnings.warn(f"limit leg probe {i}")
+        return limit_leg(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "propagate_conditional", warning_leg)
+    cfg = refined_fluorescence_config()
+    cfg["numerics"]["continuum"]["write_fields"] = fields_flag
+    forked = runner.run_config(cfg, tmp_path / "forked")
+    monkeypatch.setattr(runner, "FORK_LEGS", False)
+    in_process = runner.run_config(cfg, tmp_path / "in_process")
+    assert [w[:17] for w in forked["warnings"]] == ["time step refined", "limit leg probe 0",
+                                                   "limit leg probe 1"]
+    assert _artifacts(tmp_path / "forked") == _artifacts(tmp_path / "in_process")
+
+
+@pytest.mark.parametrize("leg", ["propagate_conditional", "propagate_two_channel"],
+                         ids=["limit-leg", "two-channel-leg"])
+def test_a_failed_leg_fails_the_run_and_leaves_no_process(tmp_path, monkeypatch, leg):
+    """An error of either fluorescence leg is the run's error, and no child
+    process is left: the forked limit leg is joined or killed, and reaped."""
+    def failing(*args, **kwargs):
+        raise NumericsError(f"probe failure in {leg}")
+
+    monkeypatch.setattr(runner, leg, failing)
+    with pytest.raises(NumericsError, match=f"probe failure in {leg}"):
+        runner.run_config(refined_fluorescence_config(), tmp_path)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not runner.FORK_LEGS, reason="the limit leg forks on Linux only")
+def test_a_leg_that_ends_without_a_result_is_a_run_error(tmp_path, monkeypatch):
+    """A forked leg whose process exits without a result fails the run with
+    its exit status, not an EOFError or a hang."""
+    monkeypatch.setattr(runner, "propagate_conditional", lambda *args, **kwargs: os._exit(3))
+    with pytest.raises(SpindetectError, match=r"without a result \(exit status 3\)"):
+        runner.run_config(refined_fluorescence_config(), tmp_path)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_refinement_is_one_manifest_warning(refined_fluorescence):

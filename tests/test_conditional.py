@@ -21,6 +21,7 @@ from spindetect import (
     propagate_conditional,
     propagate_two_channel,
 )
+from spindetect import conditional
 from spindetect.conditional import (PHASE_BUDGET, ConditionalTrajectory, CrankNicolson1D,
                                     norm_balance)
 from spindetect.errors import ConfigurationError, NumericsError
@@ -368,6 +369,27 @@ def test_two_channel_step_over_the_budget_is_the_run_at_the_refined_step():
     fine = run(dt0 / 3)
     assert fine.dt == dt0 / 3
     _assert_same_run(coarse, fine)
+
+
+@pytest.mark.parametrize("factor, refine", [(2.4, 3), (0.8, 1)], ids=["refined", "unrefined"])
+def test_time_step_is_the_two_channel_step(factor, refine):
+    """time_step, given two_channel_vmax, is the step propagate_two_channel
+    takes, bit for bit: a caller can know it before the run."""
+    u = make_units()
+    grid = internal_grid(-90.0, 90.0, 0.2)
+    lit = _lit(0.0, 20.0)
+    rabi = 0.3 * u.reference_frequency
+    detuning, linewidth = 0.1 * u.reference_frequency, 0.5 * u.reference_frequency
+    vmax = conditional.two_channel_vmax(rabi, lit, detuning, linewidth, grid)
+    assert vmax == two_channel_vmax(rabi, detuning, linewidth)
+    dt = factor * PHASE_BUDGET * HBAR / vmax
+    ground0 = free_evolved_packet(slow_packet(), -2.0 * T0, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)     # the refinement, when refined
+        traj = propagate_two_channel(ground0, np.zeros_like(ground0), rabi, lit, detuning,
+                                     linewidth, grid, (-2.0 * T0, -2.0 * T0 + 4.0 * dt), dt,
+                                     mass=slow_packet().mass)
+    assert traj.dt == conditional.time_step(dt, vmax) == dt / refine
 
 
 def test_snapshots_and_csv(absorbing_run, tmp_path):

@@ -180,6 +180,15 @@ def test_only_the_two_channel_run_loads_scipy_sparse(tmp_path, build, sparse):
     assert bool(_under(loaded, "scipy.sparse")) == sparse
 
 
+def test_the_forked_fluorescence_leg_loads_no_multiprocessing(tmp_path):
+    # the limit leg's child is a bare fork and a pipe
+    cfg = helpers.refined_fluorescence_config()
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    loaded = _loaded_after("from spindetect.cli import main\nassert main(['fluorescence', "
+                           "'--config', 'cfg.json', '--out', 'out']) == 0", tmp_path)
+    assert _under(loaded, "multiprocessing") == []
+
+
 def test_public_names_resolve_on_first_use():
     """Each name of the package's table is the object its module defines; a
     submodule import still works; an unknown name is an AttributeError."""

@@ -37,6 +37,7 @@ from spindetect import (
     scaled_ensemble,
     single_spin,
 )
+from spindetect.conditional import time_step, two_channel_vmax
 from spindetect.errors import ConfigurationError
 
 from helpers import fig1_geometry, fig1_packet, internal_grid, make_bath, make_units, slow_packet
@@ -136,6 +137,12 @@ SCALARS = [
      lambda v: one_channel_limit_potential(W0, LIT, v, W0, GRID)),
     ("one_channel_limit_potential", "linewidth", "nonnegative",
      lambda v: one_channel_limit_potential(W0, LIT, W0, v, GRID)),
+    ("two_channel_vmax", "rabi", "", lambda v: two_channel_vmax(v, LIT, 0.0, W0, GRID)),
+    ("two_channel_vmax", "detuning", "", lambda v: two_channel_vmax(W0, LIT, v, W0, GRID)),
+    ("two_channel_vmax", "linewidth", "nonnegative",
+     lambda v: two_channel_vmax(W0, LIT, 0.0, v, GRID)),
+    ("time_step", "dt", "positive", lambda v: time_step(v, 1e-30)),
+    ("time_step", "vmax", "nonnegative", lambda v: time_step(DT, v)),
     ("adiabaticity_ratio", "rabi_max", "", lambda v: adiabaticity_ratio(v, 0.0, W0, 1.0)),
     ("adiabaticity_ratio", "detuning", "", lambda v: adiabaticity_ratio(W0, v, W0, 1.0)),
     ("adiabaticity_ratio", "linewidth", "nonnegative",
