@@ -111,60 +111,53 @@ class RectangularBath:
 class GeneralBath:
     """User-supplied 1D spectrum: dispersion c(omega) and coupling Gamma(omega).
 
-    dispersion: constant (float) or callable; dispersion_derivative may be
-    given, otherwise c' is taken by central differences. coupling maps
-    omega -> complex amplitude with |Gamma|^2 in m/s. cutoff bounds the
-    support of the principal-value shift integral.  Spectral lines down to a
-    Gaussian 1/e half-width of 1e-3 of the support are resolved; a narrower
-    line can fall between the nodes of two levels and be missed.
+    dispersion: constant (float), or callable with its exact derivative as
+    dispersion_derivative; coupling maps omega -> complex amplitude with
+    |Gamma|^2 in m/s; each callable takes an array of omega and returns
+    values that broadcast to it.  cutoff bounds the support of the
+    principal-value shift integral.  Spectral lines down to a Gaussian 1/e
+    half-width of 1e-3 of the support are resolved; a narrower line can
+    fall between the nodes of two levels and be missed.
     """
 
-    dispersion: float | Callable[[float], float]
+    dispersion: float | Callable[[np.ndarray], np.ndarray]
     coupling: Callable[[np.ndarray], np.ndarray]
     cutoff: float
-    dispersion_derivative: Callable[[float], float] | None = None
+    dispersion_derivative: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         checked_scalar("cutoff", self.cutoff, "positive")
+        _check_dispersion(self)
 
     def density(self, omega) -> np.ndarray:
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
         out = np.zeros_like(omega)
         inside = (omega > 0) & (omega <= self.cutoff)
-        if np.any(inside):
-            w = omega[inside]
-            bracket = _dispersion_factor(self.dispersion, self.dispersion_derivative, w, 2)
-            gam = np.asarray(self.coupling(w), dtype=complex)
-            out[inside] = bracket * w * np.abs(gam) ** 2
+        w = omega[inside]
+        bracket = _dispersion_factor(self.dispersion, self.dispersion_derivative, w, 2)
+        out[inside] = bracket * w * np.abs(self.coupling(w)) ** 2
         return out
 
 
 BathSpectrum = RectangularBath | GeneralBath
 
 
-def _dispersion_factor(dispersion, derivative, omega, power: int) -> np.ndarray:
-    """(c - omega c')/c^power on an array of omega.
+def _check_dispersion(spectrum) -> None:
+    if callable(spectrum.dispersion) and spectrum.dispersion_derivative is None:
+        raise ConfigurationError("a callable dispersion needs dispersion_derivative, its c'")
 
-    dispersion is a constant or a scalar callable c(omega); c' comes from
-    derivative when given, else from central differences with step
-    max(|omega|, 1) * 1e-6.  A factor <= 0 is an unphysical dispersion law.
-    """
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    if callable(dispersion):
-        speed = np.vectorize(dispersion, otypes=[float])
-        c = speed(omega)
-        if derivative is not None:
-            cp = np.vectorize(derivative, otypes=[float])(omega)
-        else:
-            h = np.maximum(np.abs(omega), 1.0) * 1e-6
-            cp = (speed(omega + h) - speed(omega - h)) / (2.0 * h)
-    else:
-        c = np.full_like(omega, dispersion)
-        cp = np.zeros_like(omega)
-    factor = (c - omega * cp) / c**power
-    if np.any(factor <= 0):
-        raise ConfigurationError(
-            f"unphysical dispersion: c - omega c' <= 0 at omega = {omega[factor <= 0][0]:.6g}")
+
+def _dispersion_factor(dispersion, derivative, omega: np.ndarray, power: int) -> np.ndarray:
+    """(c - omega c')/c^power on an array of omega, c' = 0 for a constant c.
+    A non-finite c or c', c <= 0 or c - omega c' <= 0 is unphysical."""
+    c, cp = ((dispersion(omega), derivative(omega)) if callable(dispersion)
+             else (np.full_like(omega, dispersion), 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = (c - omega * cp) / c**power
+    bad = ~((c > 0) & (factor > 0) & np.isfinite(factor))
+    if np.any(bad):
+        raise ConfigurationError(f"unphysical dispersion: c <= 0, c - omega c' <= 0 or a "
+                                 f"non-finite c or c' at omega = {omega[bad][0]:.6g}")
     return factor
 
 
@@ -519,28 +512,28 @@ def modified_frequencies(geometry: DetectorGeometry) -> np.ndarray:
 class DirectionalCoupling:
     """3D coupling amplitude Gamma(omega, e) over emission directions.
 
-    amplitude: complex constant, or callable (omega, e) -> complex array
-    where e is an (n, 3) array of unit vectors. |Gamma|^2 carries m^3/s.
+    Called on an (m,) array omega and an (n, 3) array e of unit vectors, it
+    returns Gamma as an (m, n) array, 0 outside (0, cutoff].  amplitude:
+    complex constant, or callable (omega, e) -> complex array broadcasting
+    to (m, n), given omega as an (m, 1) column.  |Gamma|^2 carries m^3/s.
     """
 
     def __init__(self, amplitude, cutoff: float):
         self.amplitude = amplitude
         self.cutoff = checked_scalar("cutoff", cutoff, "positive")
 
-    def __call__(self, omega: float, e: np.ndarray) -> np.ndarray:
-        n = e.shape[0]
-        if omega <= 0 or omega > self.cutoff:
-            return np.zeros(n, dtype=complex)
-        if callable(self.amplitude):
-            return np.asarray(self.amplitude(omega, e), dtype=complex) * np.ones(n)
-        return np.full(n, complex(self.amplitude))
+    def __call__(self, omega: np.ndarray, e: np.ndarray) -> np.ndarray:
+        out = np.zeros((omega.size, e.shape[0]), dtype=complex)
+        inside = (omega > 0) & (omega <= self.cutoff)
+        amplitude = self.amplitude
+        out[inside] = amplitude(omega[inside, None], e) if callable(amplitude) else amplitude
+        return out
 
     def scaled(self, factor: float) -> "DirectionalCoupling":
-        if callable(self.amplitude):
-            base = self.amplitude
-            return DirectionalCoupling(lambda w, e: factor * np.asarray(base(w, e)),
-                                       self.cutoff)
-        return DirectionalCoupling(factor * complex(self.amplitude), self.cutoff)
+        amplitude = self.amplitude
+        return DirectionalCoupling((lambda w, e: factor * np.asarray(amplitude(w, e)))
+                                   if callable(amplitude) else factor * complex(amplitude),
+                                   self.cutoff)
 
 
 @dataclass(frozen=True)
@@ -548,15 +541,17 @@ class DirectionalSpectrum3D:
     """Per-spin directional couplings and the shared dispersion law.
 
     couplings[j] is Gamma_j(omega, e); spontaneous[j] the always-on channel
-    Gamma_spon_j (or None). dispersion as in GeneralBath.
+    Gamma_spon_j (or None). dispersion and dispersion_derivative as in
+    GeneralBath: a constant, or a callable on arrays with its exact c'.
     """
 
-    dispersion: float | Callable[[float], float]
+    dispersion: float | Callable[[np.ndarray], np.ndarray]
     couplings: tuple[DirectionalCoupling, ...]
     spontaneous: tuple[DirectionalCoupling | None, ...] | None = None
-    dispersion_derivative: Callable[[float], float] | None = None
+    dispersion_derivative: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
+        _check_dispersion(self)
         if self.spontaneous is not None and len(self.spontaneous) != len(self.couplings):
             raise ConfigurationError("need one spontaneous entry per coupling (or None)")
 
@@ -580,7 +575,9 @@ def _angle_integrated_density(spectrum: DirectionalSpectrum3D,
                               channel: DirectionalCoupling | None,
                               e: np.ndarray, w: np.ndarray):
     """f3(omega) = omega^3 [(c - omega c')/c^4] ∫ dOmega |Gamma|^2/(2 pi)^2 of
-    one channel (0 for an absent one), as a function vectorised in omega."""
+    one channel (0 for an absent one), as a function vectorised in omega;
+    |Gamma|^2 in (frequencies, directions) blocks of 2^21 elements (32 MB)."""
+    rows = max(1, 2**21 // len(e))
 
     def density(omega) -> np.ndarray:
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
@@ -588,7 +585,8 @@ def _angle_integrated_density(spectrum: DirectionalSpectrum3D,
             return np.zeros_like(omega)
         bracket = _dispersion_factor(spectrum.dispersion, spectrum.dispersion_derivative,
                                      omega, 4)
-        solid = np.array([np.sum(np.abs(channel(v, e)) ** 2 * w) for v in omega])
+        solid = np.concatenate([np.sum(np.abs(channel(omega[lo:lo + rows], e)) ** 2 * w, axis=1)
+                                for lo in range(0, omega.size, rows)])
         return omega**3 * bracket * solid / TWO_PI**2
 
     return density

@@ -341,11 +341,9 @@ class ScatteringSynthesis:
         """
         if not (-np.inf < x_min < 0.0 < x_max < np.inf):
             raise ConfigurationError("series window must be finite and straddle 0")
-        if right_points % 2 == 0:
-            right_points += 1
-        if right_points < 3:
-            raise ConfigurationError("fewer than 3 Simpson points over [0, x_max]: "
-                                     "the right spacing exceeds twice x_max")
+        if right_points < 3 or right_points % 2 == 0:
+            raise ConfigurationError(f"fewer than 3 Simpson points over [0, x_max], or an "
+                                     f"even count: {right_points}")
         x_lo = float(self.units.length_in(x_min))
         x_hi = float(self.units.length_in(x_max))
         c_mat = self.time_phases(times_si)

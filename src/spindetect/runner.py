@@ -119,25 +119,26 @@ def build_scene(cfg: dict) -> Scene:
                  rates=rates, derived=derived)
 
 
+def _grid_steps(what: str, lo: float, hi: float, step: float, unit: str, *,
+                keep_step: bool = False, even: bool = False) -> int:
+    """Steps of a uniform grid over [lo, hi] at about step, made even for
+    Simpson's rule if asked; a step that does not fit warns with the grid."""
+    n = int(round((hi - lo) / step))
+    n += n % 2 if even else 0
+    if n and abs(lo + n * step - hi) > 1e-9 * max(abs(hi), step):    # 0: callers raise
+        end, used = (lo + n * step, step) if keep_step else (hi, (hi - lo) / n)
+        warnings.warn(f"{what}: a {step:.12g} {unit} step does not fit [{lo:.12g}, {hi:.12g}] "
+                      f"{unit}; the grid takes {n + 1} points at {used:.12g} {unit} over "
+                      f"[{lo:.12g}, {end:.12g}] {unit}")
+    return n
+
+
 def _time_grid(num: dict, unit: float) -> np.ndarray:
-    """Times over the nearest whole number of steps; warns if that moves the
-    end of the window."""
-    start, stop, step = (num["time_start_t0"], num["time_stop_t0"],
-                         num["time_step_t0"])
-    n = int(round((stop - start) / step))
+    start, step = num["time_start_t0"], num["time_step_t0"]
+    n = _grid_steps("time window", start, num["time_stop_t0"], step, "t0", keep_step=True)
     if n < 2:
         raise ConfigurationError("time window spans fewer than two steps")
-    end = start + n * step
-    if abs(end - stop) > 1e-9 * max(abs(stop), step):
-        warnings.warn(f"time window ends at {end:.12g} t0, not the configured {stop:.12g} "
-                      f"t0: the span is not a whole number of {step:.12g} t0 steps")
     return (start + step * np.arange(n + 1)) * unit
-
-
-def _space_grid(num: dict, unit: float) -> Grid1D:
-    span = num["x_max_l0"] - num["x_min_l0"]
-    n = int(round(span / num["grid_spacing_l0"])) + 1
-    return Grid1D(num["x_min_l0"] * unit, num["x_max_l0"] * unit, n)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +164,8 @@ def _run_discrete(cfg: dict, scene: Scene, out_dir: Path):
     times = _time_grid(num, u.time_unit)
     x_min = num["x_min_l0"] * u.length_unit
     x_max = num["x_max_l0"] * u.length_unit
-    right_points = int(round(num["x_max_l0"] / num["right_spacing_l0"])) + 1
+    right_points = _grid_steps("discrete right grid", 0.0, num["x_max_l0"],
+                               num["right_spacing_l0"], "l0", even=True) + 1
     series = detection_density_discrete(
         scene.packet, scene.geometry, scene.bath, times,
         x_min=x_min, x_max=x_max, right_points=right_points,
@@ -182,7 +184,9 @@ def _continuum_setup(cfg: dict, scene: Scene):
     Returns (grid, t_span, dt, psi0, snapshots)."""
     num = cfg["numerics"]["continuum"]
     u = scene.units
-    grid = _space_grid(num, u.length_unit)
+    lo, hi = num["x_min_l0"], num["x_max_l0"]
+    grid = Grid1D(lo * u.length_unit, hi * u.length_unit,
+                  _grid_steps("continuum grid", lo, hi, num["grid_spacing_l0"], "l0") + 1)
     times = _time_grid(num, u.time_unit)
     t0, t1 = float(times[0]), float(times[-1])
     psi0 = free_evolved_packet(scene.packet, t0, grid)

@@ -379,14 +379,13 @@ def test_principal_value_beyond_the_support():
     assert pv == pytest.approx(-(2.0 + 2.5 * np.log(0.2)) / np.pi, rel=1e-15)
 
 
-@pytest.mark.parametrize("with_derivative,rtol", [(True, 1e-13), (False, 1e-9)])
-def test_callable_dispersion_density_1d_and_3d(with_derivative, rtol):
+def test_callable_dispersion_density_1d_and_3d():
     """c = c0 + c1 w gives c - w c' = c0: the 1D density is c0 w |Gamma|^2/c^2
-    and the isotropic 3D rate m w^3 c0/c^4 |Gamma|^2/pi.  Without the
-    derivative c' comes from central differences."""
+    and the isotropic 3D rate m w^3 c0/c^4 |Gamma|^2/pi."""
     c0, c1, gamma0 = 2.0, 0.3, 0.4
     speed = lambda w: c0 + c1 * w
-    slope = (lambda w: c1) if with_derivative else None
+    slope = lambda w: c1
+    rtol = 1e-13
     bath = GeneralBath(dispersion=speed, dispersion_derivative=slope, cutoff=5.0,
                        coupling=lambda w: np.full(np.shape(w), gamma0))
     w = np.array([0.2, 1.0, 3.7, 5.0])
@@ -404,15 +403,88 @@ def test_callable_dispersion_density_1d_and_3d(with_derivative, rtol):
 
 def test_unphysical_dispersion_rejected():
     """c = w^2 has c - w c' = -w^2 < 0 everywhere in the support."""
-    speed = lambda w: w**2
-    bath = GeneralBath(dispersion=speed, cutoff=5.0,
+    speed, slope = (lambda w: w**2), (lambda w: 2 * w)
+    bath = GeneralBath(dispersion=speed, dispersion_derivative=slope, cutoff=5.0,
                        coupling=lambda w: np.ones(np.shape(w)))
     with pytest.raises(ConfigurationError, match="unphysical dispersion"):
         bath.density(np.array([0.5, 1.0]))
-    spec = DirectionalSpectrum3D(dispersion=speed,
+    spec = DirectionalSpectrum3D(dispersion=speed, dispersion_derivative=slope,
                                  couplings=(DirectionalCoupling(0.4, 5.0),))
     with pytest.raises(ConfigurationError, match="unphysical dispersion"):
         rate_map_3d(_ball_geometry(), spec, np.zeros((1, 3)))
+
+
+def test_dispersion_with_a_negative_phase_speed_rejected():
+    """c = 1 - w/3 has c - w c' = 1 > 0 everywhere, but c = 0 at w = 3 and
+    c < 0 beyond: the first such frequency is rejected, in 1D and in 3D,
+    instead of an infinite density or a principal value that never
+    converges."""
+    speed, slope = (lambda w: 1.0 - w / 3.0), (lambda w: np.full(np.shape(w), -1.0 / 3.0))
+    bath = GeneralBath(dispersion=speed, dispersion_derivative=slope, cutoff=5.0,
+                       coupling=lambda w: np.full(np.shape(w), 0.4))
+    np.testing.assert_allclose(bath.density(np.array([1.0, 2.0])), [0.36, 2.88], rtol=1e-14)
+    with pytest.raises(ConfigurationError, match="unphysical dispersion.* omega = 3$"):
+        bath.density(np.array([1.0, 3.0, 4.0]))
+    with pytest.raises(ConfigurationError, match="unphysical dispersion.* omega = 4$"):
+        decay_rate_and_shift(bath, 4.0)
+    spec = DirectionalSpectrum3D(dispersion=speed, dispersion_derivative=slope,
+                                 couplings=(DirectionalCoupling(0.4, 5.0),))
+    with pytest.raises(ConfigurationError, match="unphysical dispersion"):
+        rate_map_3d(_ball_geometry(), spec, np.zeros((1, 3)))
+    with pytest.raises(ConfigurationError, match="unphysical dispersion.* omega = 3.5$"):
+        rate_map_3d(_ball_geometry(resonance=3.5), spec, np.zeros((1, 3)),
+                    include_shift=False)
+
+
+@pytest.mark.parametrize("make", [
+    lambda speed, slope: GeneralBath(dispersion=speed, dispersion_derivative=slope,
+                                     cutoff=5.0, coupling=lambda w: np.ones(np.shape(w))),
+    lambda speed, slope: DirectionalSpectrum3D(dispersion=speed, dispersion_derivative=slope,
+                                               couplings=(DirectionalCoupling(0.4, 5.0),)),
+], ids=["1d", "3d"])
+def test_callable_dispersion_needs_its_derivative(make):
+    """c' is exact or absent: a callable c without dispersion_derivative
+    fails at construction, a constant c needs none."""
+    with pytest.raises(ConfigurationError, match="dispersion_derivative"):
+        make(lambda w: 2.0 + 0.3 * w, None)
+    make(2.0, None)
+
+
+def test_rate_map_calls_each_callable_once_per_level():
+    """A 3D rate map with its shift takes c, c' and Gamma on whole arrays of
+    frequencies: a handful of calls, not one per quadrature node."""
+    calls = {"c": 0, "c'": 0, "Gamma": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    spec = DirectionalSpectrum3D(
+        dispersion=counted("c", lambda w: 1.5 + 0.2 * w),
+        dispersion_derivative=counted("c'", lambda w: np.full(np.shape(w), 0.2)),
+        couplings=(DirectionalCoupling(counted("Gamma", lambda w, e: 0.3 + 0.1 * e[:, 2]),
+                                       5.0),))
+    rm = rate_map_3d(_ball_geometry(multiplicity=1), spec, np.zeros((1, 3)))
+    assert rm.level_shift[0] != 0.0
+    assert 0 < max(calls.values()) <= 8, calls
+
+
+@pytest.mark.parametrize("amplitude", [0.3 - 0.2j, lambda w, e: w * (1.0 + e[:, 2])],
+                         ids=["constant", "callable"])
+def test_directional_coupling_on_the_frequency_direction_grid(amplitude):
+    """Gamma(omega, e) is an (m, n) array, 0 at omega <= 0 and beyond the
+    cutoff; a callable amplitude gets omega as an (m, 1) column."""
+    e = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    omega = np.array([-1.0, 0.0, 0.5, 2.0, 2.5])
+    gamma = DirectionalCoupling(amplitude, 2.0)(omega, e)
+    assert gamma.shape == (5, 3) and gamma.dtype == complex
+    np.testing.assert_array_equal(gamma[[0, 1, 4]], 0.0)
+    if callable(amplitude):
+        np.testing.assert_array_equal(gamma[2:4], [[1.0, 0.5, 0.0], [4.0, 2.0, 0.0]])
+    else:
+        np.testing.assert_array_equal(gamma[2:4], amplitude)
 
 
 def test_markov_summary_correlation_time():

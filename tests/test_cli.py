@@ -16,6 +16,7 @@ import spindetect
 from spindetect import runner
 from spindetect.cli import main
 from spindetect.conditional import ConditionalTrajectory
+from spindetect.config import resolve_config
 from spindetect.errors import NumericsError, SpindetectError
 from spindetect.output import read_csv
 
@@ -253,13 +254,52 @@ def test_window_off_the_step_grid_warns(tmp_path):
                  "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     moved = [w for w in manifest["warnings"] if "time window" in w]
-    assert moved == ["time window ends at 8.02 t0, not the configured 8.013 t0: "
-                     "the span is not a whole number of 0.02 t0 steps"]
+    assert moved == ["time window: a 0.02 t0 step does not fit [-8, 8.013] t0; the grid "
+                     "takes 802 points at 0.02 t0 over [-8, 8.02] t0"]
     # perfbench counts warnings by these phrases; this one is none of them
     assert not any(p in moved[0] for p in ("refined x", "edge mass", "window edges"))
     # w1 sits on step midpoints: the last one is half a step before 8.02
     t_last = read_csv(out / "w1_cont.csv")["t_s"][-1]
     assert t_last / helpers.make_units().time_unit == pytest.approx(8.01, rel=1e-12)
+
+
+def test_each_grid_warns_when_its_step_does_not_fit(monkeypatch):
+    """The time windows, the continuum grid and the discrete right grid take
+    their point counts by one rule.  The figure1 preset's steps fit, and
+    nothing warns.  Steps that do not fit warn in the same words with the
+    grid taken: a time window keeps its step and moves its end, a spatial
+    grid keeps its ends, and the right grid's Simpson count is odd."""
+    class RightGrid(Exception):
+        pass
+
+    def right_grid(*args, right_points, **kwargs):
+        raise RightGrid(right_points)
+
+    monkeypatch.setattr(runner, "detection_density_discrete", right_grid)
+    cfg = resolve_config(spindetect.load_preset("figure1"))
+    scene = runner.build_scene(cfg)
+
+    def point_counts():
+        grid = runner._continuum_setup(cfg, scene)[0]
+        with pytest.raises(RightGrid) as right:
+            runner._run_discrete(cfg, scene, None)
+        return grid.n_points, right.value.args[0]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert point_counts() == (70001, 10001)
+    cfg["numerics"]["continuum"].update(grid_spacing_l0=0.015, time_stop_t0=45.001)
+    cfg["numerics"]["discrete"].update(x_max_l0=180.0, right_spacing_l0=0.07)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert point_counts() == (46668, 2573)
+    assert [str(w.message) for w in caught] == [
+        "continuum grid: a 0.015 l0 step does not fit [-350, 350] l0; the grid takes "
+        "46668 points at 0.0149998928579 l0 over [-350, 350] l0",
+        "time window: a 0.004 t0 step does not fit [-25, 45.001] t0; the grid takes "
+        "17501 points at 0.004 t0 over [-25, 45] t0",
+        "discrete right grid: a 0.07 l0 step does not fit [0, 180] l0; the grid takes "
+        "2573 points at 0.0699844479005 l0 over [0, 180] l0"]
 
 
 def test_failed_matching_nodes_reach_the_manifest(tmp_path, monkeypatch, capsys):
@@ -395,8 +435,9 @@ def test_forked_limit_leg_is_the_in_process_run(tmp_path, monkeypatch, fields_fl
     forked = runner.run_config(cfg, tmp_path / "forked")
     monkeypatch.setattr(runner, "FORK_LEGS", False)
     in_process = runner.run_config(cfg, tmp_path / "in_process")
-    assert [w[:17] for w in forked["warnings"]] == ["time step refined", "limit leg probe 0",
-                                                   "limit leg probe 1"]
+    # the grid's 190 l0 / 0.15 warning comes first, from the shared setup
+    assert [w[:17] for w in forked["warnings"]] == ["continuum grid: a", "time step refined",
+                                                   "limit leg probe 0", "limit leg probe 1"]
     assert _artifacts(tmp_path / "forked") == _artifacts(tmp_path / "in_process")
 
 
