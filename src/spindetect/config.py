@@ -378,6 +378,8 @@ def resolve_config(raw: dict, kind: str | None = None, *,
                      "detector.sensitivity.")
         if skind == "tabulated" and len(sens["x_l0"]) != len(sens["values"]):
             _fail("detector.sensitivity", "x_l0 and values must have equal length")
+        if skind == "tabulated" and any(b <= a for a, b in zip(sens["x_l0"], sens["x_l0"][1:])):
+            _fail("detector.sensitivity.x_l0", "must be strictly increasing")
     # the mode-ladder route matches its modes at a half-line edge at 0
     if ("discrete" in cfg.get("numerics", {})
             and sens != {"kind": "half_line", "start_l0": 0.0}):

@@ -100,11 +100,9 @@ def interior_eigenmodes(geometry: DetectorGeometry,
                         bath: RectangularBath) -> InteriorEigenbasis:
     """Diagonalize the interior block for a half-line single-spin detector."""
     omega0 = geometry.resonance
-    if geometry.sensitivity is not None:
-        support = geometry.sensitivity.support
-        if not (support[0] == 0.0 and np.isinf(support[1])):
-            raise ConfigurationError(
-                "the discrete model requires the half-line sensitivity Theta(x)")
+    chi = geometry.sensitivity
+    if chi is not None and not (chi.support == (0.0, np.inf) and np.all(chi.values == 1.0)):
+        raise ConfigurationError("the discrete model requires the half-line sensitivity Theta(x)")
     if bath.modes is None:
         raise ConfigurationError("discrete model needs a bath with a mode ladder")
     freqs = bath.mode_frequencies()

@@ -2,12 +2,13 @@
 
 The detector is a region of space where a moving particle can flip one or
 more localized spins. A sensitivity profile chi(x) in [0, 1] weights the
-spin-flip coupling; chi = 1 inside the active region and 0 outside. In 1D
-the supported profiles are the half line Theta(x), a finite interval
-[0, d], and a tabulated curve. In 3D each spin carries its own region and
-sensitivity chi_j(x), a bare resonance, an optional multiplicity (number of
-co-located identical spins), and pairwise ferromagnetic couplings between
-spins.
+spin-flip coupling. In 1D every profile is one piecewise-linear table,
+zero outside its range: the half line Theta(x - s) is the table
+[s, +inf] -> [1, 1] and the interval [s, s + d] the table
+[s, s + d] -> [1, 1], so each edge of a detector follows one rule. In 3D
+each spin carries its own region and sensitivity chi_j(x), a bare
+resonance, an optional multiplicity (number of co-located identical
+spins), and pairwise ferromagnetic couplings between spins.
 """
 
 from __future__ import annotations
@@ -49,40 +50,12 @@ class Grid1D:
 # 1D sensitivity profiles
 # ---------------------------------------------------------------------------
 
-class HalfLineSensitivity:
-    """chi(x) = Theta(x - start): detector occupies [start, +inf)."""
-
-    def __init__(self, start: float = 0.0):
-        self.start = checked_scalar("start", start)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.start, np.inf)
-
-    def __call__(self, x) -> np.ndarray:
-        return (np.asarray(x, dtype=float) >= self.start).astype(float)
-
-
-class IntervalSensitivity:
-    """chi(x) = 1 on [start, start + width], 0 elsewhere."""
-
-    def __init__(self, width: float, start: float = 0.0):
-        self.start = checked_scalar("start", start)
-        self.width = checked_scalar("width", width, "positive")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.start, self.start + self.width)
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return ((x >= self.start) & (x <= self.start + self.width)).astype(float)
-
-
 class TabulatedSensitivity:
     """chi from a table, linearly interpolated, zero outside the table range.
 
-    Values must lie in [0, 1]; abscissae must be strictly increasing.
+    Values must lie in [0, 1]; abscissae must be strictly increasing and
+    finite, except a last +inf that ends a flat segment (a profile that
+    stays at its last value for good, like the half line).
     """
 
     def __init__(self, x_table: Sequence[float], values: Sequence[float]):
@@ -92,7 +65,12 @@ class TabulatedSensitivity:
             raise ConfigurationError("tabulated sensitivity needs matching 1D tables, >= 2 rows")
         if not np.all(np.diff(x_table) > 0):
             raise ConfigurationError("tabulated sensitivity abscissae must be strictly increasing")
-        if np.any(values < 0) or np.any(values > 1):
+        # increasing abscissae can be non-finite only at the ends
+        if np.isinf(x_table[0]) or (np.isinf(x_table[-1]) and values[-2] != values[-1]):
+            raise ConfigurationError(
+                "tabulated sensitivity abscissae must be finite, except a last +inf"
+                " after a flat segment")
+        if not np.all((values >= 0) & (values <= 1)):
             raise ConfigurationError("sensitivity values must lie in [0, 1]")
         self.x_table = x_table
         self.values = values
@@ -106,7 +84,19 @@ class TabulatedSensitivity:
                          left=0.0, right=0.0)
 
 
-Sensitivity = HalfLineSensitivity | IntervalSensitivity | TabulatedSensitivity
+Sensitivity = TabulatedSensitivity
+
+
+def HalfLineSensitivity(start: float = 0.0) -> Sensitivity:
+    """chi(x) = Theta(x - start): detector occupies [start, +inf)."""
+    return TabulatedSensitivity([checked_scalar("start", start), np.inf], [1.0, 1.0])
+
+
+def IntervalSensitivity(width: float, start: float = 0.0) -> Sensitivity:
+    """chi(x) = 1 on [start, start + width], 0 elsewhere."""
+    start = checked_scalar("start", start)
+    width = checked_scalar("width", width, "positive")
+    return TabulatedSensitivity([start, start + width], [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

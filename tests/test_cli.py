@@ -73,6 +73,20 @@ def test_validate_rejects_non_finite_numbers(tmp_path, capsys):
     assert "numerics.continuum.time_step_t0" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_table_out_of_order(tmp_path, capsys):
+    """The run would stop on the same table; validate names its path."""
+    cfg = small_continuum_config()
+    cfg["detector"]["sensitivity"] = {"kind": "tabulated", "x_l0": [0.0, 4.0, 2.0],
+                                      "values": [0.0, 1.0, 0.5]}
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert ("config error at detector.sensitivity.x_l0: must be strictly increasing"
+            in capsys.readouterr().err)
+    out = tmp_path / "run"
+    assert main(["continuum", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_validate_rejects_a_block_the_kind_does_not_read(tmp_path, capsys):
     """A fluorescence run never reads a bath; a config without a kind gets
     the generic checks only."""

@@ -359,6 +359,11 @@ def test_sensitivity_variants():
                                       "values": [0.0, 1.0]}
     with pytest.raises(ConfigurationError, match="equal length"):
         resolve_config(cfg)
+    cfg["detector"]["sensitivity"] = {"kind": "tabulated", "x_l0": [0.0, 4.0, 2.0],
+                                      "values": [0.0, 1.0, 0.5]}
+    with pytest.raises(ConfigurationError, match=r"at detector\.sensitivity\.x_l0: must be "
+                                                 "strictly increasing"):
+        resolve_config(cfg)
     cfg["detector"]["sensitivity"] = {"kind": "tabulated", "x_l0": [0.0, 1.0],
                                       "values": [0.0, 1.0]}
     assert resolve_config(cfg)["detector"]["sensitivity"]["kind"] == "tabulated"

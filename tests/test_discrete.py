@@ -6,7 +6,9 @@ import pytest
 from spindetect import (
     Grid1D,
     HalfLineSensitivity,
+    IntervalSensitivity,
     ScatteringSynthesis,
+    TabulatedSensitivity,
     detection_density_discrete,
     free_evolved_packet,
     interior_eigenmodes,
@@ -117,6 +119,19 @@ def test_zero_coupling_is_transparent():
 def test_matching_rejects_nonpositive_wavenumbers(fig1_basis, k):
     with pytest.raises(ConfigurationError, match="incident wavenumbers must be positive"):
         match_at_origin(fig1_basis, CESIUM_MASS_KG, k)
+
+
+@pytest.mark.parametrize("sensitivity", [
+    TabulatedSensitivity([0.0, np.inf], [0.5, 0.5]),
+    TabulatedSensitivity([0.0, 1.0, np.inf], [1.0, 0.5, 0.5]),
+    IntervalSensitivity(1.0), HalfLineSensitivity(1e-9)],
+    ids=["half-strength", "step-down", "interval", "shifted"])
+def test_ladder_takes_only_the_half_line(sensitivity):
+    """A profile with the support of Theta(x) but other values is not Theta."""
+    with pytest.raises(ConfigurationError, match="requires the half-line sensitivity"):
+        interior_eigenmodes(single_spin(2.39e8, sensitivity), make_bath(modes=4))
+    theta = TabulatedSensitivity([0.0, 7.0, np.inf], [1.0, 1.0, 1.0])
+    assert interior_eigenmodes(single_spin(2.39e8, theta), make_bath(modes=4)).n_modes == 4
 
 
 def test_failed_matching_node_is_dropped_from_the_synthesis(monkeypatch):

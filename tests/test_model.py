@@ -63,6 +63,41 @@ def test_tabulated_sensitivity_validation():
         TabulatedSensitivity([1.0, 0.0], [0.5, 0.5])   # not increasing
 
 
+@pytest.mark.parametrize("start", [0.0, -3.7, 1e-300, 2.5e-6])
+def test_step_profiles_are_the_indicators_bit_for_bit(start):
+    """The half line and the interval are tables; at each edge, one ulp
+    either side of it and far away they equal the indicator arithmetic."""
+    width = 1.3e-6
+    end = start + width
+    x = np.array([-1e30, start - 1.0, np.nextafter(start, -np.inf), start,
+                  np.nextafter(start, np.inf), 0.5 * (start + end),
+                  np.nextafter(end, -np.inf), end, np.nextafter(end, np.inf),
+                  end + 1.0, 1e30, np.inf, -np.inf])
+    half, interval = HalfLineSensitivity(start), IntervalSensitivity(width, start=start)
+    expected_half = (x >= start).astype(float)
+    expected_interval = ((x >= start) & (x <= start + width)).astype(float)
+    assert half(x).tobytes() == expected_half.tobytes()
+    assert interval(x).tobytes() == expected_interval.tobytes()
+    assert half.support == (start, np.inf)
+    assert interval.support == (start, start + width)
+
+
+def test_tabulated_abscissae_are_finite_except_a_flat_last_inf():
+    # np.interp reads 1.0 at x = -1 on the segment from -inf, where this table reads 0
+    with pytest.raises(ConfigurationError, match="must be finite, except a last"):
+        TabulatedSensitivity([-np.inf, 0.0, 1.0], [0.0, 1.0, 1.0])
+    with pytest.raises(ConfigurationError, match="must be finite, except a last"):
+        TabulatedSensitivity([0.0, 1.0, np.inf], [0.0, 1.0, 0.5])   # sloped to +inf
+    with pytest.raises(ConfigurationError, match="strictly increasing"):
+        TabulatedSensitivity([0.0, np.nan], [1.0, 1.0])
+    with pytest.raises(ConfigurationError, match=r"lie in \[0, 1\]"):
+        TabulatedSensitivity([0.0, 1.0], [np.nan, 1.0])
+    ramp = TabulatedSensitivity([0.0, 1.0, np.inf], [0.0, 0.5, 0.5])
+    np.testing.assert_array_equal(ramp(np.array([-1.0, 0.5, 1.0, 1e300])),
+                                  [0.0, 0.25, 0.5, 0.5])
+    assert ramp.support == (0.0, np.inf)
+
+
 def test_ball_region_indicator():
     chi = ball_region(np.array([1.0, 0.0, 0.0]), 2.0)
     pts = np.array([[1.0, 0.0, 0.0], [2.9, 0.0, 0.0], [3.1, 0.0, 0.0],
