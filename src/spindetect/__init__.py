@@ -38,7 +38,7 @@ _MODULE_OF = {name: module for module, names in {
                  "interior_eigenmodes", "match_at_origin"),
     "errors": ("ConfigurationError", "NumericsError", "SpindetectError"),
     "model": ("DetectorGeometry", "Grid1D", "HalfLineSensitivity", "IntervalSensitivity",
-              "SpinRegion3D", "TabulatedSensitivity", "ball_region", "single_spin"),
+              "SpinRegion3D", "TabulatedSensitivity", "ball_region"),
     "packets": ("GaussianPacketSpec", "free_evolved_packet", "momentum_amplitude"),
     "runner": ("build_scene", "run_config"),
     "units": ("CESIUM_MASS_KG", "HBAR", "UnitSystem"),

@@ -604,8 +604,6 @@ def rate_map_3d(geometry: DetectorGeometry, spectrum: DirectionalSpectrum3D,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 3:
         raise ConfigurationError(f"3D rate map needs (n, 3) points, got {pts.shape}")
-    if geometry.regions_3d is None:
-        raise ConfigurationError("geometry has no 3D spin regions")
     if len(spectrum.couplings) != geometry.spin_count:
         raise ConfigurationError("need one directional coupling per spin")
     eff = modified_frequencies(geometry)
@@ -643,8 +641,6 @@ def scaled_ensemble(geometry: DetectorGeometry, spectrum: DirectionalSpectrum3D,
     """
     if ensemble_size < 1:
         raise ConfigurationError(f"ensemble size must be >= 1, got {ensemble_size}")
-    if geometry.regions_3d is None:
-        raise ConfigurationError("geometry has no 3D spin regions")
     factor = float(ensemble_size) ** -checked_scalar("scaling_exponent", scaling_exponent)
     regions = tuple(replace(r, multiplicity=r.multiplicity * ensemble_size)
                     for r in geometry.regions_3d)

@@ -138,8 +138,7 @@ class ComplexPotential:
 
 
 def build_conditional_potential(decay_rate: float, level_shift: float,
-                                sensitivity: Sensitivity, grid: Grid1D, *,
-                                include_shift: bool = True) -> ComplexPotential:
+                                sensitivity: Sensitivity, grid: Grid1D) -> ComplexPotential:
     """Assemble V(x) = (hbar/2)(shift - i decay) * chi(x)^2 on the grid.
 
     decay_rate and level_shift are scalars (1/s) multiplying the squared
@@ -150,8 +149,6 @@ def build_conditional_potential(decay_rate: float, level_shift: float,
     chi2 = np.asarray(sensitivity(grid.points()), dtype=float) ** 2
     decay = checked_scalar("decay_rate", decay_rate, "nonnegative") * chi2
     shift = checked_scalar("level_shift", level_shift) * chi2
-    if not include_shift:
-        shift = np.zeros_like(shift)
     lo, hi = sensitivity.support
     return ComplexPotential(grid=grid, decay_profile=decay,
                             shift_profile=shift, region=(float(lo), float(hi)))

@@ -209,6 +209,13 @@ CONFIG_SCHEMA = {
     "required": ["packet", "detector"],
 }
 
+def grid_steps(lo: float, hi: float, step: float, *, even: bool = False) -> int:
+    """Steps of a uniform grid over [lo, hi] at about step, made even for
+    Simpson's rule if asked."""
+    n = int(round((hi - lo) / step))
+    return n + n % 2 if even else n
+
+
 def _fail(path: str, message: str):
     raise ConfigurationError(f"config error at {path}: {message}" if path
                              else f"config error: {message}")
@@ -402,11 +409,24 @@ def resolve_config(raw: dict, kind: str | None = None, *,
         if isinstance(node, bool) or not isinstance(node, (int, float)):
             _fail("sweep.parameter", f"path {path!r} does not target a numeric field")
 
+    # each grid holds the least points its run takes: the ladder's centred
+    # differences 5 times, a CN run 3, the CN grid 8, the Simpson grid 3
     for block, num in cfg.get("numerics", {}).items():
         if num["time_stop_t0"] <= num["time_start_t0"]:
             _fail(f"numerics.{block}.time_stop_t0", "must exceed time_start_t0")
+        least = 5 if block == "discrete" else 3
+        if grid_steps(num["time_start_t0"], num["time_stop_t0"], num["time_step_t0"]) + 1 < least:
+            _fail(f"numerics.{block}.time_step_t0",
+                  f"the time window holds fewer than {least} points")
         if block == "continuum" and num["x_max_l0"] <= num["x_min_l0"]:
             _fail("numerics.continuum.x_max_l0", "must exceed x_min_l0")
+        if block == "continuum" and grid_steps(num["x_min_l0"], num["x_max_l0"],
+                                               num["grid_spacing_l0"]) + 1 < 8:
+            _fail("numerics.continuum.grid_spacing_l0", "the grid holds fewer than 8 points")
+        if block == "discrete" and grid_steps(0.0, num["x_max_l0"], num["right_spacing_l0"],
+                                              even=True) + 1 < 3:
+            _fail("numerics.discrete.right_spacing_l0",
+                  "the right grid holds fewer than 3 Simpson points")
 
     cw = cfg.get("comparison", {}).get("window_recurrence_fraction")
     if cw and cw[1] <= cw[0]:

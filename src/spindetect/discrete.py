@@ -1,9 +1,10 @@
 """Exact one-spin, N-mode scattering model of the detector.
 
 On the half line x > 0 the particle couples a single detector spin to N
-bath modes. In the one-excitation sector spanned by |up, vac> and
-|down, 1_l> the interior Hamiltonian minus the kinetic term is the
-(N+1) x (N+1) Hermitian matrix
+bath modes; the spin's coupling is Theta(x), so the entry points take its
+resonance omega0 (rad/s) and the bath, and no sensitivity profile. In the
+one-excitation sector spanned by |up, vac> and |down, 1_l> the interior
+Hamiltonian minus the kinetic term is the (N+1) x (N+1) Hermitian matrix
 
     M = hbar * [[ omega0/2,   g_1,  ...,  g_N   ],
                 [ g_1*,  omega_1 - omega0/2, 0  ],
@@ -59,7 +60,7 @@ import numpy as np
 
 from .bath import RectangularBath
 from .errors import ConfigurationError, NumericsError, checked_scalar
-from .model import DetectorGeometry, Grid1D
+from .model import Grid1D
 from .output import write_csv
 from .packets import GaussianPacketSpec, momentum_amplitude
 from .units import UnitSystem
@@ -96,13 +97,10 @@ class InteriorEigenbasis:
         return len(self.mode_frequencies)
 
 
-def interior_eigenmodes(geometry: DetectorGeometry,
-                        bath: RectangularBath) -> InteriorEigenbasis:
-    """Diagonalize the interior block for a half-line single-spin detector."""
-    omega0 = geometry.resonance
-    chi = geometry.sensitivity
-    if chi is not None and not (chi.support == (0.0, np.inf) and np.all(chi.values == 1.0)):
-        raise ConfigurationError("the discrete model requires the half-line sensitivity Theta(x)")
+def interior_eigenmodes(resonance: float, bath: RectangularBath) -> InteriorEigenbasis:
+    """Diagonalize the interior block of the one spin, resonance omega0
+    (rad/s), that fills the half line x > 0."""
+    omega0 = checked_scalar("resonance", resonance, "positive")
     if bath.modes is None:
         raise ConfigurationError("discrete model needs a bath with a mode ladder")
     freqs = bath.mode_frequencies()
@@ -291,10 +289,10 @@ class ScatteringSynthesis:
     with a warning, from every per-node array (`solution` keeps all nodes).
     """
 
-    def __init__(self, packet: GaussianPacketSpec, geometry: DetectorGeometry,
+    def __init__(self, packet: GaussianPacketSpec, resonance: float,
                  bath: RectangularBath, *, k_nodes: int = 2001):
-        self.basis = interior_eigenmodes(geometry, bath)
-        self.units = UnitSystem(reference_frequency=geometry.resonance, mass=packet.mass)
+        self.basis = interior_eigenmodes(resonance, bath)
+        self.units = UnitSystem(reference_frequency=self.basis.resonance, mass=packet.mass)
         k_si, w_si = packet.quadrature_nodes(k_nodes)
         psi = momentum_amplitude(packet, k_si)
         self.solution = sol = match_at_origin(self.basis, packet.mass, k_si)
@@ -446,14 +444,15 @@ class DiscreteDetectionSeries:
 
 
 def detection_density_discrete(packet: GaussianPacketSpec,
-                               geometry: DetectorGeometry,
+                               resonance: float,
                                bath: RectangularBath,
                                times: np.ndarray, *,
                                x_min: float, x_max: float,
                                right_points: int = 20001,
                                k_nodes: int = 2001
                                ) -> DiscreteDetectionSeries:
-    """P_flip and its time derivative for the discrete model.
+    """P_flip and its time derivative for the discrete model, the spin's
+    resonance in rad/s.
 
     times must be uniform (centered differences assume it). x_min/x_max
     bound the region that carries all probability over the window; edge
@@ -466,7 +465,7 @@ def detection_density_discrete(packet: GaussianPacketSpec,
     steps = np.diff(times)
     if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
         raise ConfigurationError("time grid must be uniform")
-    synthesis = ScatteringSynthesis(packet, geometry, bath, k_nodes=k_nodes)
+    synthesis = ScatteringSynthesis(packet, resonance, bath, k_nodes=k_nodes)
     series = synthesis.no_flip_norm_series(times, x_min=x_min, x_max=x_max,
                                            right_points=right_points)
     p_flip = 1.0 - series["no_flip_mass"]

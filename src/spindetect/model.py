@@ -1,14 +1,16 @@
-"""Detector geometry: spatial grids, sensitivity profiles, spin layout.
+"""Detector model: spatial grids, 1D sensitivity profiles, 3D spin layout.
 
 The detector is a region of space where a moving particle can flip one or
 more localized spins. A sensitivity profile chi(x) in [0, 1] weights the
 spin-flip coupling. In 1D every profile is one piecewise-linear table,
 zero outside its range: the half line Theta(x - s) is the table
 [s, +inf] -> [1, 1] and the interval [s, s + d] the table
-[s, s + d] -> [1, 1], so each edge of a detector follows one rule. In 3D
-each spin carries its own region and sensitivity chi_j(x), a bare
-resonance, an optional multiplicity (number of co-located identical
-spins), and pairwise ferromagnetic couplings between spins.
+[s, s + d] -> [1, 1], so each edge of a detector follows one rule. The
+mode ladder (discrete.py) takes no profile: its one spin fills x > 0. In
+3D a DetectorGeometry is a collection of spins at fixed locations, each
+with a bare resonance, its own region and sensitivity chi_j(x), and an
+optional multiplicity (number of co-located identical spins), plus
+pairwise ferromagnetic couplings between spins.
 """
 
 from __future__ import annotations
@@ -134,19 +136,17 @@ def ball_region(center, radius: float) -> Callable[[np.ndarray], np.ndarray]:
 
 @dataclass(frozen=True)
 class DetectorGeometry:
-    """Spin resonances, sensitivity, and pairwise couplings.
+    """Spin resonances, their 3D regions, and pairwise couplings.
 
     resonances: bare level splittings omega_0^(j), rad/s, one per spin
-    species. sensitivity: the 1D profile chi(x) (single-spin 1D models).
-    exchange: pairwise ferromagnetic couplings, rad/s; entry [k, j] with
-    k < j refers to the unordered pair (k, j); must be >= 0. regions_3d:
-    per-spin 3D regions for rate maps (same order as resonances).
+    species. regions_3d: one 3D region per spin, in the order of
+    resonances. exchange: pairwise ferromagnetic couplings, rad/s; entry
+    [k, j] with k < j refers to the unordered pair (k, j); must be >= 0.
     """
 
     resonances: tuple[float, ...]
-    sensitivity: Sensitivity | None = None
+    regions_3d: tuple[SpinRegion3D, ...]
     exchange: np.ndarray | None = None
-    regions_3d: tuple[SpinRegion3D, ...] | None = None
 
     def __post_init__(self):
         if len(self.resonances) < 1:
@@ -162,21 +162,9 @@ class DetectorGeometry:
             if np.any(ex < 0):
                 raise ConfigurationError("exchange couplings must be >= 0")
             object.__setattr__(self, "exchange", ex)
-        if self.regions_3d is not None and len(self.regions_3d) != len(self.resonances):
+        if len(self.regions_3d) != len(self.resonances):
             raise ConfigurationError("one 3D region per spin resonance required")
 
     @property
     def spin_count(self) -> int:
         return len(self.resonances)
-
-    @property
-    def resonance(self) -> float:
-        """The single-spin resonance; errors out for multi-spin layouts."""
-        if len(self.resonances) != 1:
-            raise ConfigurationError("resonance is only defined for single-spin geometry")
-        return self.resonances[0]
-
-
-def single_spin(resonance: float, sensitivity: Sensitivity) -> DetectorGeometry:
-    """Convenience constructor for the 1D one-spin detector."""
-    return DetectorGeometry(resonances=(float(resonance),), sensitivity=sensitivity)

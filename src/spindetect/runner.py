@@ -30,11 +30,11 @@ from .bath import RatesResult, RectangularBath, decay_rate_and_shift, markov_sum
 from .conditional import (build_conditional_potential, one_channel_limit_potential,
                           propagate_conditional, propagate_two_channel, time_step,
                           two_channel_vmax, adiabaticity_ratio, norm_balance)
-from .config import get_by_path, resolve_config, set_by_path
+from .config import get_by_path, grid_steps, resolve_config, set_by_path
 from .discrete import detection_density_discrete
-from .errors import ConfigurationError, SpindetectError
-from .model import (DetectorGeometry, Grid1D, HalfLineSensitivity,
-                    IntervalSensitivity, TabulatedSensitivity, single_spin)
+from .errors import SpindetectError
+from .model import (Grid1D, HalfLineSensitivity, IntervalSensitivity, Sensitivity,
+                    TabulatedSensitivity)
 from .output import write_csv, write_json
 from .packets import GaussianPacketSpec, free_evolved_packet
 from .units import HBAR, UnitSystem
@@ -44,13 +44,13 @@ __all__ = ["Scene", "build_scene", "run_config"]
 
 @dataclass
 class Scene:
-    """Physics objects of a run, built from the paths its kind reads: geometry
-    is None without a sensitivity, rates without a bath or rates_override;
+    """Physics objects of a run, built from the paths its kind reads:
+    sensitivity is None without one, rates without a bath or rates_override;
     derived is the manifest's derived block, which rates.csv also lists."""
 
     units: UnitSystem
     packet: GaussianPacketSpec
-    geometry: DetectorGeometry | None
+    sensitivity: Sensitivity | None
     bath: RectangularBath | None
     rates: RatesResult | None
     derived: dict
@@ -80,8 +80,8 @@ def build_scene(cfg: dict) -> Scene:
         momentum_width=HBAR * pk["momentum_width_hbar_per_m"],
         focus_time=pk["focus_time_s"],
         focus_position=pk["focus_position_m"])
-    geometry = (single_spin(resonance, _build_sensitivity(det["sensitivity"], units))
-                if "sensitivity" in det else None)
+    sensitivity = (_build_sensitivity(det["sensitivity"], units)
+                   if "sensitivity" in det else None)
 
     bath = t_rec = tau_c = rates = None
     if "bath" in cfg:
@@ -115,17 +115,16 @@ def build_scene(cfg: dict) -> Scene:
         derived["correlation_time_s"] = tau_c
     if t_rec is not None:
         derived["recurrence_time_s"] = t_rec
-    return Scene(units=units, packet=packet, geometry=geometry, bath=bath,
+    return Scene(units=units, packet=packet, sensitivity=sensitivity, bath=bath,
                  rates=rates, derived=derived)
 
 
 def _grid_steps(what: str, lo: float, hi: float, step: float, unit: str, *,
                 keep_step: bool = False, even: bool = False) -> int:
-    """Steps of a uniform grid over [lo, hi] at about step, made even for
-    Simpson's rule if asked; a step that does not fit warns with the grid."""
-    n = int(round((hi - lo) / step))
-    n += n % 2 if even else 0
-    if n and abs(lo + n * step - hi) > 1e-9 * max(abs(hi), step):    # 0: callers raise
+    """config.grid_steps, which resolve_config keeps above the least point
+    count; a step that does not fit warns with the grid."""
+    n = grid_steps(lo, hi, step, even=even)
+    if abs(lo + n * step - hi) > 1e-9 * max(abs(hi), step):
         end, used = (lo + n * step, step) if keep_step else (hi, (hi - lo) / n)
         warnings.warn(f"{what}: a {step:.12g} {unit} step does not fit [{lo:.12g}, {hi:.12g}] "
                       f"{unit}; the grid takes {n + 1} points at {used:.12g} {unit} over "
@@ -136,8 +135,6 @@ def _grid_steps(what: str, lo: float, hi: float, step: float, unit: str, *,
 def _time_grid(num: dict, unit: float) -> np.ndarray:
     start, step = num["time_start_t0"], num["time_step_t0"]
     n = _grid_steps("time window", start, num["time_stop_t0"], step, "t0", keep_step=True)
-    if n < 2:
-        raise ConfigurationError("time window spans fewer than two steps")
     return (start + step * np.arange(n + 1)) * unit
 
 
@@ -167,7 +164,7 @@ def _run_discrete(cfg: dict, scene: Scene, out_dir: Path):
     right_points = _grid_steps("discrete right grid", 0.0, num["x_max_l0"],
                                num["right_spacing_l0"], "l0", even=True) + 1
     series = detection_density_discrete(
-        scene.packet, scene.geometry, scene.bath, times,
+        scene.packet, cfg["detector"]["resonance_per_s"], scene.bath, times,
         x_min=x_min, x_max=x_max, right_points=right_points,
         k_nodes=num["k_nodes"])
     series.to_csv(out_dir / "w1_disc.csv")
@@ -196,9 +193,9 @@ def _continuum_setup(cfg: dict, scene: Scene):
 
 def _run_continuum(cfg: dict, scene: Scene, out_dir: Path):
     grid, span, dt, psi0, snapshots = _continuum_setup(cfg, scene)
-    potential = build_conditional_potential(
-        scene.rates.decay_rate, scene.rates.level_shift,
-        scene.geometry.sensitivity, grid, include_shift=cfg["include_shift"])
+    shift = scene.rates.level_shift if cfg["include_shift"] else 0.0
+    potential = build_conditional_potential(scene.rates.decay_rate, shift,
+                                            scene.sensitivity, grid)
     traj = propagate_conditional(
         psi0, potential, span, dt, mass=scene.packet.mass,
         reference_frequency=scene.units.reference_frequency, snapshots=snapshots)

@@ -16,10 +16,8 @@ from spindetect import (
     HBAR,
     GaussianPacketSpec,
     Grid1D,
-    HalfLineSensitivity,
     RectangularBath,
     UnitSystem,
-    single_spin,
 )
 
 # worked-example detector parameters used throughout
@@ -52,10 +50,6 @@ def fig1_packet(**override):
 def make_bath(coupling=COUPLING, modes=MODES, resonance=RESONANCE):
     return RectangularBath(coupling=coupling, cutoff=CUTOFF_RATIO * resonance,
                            modes=modes)
-
-
-def fig1_geometry():
-    return single_spin(RESONANCE, HalfLineSensitivity())
 
 
 def slow_packet(k0_int=0.5, sigma_int=0.04, units=None):

@@ -36,7 +36,6 @@ from spindetect.output import read_csv
 
 import helpers
 from helpers import (
-    fig1_geometry,
     fig1_packet,
     internal_grid,
     l2_distance,
@@ -109,7 +108,7 @@ def test_scattering_conserves_flux_across_band(criterion_report):
     rng = np.random.default_rng(20260823)
     lo, hi = fig1_packet().wavenumber_window()
     k = np.sort(rng.uniform(lo, hi, 100))
-    basis = interior_eigenmodes(fig1_geometry(), make_bath())
+    basis = interior_eigenmodes(helpers.RESONANCE, make_bath())
     sol = match_at_origin(basis, CESIUM_MASS_KG, k)
     worst = float(np.max(sol.flux_defect))
     ok = (not sol.failed.any()) and worst < 1e-8
@@ -237,7 +236,7 @@ def test_free_limits_recover_analytic_packet(criterion_report):
     packet_d = fig1_packet()
     grid_d = Grid1D(-120.0 * l0u, 160.0 * l0u, 14001)
     t_d = 10.0 * t0u
-    state = ScatteringSynthesis(packet_d, fig1_geometry(), make_bath(coupling=0.0, modes=8),
+    state = ScatteringSynthesis(packet_d, helpers.RESONANCE, make_bath(coupling=0.0, modes=8),
                                 k_nodes=1201).state(t_d, grid_d)
     gap_disc = l2_distance(grid_d, state.no_flip,
                            free_evolved_packet(packet_d, t_d, grid_d))

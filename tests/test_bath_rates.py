@@ -18,7 +18,6 @@ from spindetect import (
     DirectionalCoupling,
     DirectionalSpectrum3D,
     GeneralBath,
-    HalfLineSensitivity,
     RateMap,
     RectangularBath,
     SpinRegion3D,
@@ -501,13 +500,13 @@ def test_markov_summary_correlation_time():
 
 
 def test_modified_frequencies_pairwise_lowering():
-    chi = HalfLineSensitivity()
+    regions = (SpinRegion3D(sensitivity=ball_region(np.zeros(3), 1.0)),) * 2
     ex = np.array([[0.0, 1.0], [0.0, 0.0]])
-    geo = DetectorGeometry(resonances=(10.0, 20.0), sensitivity=chi, exchange=ex)
+    geo = DetectorGeometry(resonances=(10.0, 20.0), regions_3d=regions, exchange=ex)
     np.testing.assert_allclose(modified_frequencies(geo), [9.0, 19.0])
     # driving a resonance to zero is rejected
     ex_bad = np.array([[0.0, 10.0], [0.0, 0.0]])
-    geo_bad = DetectorGeometry(resonances=(10.0, 20.0), sensitivity=chi,
+    geo_bad = DetectorGeometry(resonances=(10.0, 20.0), regions_3d=regions,
                                exchange=ex_bad)
     with pytest.raises(ConfigurationError):
         modified_frequencies(geo_bad)

@@ -113,6 +113,32 @@ def test_too_few_simpson_points_are_a_config_error(tmp_path, capsys):
     assert "fewer than 3 Simpson points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("build, block, keys, path", [
+    (small_discrete_config, "discrete",
+     {"time_start_t0": 0.0, "time_stop_t0": 0.75, "time_step_t0": 0.25},
+     "numerics.discrete.time_step_t0"),
+    (small_continuum_config, "continuum",
+     {"time_start_t0": 0.0, "time_stop_t0": 0.01, "time_step_t0": 0.01},
+     "numerics.continuum.time_step_t0"),
+    (small_continuum_config, "continuum",
+     {"x_min_l0": -0.3, "x_max_l0": 0.3, "grid_spacing_l0": 0.1},
+     "numerics.continuum.grid_spacing_l0"),
+], ids=["discrete-window", "continuum-window", "continuum-grid"])
+def test_validate_rejects_the_point_counts_the_run_rejects(tmp_path, capsys, build, block,
+                                                           keys, path):
+    """validate names the key that sets the short grid; the run stops on the
+    same error before it creates --out."""
+    cfg = build()
+    cfg["numerics"][block].update(keys)
+    config = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", str(config)]) == 2
+    assert f"config error at {path}: " in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main([cfg["kind"], "--config", str(config), "--out", str(out)]) == 2
+    assert f"config error at {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fluorescence_without_detuning_or_linewidth_fails_before_running(tmp_path, capsys):
     """The one-channel limit needs detuning or linewidth; resolving the
     config says so, before the two-channel leg runs and writes its CSV."""
@@ -204,6 +230,20 @@ def test_continuum_run_with_config_overrides(tmp_path):
     split = manifest["summary"]["continuum"]["mass_split"]
     assert sum(split.values()) == pytest.approx(1.0, abs=1e-6)
     assert split["detected"] > 0.01
+
+
+def test_a_run_without_the_shift_runs_a_zero_shift(tmp_path):
+    """include_shift false writes the w1 of the same rates with a zero shift,
+    byte for byte, and not that of the shifted run."""
+    runs = []
+    for include, shift in ((False, -2.0e7), (True, 0.0), (True, -2.0e7)):
+        cfg = tiny_continuum_config()
+        cfg["include_shift"] = include
+        cfg["rates_override"]["shift_per_s"] = shift
+        out = tmp_path / f"{include}{shift:g}"
+        runner.run_config(cfg, out)
+        runs.append((out / "w1_cont.csv").read_bytes())
+    assert runs[0] == runs[1] != runs[2]
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -8,7 +8,6 @@ import pytest
 
 from spindetect import (
     ComplexPotential,
-    Grid1D,
     HBAR,
     HalfLineSensitivity,
     IntervalSensitivity,
@@ -54,10 +53,10 @@ def test_potential_values_follow_profile():
 
 
 def test_potential_shift_can_be_dropped():
+    """A run without the shift passes 0.0: every shift entry is +0.0."""
     grid = internal_grid(-5.0, 5.0, 0.5)
-    pot = build_conditional_potential(3.0e6, -7.0e6, HalfLineSensitivity(), grid,
-                                      include_shift=False)
-    assert np.all(pot.values.real == 0.0)
+    pot = build_conditional_potential(3.0e6, 0.0, HalfLineSensitivity(), grid)
+    assert np.all(pot.values.real == 0.0) and not np.any(np.signbit(pot.shift_profile))
     assert np.min(pot.values.imag) < 0.0
 
 

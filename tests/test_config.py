@@ -400,6 +400,43 @@ def test_window_orientation_checks():
         resolve_config(cfg)
 
 
+# (block, keys, the grid's path, its least count, the keys one point above it)
+_SHORT_GRIDS = [
+    ("discrete", {"time_start_t0": 0.0, "time_stop_t0": 0.75, "time_step_t0": 0.25},
+     "numerics.discrete.time_step_t0", "fewer than 5 points", {"time_stop_t0": 1.0}),
+    ("continuum", {"time_start_t0": 0.0, "time_stop_t0": 0.01, "time_step_t0": 0.01},
+     "numerics.continuum.time_step_t0", "fewer than 3 points", {"time_stop_t0": 0.02}),
+    ("continuum", {"x_min_l0": -0.3, "x_max_l0": 0.3, "grid_spacing_l0": 0.1},
+     "numerics.continuum.grid_spacing_l0", "fewer than 8 points", {"x_max_l0": 0.4}),
+    ("discrete", {"x_max_l0": 0.5, "right_spacing_l0": 2.0},
+     "numerics.discrete.right_spacing_l0", "fewer than 3 Simpson points",
+     {"right_spacing_l0": 0.5}),
+]
+
+
+@pytest.mark.parametrize("block, keys, path, least, enough", _SHORT_GRIDS,
+                         ids=["discrete-window", "continuum-window", "continuum-grid",
+                              "right-grid"])
+def test_grids_below_their_least_point_count_are_rejected(block, keys, path, least, enough):
+    """Each grid is counted as the run counts it, at the key that sets its
+    step; one point more resolves."""
+    cfg = small_compare_config()
+    cfg["numerics"][block].update(keys)
+    with pytest.raises(ConfigurationError, match=rf"at {re.escape(path)}: .*{least}"):
+        resolve_config(cfg)
+    cfg["numerics"][block].update(enough)
+    resolve_config(cfg)
+
+
+def test_sweep_legs_are_held_to_the_least_point_count():
+    cfg = small_continuum_config()
+    cfg.update(kind="sweep", sweep={"parameter": "numerics.continuum.time_step_t0",
+                                    "values": [0.01, 20.0]})
+    with pytest.raises(ConfigurationError, match=r"at sweep\.values\[1\]: numerics\.continuum"
+                                                 r"\.time_step_t0: the time window holds"):
+        resolve_config(cfg)
+
+
 def test_sweep_axis_validation():
     base = small_continuum_config()
     base["kind"] = "sweep"

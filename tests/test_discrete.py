@@ -5,15 +5,11 @@ import pytest
 
 from spindetect import (
     Grid1D,
-    HalfLineSensitivity,
-    IntervalSensitivity,
     ScatteringSynthesis,
-    TabulatedSensitivity,
     detection_density_discrete,
     free_evolved_packet,
     interior_eigenmodes,
     match_at_origin,
-    single_spin,
 )
 from spindetect.discrete import CHUNK_ROWS, PHASE_BLOCK
 from spindetect.errors import ConfigurationError
@@ -22,7 +18,7 @@ from spindetect.output import read_csv
 from helpers import (
     CESIUM_MASS_KG,
     MODES,
-    fig1_geometry,
+    RESONANCE,
     fig1_packet,
     l2_distance,
     make_bath,
@@ -34,7 +30,7 @@ from helpers import (
 
 @pytest.fixture(scope="module")
 def fig1_basis():
-    return interior_eigenmodes(fig1_geometry(), make_bath())
+    return interior_eigenmodes(RESONANCE, make_bath())
 
 
 def test_eigenbasis_unitary(fig1_basis):
@@ -105,7 +101,7 @@ def test_matching_at_channel_thresholds(fig1_basis, closing):
 
 
 def test_zero_coupling_is_transparent():
-    basis = interior_eigenmodes(fig1_geometry(), make_bath(coupling=0.0))
+    basis = interior_eigenmodes(RESONANCE, make_bath(coupling=0.0))
     k = np.linspace(0.8, 1.2, 7) * fig1_packet().mean_wavenumber
     sol = match_at_origin(basis, CESIUM_MASS_KG, k)
     assert np.max(np.abs(sol.reflection_undetected)) < 1e-10
@@ -119,19 +115,6 @@ def test_zero_coupling_is_transparent():
 def test_matching_rejects_nonpositive_wavenumbers(fig1_basis, k):
     with pytest.raises(ConfigurationError, match="incident wavenumbers must be positive"):
         match_at_origin(fig1_basis, CESIUM_MASS_KG, k)
-
-
-@pytest.mark.parametrize("sensitivity", [
-    TabulatedSensitivity([0.0, np.inf], [0.5, 0.5]),
-    TabulatedSensitivity([0.0, 1.0, np.inf], [1.0, 0.5, 0.5]),
-    IntervalSensitivity(1.0), HalfLineSensitivity(1e-9)],
-    ids=["half-strength", "step-down", "interval", "shifted"])
-def test_ladder_takes_only_the_half_line(sensitivity):
-    """A profile with the support of Theta(x) but other values is not Theta."""
-    with pytest.raises(ConfigurationError, match="requires the half-line sensitivity"):
-        interior_eigenmodes(single_spin(2.39e8, sensitivity), make_bath(modes=4))
-    theta = TabulatedSensitivity([0.0, 7.0, np.inf], [1.0, 1.0, 1.0])
-    assert interior_eigenmodes(single_spin(2.39e8, theta), make_bath(modes=4)).n_modes == 4
 
 
 def test_failed_matching_node_is_dropped_from_the_synthesis(monkeypatch):
@@ -155,7 +138,7 @@ def test_failed_matching_node_is_dropped_from_the_synthesis(monkeypatch):
     units = make_units()
     lu, tu = units.length_unit, units.time_unit
     with pytest.warns(UserWarning, match="dropping 1 failed matching nodes from synthesis"):
-        synth = ScatteringSynthesis(fig1_packet(), fig1_geometry(), make_bath(modes=6),
+        synth = ScatteringSynthesis(fig1_packet(), RESONANCE, make_bath(modes=6),
                                     k_nodes=101)
     assert len(synth.solution.k) == 101
     for per_node in (synth.k_int, synth.coeff, synth.energies_int, synth.k_l_int,
@@ -174,12 +157,11 @@ def test_free_synthesis_matches_analytic_packet():
     """With zero coupling the synthesized no-flip field is the free packet."""
     units = make_units()
     packet = fig1_packet()
-    geometry = fig1_geometry()
     bath = make_bath(coupling=0.0, modes=8)
     lu = units.length_unit
     grid = Grid1D(-80.0 * lu, 120.0 * lu, 4001)
     t = 5.0 * units.time_unit
-    state = ScatteringSynthesis(packet, geometry, bath, k_nodes=801).state(t, grid)
+    state = ScatteringSynthesis(packet, RESONANCE, bath, k_nodes=801).state(t, grid)
     exact = free_evolved_packet(packet, t, grid)
     assert l2_distance(grid, state.no_flip, exact) < 1e-6
     assert np.max(np.abs(state.flipped)) < 1e-10 * np.max(np.abs(exact))
@@ -190,9 +172,8 @@ def test_series_agrees_with_direct_state_norm():
     a trapezoid over an explicitly synthesized field (grid-limited)."""
     units = make_units()
     packet = fig1_packet()
-    geometry = fig1_geometry()
     bath = make_bath(modes=6)
-    synth = ScatteringSynthesis(packet, geometry, bath, k_nodes=401)
+    synth = ScatteringSynthesis(packet, RESONANCE, bath, k_nodes=401)
     lu, tu = units.length_unit, units.time_unit
     times = np.array([-4.0, 0.0, 4.0]) * tu
     series = synth.no_flip_norm_series(times, x_min=-250.0 * lu,
@@ -237,7 +218,7 @@ def test_mode_sum_first_matches_per_mode_synthesis():
     blocks."""
     units = make_units()
     lu, tu = units.length_unit, units.time_unit
-    synth = ScatteringSynthesis(fig1_packet(), fig1_geometry(), make_bath(modes=6),
+    synth = ScatteringSynthesis(fig1_packet(), RESONANCE, make_bath(modes=6),
                                 k_nodes=201)
     times = np.linspace(-6.0, 6.0, 13) * tu
     right_points = CHUNK_ROWS + 905
@@ -281,7 +262,7 @@ def test_state_matches_direct_exponentials(packet, bounds_l0, points):
     the x < 0 / x >= 0 split and both grid ends inside blocks."""
     units = make_units()
     lu, tu = units.length_unit, units.time_unit
-    synth = ScatteringSynthesis(packet, fig1_geometry(), make_bath(modes=5), k_nodes=151)
+    synth = ScatteringSynthesis(packet, RESONANCE, make_bath(modes=5), k_nodes=151)
     grid = Grid1D(bounds_l0[0] * lu, bounds_l0[1] * lu, points)
     n_neg = int(np.sum(grid.points() < 0.0))
     assert n_neg % PHASE_BLOCK and (points - n_neg) % PHASE_BLOCK
@@ -302,7 +283,7 @@ def test_right_mass_matches_extended_precision_reference():
     peak (the cumprod recurrence reached 5.8e-15)."""
     units = make_units()
     lu, tu = units.length_unit, units.time_unit
-    synth = ScatteringSynthesis(fig1_packet(), fig1_geometry(), make_bath(modes=6),
+    synth = ScatteringSynthesis(fig1_packet(), RESONANCE, make_bath(modes=6),
                                 k_nodes=201)
     times = np.linspace(-6.0, 6.0, 13) * tu
     right_points = 5001
@@ -332,7 +313,7 @@ def test_edge_density_covers_last_five_rows_across_blocks():
     also when the last block holds fewer than five of them."""
     units = make_units()
     lu, tu = units.length_unit, units.time_unit
-    synth = ScatteringSynthesis(fig1_packet(), fig1_geometry(), make_bath(modes=6),
+    synth = ScatteringSynthesis(fig1_packet(), RESONANCE, make_bath(modes=6),
                                 k_nodes=201)
     times = np.array([4.0, 6.0]) * tu
     right_points = 2 * CHUNK_ROWS + 3
@@ -359,7 +340,7 @@ def test_series_work_buffers_stay_bounded():
     (rows x k-nodes) cumprod buffers took."""
     units = make_units()
     lu, tu = units.length_unit, units.time_unit
-    synth = ScatteringSynthesis(fig1_packet(), fig1_geometry(), make_bath(), k_nodes=201)
+    synth = ScatteringSynthesis(fig1_packet(), RESONANCE, make_bath(), k_nodes=201)
     times = np.arange(-12.0, 14.0 + 1e-9, 0.25) * tu
     series, peak_mb = peak_alloc_mb(lambda: synth.no_flip_norm_series(
         times, x_min=-180.0 * lu, x_max=180.0 * lu, right_points=2573))
@@ -372,7 +353,7 @@ def test_detection_series_shape_and_monotonicity(tmp_path):
     lu, tu = units.length_unit, units.time_unit
     times = np.arange(-10.0, 8.0 + 1e-9, 0.5) * tu
     series = detection_density_discrete(
-        fig1_packet(), fig1_geometry(), make_bath(modes=12), times,
+        fig1_packet(), RESONANCE, make_bath(modes=12), times,
         x_min=-160.0 * lu, x_max=160.0 * lu, right_points=4001, k_nodes=301)
     p = series.flip_probability
     assert np.all(p > -1e-9) and np.all(p < 1.0 + 1e-9)
@@ -390,16 +371,15 @@ def test_detection_series_shape_and_monotonicity(tmp_path):
 def test_detection_series_validation():
     units = make_units()
     lu, tu = units.length_unit, units.time_unit
-    packet, geometry, bath = fig1_packet(), fig1_geometry(), make_bath(modes=6)
+    packet, bath = fig1_packet(), make_bath(modes=6)
     with pytest.raises(ConfigurationError):
-        detection_density_discrete(packet, geometry, bath,
+        detection_density_discrete(packet, RESONANCE, bath,
                                    np.array([0.0, 1.0, 2.0]) * tu,
                                    x_min=-100 * lu, x_max=100 * lu)
     bad = np.array([0.0, 1.0, 2.0, 4.0, 8.0]) * tu
     with pytest.raises(ConfigurationError):
-        detection_density_discrete(packet, geometry, bath, bad,
+        detection_density_discrete(packet, RESONANCE, bath, bad,
                                    x_min=-100 * lu, x_max=100 * lu)
-
 
 
 @pytest.mark.parametrize("bounds_l0", [(-50.0, np.inf), (-np.inf, 50.0)])
@@ -410,7 +390,7 @@ def test_infinite_series_window_is_rejected(bounds_l0):
     lu = units.length_unit
     times = np.arange(0.0, 2.0 + 1e-9, 0.5) * units.time_unit
     with pytest.raises(ConfigurationError, match="finite and straddle"):
-        detection_density_discrete(fig1_packet(), fig1_geometry(), make_bath(modes=8),
+        detection_density_discrete(fig1_packet(), RESONANCE, make_bath(modes=8),
                                    times, x_min=bounds_l0[0] * lu,
                                    x_max=bounds_l0[1] * lu, k_nodes=51)
 
@@ -421,7 +401,7 @@ def test_window_beyond_recurrence_warns():
     # +-200 l0 holds the packet over the whole window (no edge warning)
     with pytest.warns(UserWarning, match="recurrence") as record:
         detection_density_discrete(
-            fig1_packet(), fig1_geometry(), bath, times,
+            fig1_packet(), RESONANCE, bath, times,
             x_min=-200 * units.length_unit, x_max=200 * units.length_unit,
             right_points=3335, k_nodes=301)
     assert len(record) == 1

@@ -1,7 +1,7 @@
-"""Every module-level import in the package is used (no linter runs here),
-every import anywhere in it is a declared dependency, starting a run imports
-nothing it does not need, the package's public names resolve, and every
-config key is read.
+"""Every module-level import in the package and its tests is used (no linter
+runs here), every import anywhere in the package is a declared dependency,
+starting a run imports nothing it does not need, the package's public names
+resolve, and every config key is read.
 
 A name counts as used when it is read anywhere in its module (as a name or
 as the root of an attribute chain) or listed in a literal __all__ of the
@@ -27,6 +27,7 @@ import helpers
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spindetect"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -93,7 +94,7 @@ def test_module_imports_are_declared_dependencies(path):
         "standard library: " + ", ".join(f"{name} (line {line})" for name, line in foreign)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     bound = _imported_names(tree)

@@ -35,12 +35,11 @@ from spindetect import (
     propagate_conditional,
     propagate_two_channel,
     scaled_ensemble,
-    single_spin,
 )
 from spindetect.conditional import time_step, two_channel_vmax
 from spindetect.errors import ConfigurationError
 
-from helpers import fig1_geometry, fig1_packet, internal_grid, make_bath, make_units, slow_packet
+from helpers import RESONANCE, fig1_packet, internal_grid, make_bath, make_units, slow_packet
 
 U = make_units()
 W0, M, T0 = U.reference_frequency, U.mass, U.time_unit
@@ -65,7 +64,7 @@ def _packet(**field):
 
 @functools.cache
 def _synthesis():
-    return ScatteringSynthesis(fig1_packet(), fig1_geometry(), BATH, k_nodes=51)
+    return ScatteringSynthesis(fig1_packet(), RESONANCE, BATH, k_nodes=51)
 
 
 def _scaled_ensemble(exponent):
@@ -101,7 +100,7 @@ SCALARS = [
     ("IntervalSensitivity", "start", "", lambda v: IntervalSensitivity(1.0, start=v)),
     ("IntervalSensitivity", "width", "positive", lambda v: IntervalSensitivity(v)),
     ("ball_region", "radius", "positive", lambda v: ball_region(np.zeros(3), v)),
-    ("single_spin", "resonance", "positive", lambda v: single_spin(v, LIT)),
+    ("interior_eigenmodes", "resonance", "positive", lambda v: interior_eigenmodes(v, BATH)),
     ("RectangularBath", "coupling", "nonnegative", lambda v: RectangularBath(v, 1.0)),
     ("RectangularBath", "cutoff", "positive", lambda v: RectangularBath(1.0, v)),
     ("GeneralBath", "cutoff", "positive", lambda v: GeneralBath(1.0, np.ones_like, v)),
@@ -112,7 +111,7 @@ SCALARS = [
     ("markov_summary", "resonance", "positive", lambda v: markov_summary(BATH, v)),
     ("scaled_ensemble", "scaling_exponent", "", _scaled_ensemble),
     ("match_at_origin", "mass", "positive",
-     lambda v: match_at_origin(interior_eigenmodes(fig1_geometry(), BATH), v, 1e7)),
+     lambda v: match_at_origin(interior_eigenmodes(RESONANCE, BATH), v, 1e7)),
     ("ScatteringSynthesis.state", "t_si", "", lambda v: _synthesis().state(v, GRID)),
     ("build_conditional_potential", "decay_rate", "nonnegative",
      lambda v: build_conditional_potential(v, 0.0, LIT, GRID)),

@@ -11,7 +11,6 @@ from spindetect import (
     SpinRegion3D,
     TabulatedSensitivity,
     ball_region,
-    single_spin,
 )
 from spindetect.errors import ConfigurationError
 
@@ -105,20 +104,15 @@ def test_ball_region_indicator():
     np.testing.assert_array_equal(chi(pts), [1.0, 1.0, 0.0, 1.0])
 
 
-def test_single_spin_geometry():
-    geo = single_spin(2.39e8, HalfLineSensitivity())
-    assert geo.spin_count == 1
-    assert geo.resonance == pytest.approx(2.39e8)
-    assert geo.exchange is None
-
-
 def test_geometry_validation():
-    chi = HalfLineSensitivity()
+    regions = (SpinRegion3D(sensitivity=ball_region(np.zeros(3), 1.0)),)
     with pytest.raises(ConfigurationError):
-        DetectorGeometry(resonances=(0.0,), sensitivity=chi)
+        DetectorGeometry(resonances=(0.0,), regions_3d=regions)
     with pytest.raises(ConfigurationError):
-        DetectorGeometry(resonances=(1.0, 2.0), sensitivity=chi,
+        DetectorGeometry(resonances=(1.0, 2.0), regions_3d=regions * 2,
                          exchange=np.zeros((3, 3)))  # wrong shape
+    with pytest.raises(ConfigurationError, match="one 3D region per spin resonance"):
+        DetectorGeometry(resonances=(1.0, 2.0), regions_3d=regions)
 
 
 def test_spin_region_multiplicity_positive():

@@ -5,7 +5,6 @@ import pytest
 
 from spindetect import (
     HBAR,
-    GaussianPacketSpec,
     Grid1D,
     free_evolved_packet,
     momentum_amplitude,

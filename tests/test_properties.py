@@ -26,7 +26,7 @@ from spindetect import (
 )
 from spindetect.conditional import KINETIC_SAFETY, PHASE_BUDGET
 
-from helpers import (COUPLING, PROPERTY_SETTINGS, RESONANCE, fig1_geometry, fig1_packet,
+from helpers import (COUPLING, PROPERTY_SETTINGS, RESONANCE, fig1_packet,
                      internal_grid, make_units, two_channel_vmax)
 
 U = make_units()
@@ -153,7 +153,7 @@ def test_ladder_basis_is_unitary_and_matching_conserves_flux(modes, coupling,
     worked-example packet's band the matching's flux defect stays < 1e-8."""
     bath = RectangularBath(coupling=coupling * COUPLING, cutoff=cutoff_ratio * RESONANCE,
                            modes=modes)
-    basis = interior_eigenmodes(fig1_geometry(), bath)
+    basis = interior_eigenmodes(RESONANCE, bath)
     u = basis.vectors
     np.testing.assert_allclose(u.conj().T @ u, np.eye(modes + 1), rtol=0, atol=1e-12)
     lo, hi = fig1_packet().wavenumber_window()
