@@ -24,8 +24,8 @@ __version__ = "0.1.0"
 # each public name -> the module that defines it
 _MODULE_OF = {name: module for module, names in {
     "analysis": ("arrival_stats", "compare_curves", "mass_accounting"),
-    "bath": ("DirectionalCoupling", "DirectionalSpectrum3D", "GeneralBath", "MarkovSummary",
-             "RateMap", "RatesResult", "RectangularBath", "correlation_kernel",
+    "bath": ("DirectionalCoupling", "DirectionalSpectrum3D", "GeneralBath", "RateMap",
+             "RatesResult", "RectangularBath", "correlation_kernel",
              "decay_rate_and_shift", "markov_summary", "modified_frequencies",
              "rate_map_3d", "scaled_ensemble"),
     "conditional": ("ComplexPotential", "ConditionalTrajectory", "adiabaticity_ratio",

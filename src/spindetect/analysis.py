@@ -4,7 +4,7 @@ The detection density w1(t) is in general not normalized: part of the
 packet is reflected without ever flipping a spin, so the integral of w1
 is the total detection probability, not 1.  Statistics (mean, spread,
 mode) are therefore taken against w1 renormalized by plain division with
-its own integral over the analysis window.
+its own integral over the series.
 
 arrival_stats, compare_curves and mass_accounting return plain dicts whose
 keys, in order, are the ones the manifest and comparison.json store, so a
@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericsError
+from .errors import ConfigurationError, NumericsError, checked_count, checked_scalar
 
 __all__ = [
     "arrival_stats",
@@ -34,52 +34,54 @@ UNDEFINED_MASS = 1e-9
 RESIDUAL_WARN = 1e-3
 
 
-def arrival_stats(times: np.ndarray, density: np.ndarray,
-                  window: tuple[float, float] | None = None) -> dict:
+def _curve(times, values, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """times and values as float arrays, or a ConfigurationError that starts
+    with what: matching 1D arrays of at least 2 finite samples, the times
+    strictly increasing."""
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if t.ndim != 1 or t.shape != v.shape or t.size < 2:
+        raise ConfigurationError(f"{what}: times and values must be matching 1D arrays "
+                                 "of at least 2 samples")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        raise ConfigurationError(f"{what}: times and values must be finite")
+    if not np.all(np.diff(t) > 0.0):
+        raise ConfigurationError(f"{what}: times must be strictly increasing")
+    return t, v
+
+
+def arrival_stats(times: np.ndarray, density: np.ndarray) -> dict:
     """Total detection probability and renormalized moments of density(t).
 
-    times must be strictly increasing.  Entries of density more negative
-    than NEGATIVE_DENSITY_TOL times the peak are an error; milder negatives
-    are treated as zero.  When the window captures less than UNDEFINED_MASS
-    of probability the moments are undefined and returned as None.  A total
+    times and density pass _curve.  Entries of density more negative than
+    NEGATIVE_DENSITY_TOL times the peak are an error; milder negatives are
+    treated as zero.  When the series captures less than UNDEFINED_MASS of
+    probability the moments are undefined and returned as None.  A total
     outside [-1e-12, 1 + 1e-6], or a moment that is not finite when mass is
     captured, is a NumericsError.  Keys: total_detection_probability,
-    mean_arrival_s, std_arrival_s, mode_arrival_s and window_s [lo, hi].
+    mean_arrival_s, std_arrival_s, mode_arrival_s and window_s, the span
+    [times[0], times[-1]] of the series.
     """
-    t = np.asarray(times, dtype=float)
-    w = np.asarray(density, dtype=float).copy()
-    if t.ndim != 1 or t.shape != w.shape or t.size < 2:
-        raise ConfigurationError("times and density must be matching 1D arrays")
-    if np.any(np.diff(t) <= 0.0):
-        raise ConfigurationError("times must be strictly increasing")
-    peak = float(np.max(np.abs(w))) if w.size else 0.0
+    t, w = _curve(times, density, "density")
+    peak = float(np.max(np.abs(w)))
     if peak > 0.0 and float(np.min(w)) < -NEGATIVE_DENSITY_TOL * peak:
         raise ConfigurationError(
             f"density has negative entries below -{NEGATIVE_DENSITY_TOL:g} x peak")
-    np.clip(w, 0.0, None, out=w)
+    w = np.clip(w, 0.0, None)
 
-    if window is None:
-        window = (float(t[0]), float(t[-1]))
-    lo, hi = float(window[0]), float(window[1])
-    if not hi > lo:
-        raise ConfigurationError("analysis window must have positive length")
-    sel = (t >= lo) & (t <= hi)
-    if np.count_nonzero(sel) < 2:
-        raise ConfigurationError("analysis window contains fewer than two samples")
-    ts, ws = t[sel], w[sel]
-
-    total = float(np.trapezoid(ws, ts))
+    total = float(np.trapezoid(w, t))
     if not -1e-12 <= total <= 1.0 + 1e-6:
         raise NumericsError(f"total detection probability {total!r} outside [0, 1]")
     stats = {"total_detection_probability": total, "mean_arrival_s": None,
-             "std_arrival_s": None, "mode_arrival_s": None, "window_s": [lo, hi]}
+             "std_arrival_s": None, "mode_arrival_s": None,
+             "window_s": [float(t[0]), float(t[-1])]}
     if total <= UNDEFINED_MASS:
         return stats
-    mean = float(np.trapezoid(ts * ws, ts) / total)
-    second = float(np.trapezoid(ts * ts * ws, ts) / total)
+    mean = float(np.trapezoid(t * w, t) / total)
+    second = float(np.trapezoid(t * t * w, t) / total)
     var = max(second - mean * mean, 0.0)
     stats.update(mean_arrival_s=mean, std_arrival_s=float(np.sqrt(var)),
-                 mode_arrival_s=float(ts[np.argmax(ws)]))
+                 mode_arrival_s=float(t[np.argmax(w)]))
     for key in ("mean_arrival_s", "std_arrival_s", "mode_arrival_s"):
         if not np.isfinite(stats[key]):
             raise NumericsError(f"{key} must be finite when mass is captured")
@@ -94,27 +96,20 @@ def compare_curves(times_a: np.ndarray, curve_a: np.ndarray,
     time ranges (optionally intersected with an explicit window) and report
     absolute and peak-relative L_inf and RMS (l2_rms) distances.
 
-    Disjoint time ranges are an error.  The metric is symmetric in the two
-    inputs and obeys the triangle inequality for curves sharing a window.
+    Each curve passes _curve; disjoint time ranges are an error.  The
+    metric is symmetric in the two inputs and obeys the triangle inequality
+    for curves sharing a window.
     """
-    ta = np.asarray(times_a, dtype=float)
-    tb = np.asarray(times_b, dtype=float)
-    a = np.asarray(curve_a, dtype=float)
-    b = np.asarray(curve_b, dtype=float)
-    for t_arr, c_arr, name in ((ta, a, "a"), (tb, b, "b")):
-        if t_arr.ndim != 1 or t_arr.shape != c_arr.shape or t_arr.size < 2:
-            raise ConfigurationError(f"curve {name}: times and values must be matching 1D arrays")
-        if np.any(np.diff(t_arr) <= 0.0):
-            raise ConfigurationError(f"curve {name}: times must be strictly increasing")
+    ta, a = _curve(times_a, curve_a, "curve a")
+    tb, b = _curve(times_b, curve_b, "curve b")
+    n_resample = checked_count("n_resample", n_resample, 2)
     lo = max(ta[0], tb[0])
     hi = min(ta[-1], tb[-1])
     if window is not None:
-        lo = max(lo, float(window[0]))
-        hi = min(hi, float(window[1]))
+        lo = max(lo, checked_scalar("window", window[0]))
+        hi = min(hi, checked_scalar("window", window[1]))
     if not hi > lo:
         raise ConfigurationError("curves have no overlapping time window")
-    if n_resample < 2:
-        raise ConfigurationError("n_resample must be at least 2")
     grid = np.linspace(lo, hi, n_resample)
     ra = np.interp(grid, ta, a)
     rb = np.interp(grid, tb, b)

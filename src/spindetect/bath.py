@@ -49,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericsError, checked_scalar
+from .errors import ConfigurationError, NumericsError, checked_count, checked_scalar
 from .model import DetectorGeometry
 
 TWO_PI = 2.0 * np.pi
@@ -80,8 +80,8 @@ class RectangularBath:
     def __post_init__(self):
         checked_scalar("coupling", self.coupling, "nonnegative")
         checked_scalar("cutoff", self.cutoff, "positive")
-        if self.modes is not None and self.modes < 1:
-            raise ConfigurationError(f"mode count must be >= 1, got {self.modes}")
+        if self.modes is not None:
+            checked_count("modes", self.modes, 1)
 
     def density(self, omega) -> np.ndarray:
         """f(omega) = 2 pi G^2 omega/omega_M on (0, omega_M], else 0."""
@@ -442,26 +442,17 @@ def decay_rate_and_shift(spectrum: BathSpectrum, resonance: float) -> RatesResul
                        "frequency_pv")
 
 
-@dataclass(frozen=True)
-class MarkovSummary:
-    """Kernel memory metadata (reporting only, never used to choose dt)."""
-
-    correlation_time: float   # s
-    ratio_at_50_periods: float  # |kappa(50/omega0)| / |kappa(0)|
-
-
-def markov_summary(spectrum: BathSpectrum, resonance: float) -> MarkovSummary:
-    """Correlation time: the first tau of a 600-delay geometric scan from
-    which the kernel envelope stays < 1% of kappa(0) (inf if it never does)."""
+def markov_summary(spectrum: BathSpectrum, resonance: float) -> float:
+    """The kernel's correlation time in s, for reporting only (it never
+    chooses dt): the first tau of a 600-delay geometric scan from which the
+    kernel envelope stays < 1% of kappa(0) (inf if it never does)."""
     kappa0 = abs(correlation_kernel(spectrum, resonance, 0.0))
     if kappa0 == 0.0:
-        return MarkovSummary(0.0, 0.0)
+        return 0.0
     tau = np.geomspace(1e-3 / spectrum.cutoff, 1e6 / spectrum.cutoff, 600)
     env = np.abs(correlation_kernel(spectrum, resonance, tau))
     below = np.maximum.accumulate(env[::-1])[::-1] < 0.01 * kappa0
-    tau_c = float(tau[np.argmax(below)]) if np.any(below) else float("inf")
-    ratio = abs(correlation_kernel(spectrum, resonance, 50.0 / resonance)) / kappa0
-    return MarkovSummary(tau_c, float(ratio))
+    return float(tau[np.argmax(below)]) if np.any(below) else float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +584,7 @@ def _angle_integrated_density(spectrum: DirectionalSpectrum3D,
 
 
 def rate_map_3d(geometry: DetectorGeometry, spectrum: DirectionalSpectrum3D,
-                points: np.ndarray, *, include_shift: bool = True) -> RateMap:
+                points: np.ndarray) -> RateMap:
     """Decay-rate and level-shift maps for a 3D multi-spin detector.
 
     Additive over spins; each spin contributes its multiplicity times the
@@ -623,8 +614,7 @@ def rate_map_3d(geometry: DetectorGeometry, spectrum: DirectionalSpectrum3D,
         chi = np.asarray(region.sensitivity(pts), dtype=float)
         mult = float(region.multiplicity)
         a_map += mult * (stim_j * chi**2 + spon_j)
-        if include_shift:
-            d_map += mult * _pv_transform(stim, omega_j, spectrum.couplings[j].cutoff) * chi**2
+        d_map += mult * _pv_transform(stim, omega_j, spectrum.couplings[j].cutoff) * chi**2
     return RateMap(points=pts, decay_rate=a_map, level_shift=d_map)
 
 
@@ -639,8 +629,7 @@ def scaled_ensemble(geometry: DetectorGeometry, spectrum: DirectionalSpectrum3D,
     fixed (fixed ferromagnetic load per spin). p = 1/2 leaves the map
     exactly invariant; any other exponent sends it to 0 or infinity with N.
     """
-    if ensemble_size < 1:
-        raise ConfigurationError(f"ensemble size must be >= 1, got {ensemble_size}")
+    checked_count("ensemble_size", ensemble_size, 1)
     factor = float(ensemble_size) ** -checked_scalar("scaling_exponent", scaling_exponent)
     regions = tuple(replace(r, multiplicity=r.multiplicity * ensemble_size)
                     for r in geometry.regions_3d)

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import ConfigurationError, NumericsError, checked_scalar
+from .errors import ConfigurationError, NumericsError, checked_count, checked_scalar
 from .model import Grid1D, Sensitivity
 from .units import HBAR, UnitSystem
 
@@ -298,6 +298,7 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
     if not t1 > t0:
         raise ConfigurationError("t_span must be increasing")
     mass = checked_scalar("mass", mass, "positive")
+    snapshots = checked_count("snapshots", snapshots, 2)
     step = time_step(dt, vmax)
     if step < dt:
         warnings.warn(f"time step refined x{round(dt / step)} to respect the potential "
@@ -344,7 +345,7 @@ def _propagate(fields, grid: Grid1D, t_span: tuple[float, float], dt: float, *,
     recorded = np.empty((len(first), n_steps + 1))
     recorded[:, 0] = first
     w1 = np.empty(n_steps)
-    n_snap = max(2, min(snapshots, n_steps + 1))
+    n_snap = min(snapshots, n_steps + 1)
     snap_idx = np.unique(np.round(np.linspace(0, n_steps, n_snap)).astype(int))
     snaps = np.empty((channels, snap_idx.size, n), dtype=complex)
     snaps[:, 0] = y.reshape(n, channels).T
@@ -392,8 +393,8 @@ def propagate_conditional(psi0: np.ndarray, potential: ComplexPotential,
     Mass accumulating within EDGE_CELLS of either grid end above 1e-6, and
     an initial norm below 1 by more than 1e-6, raise a UserWarning, not an
     error; an initial norm above 1 is a configuration error.
-    snapshots is the number of field snapshots kept, evenly spaced in
-    steps; the default 2 keeps the launch and final fields only.
+    snapshots, at least 2, is the number of field snapshots kept, evenly
+    spaced in steps; the default 2 keeps the launch and final fields only.
     """
     grid = potential.grid
     return _propagate(

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import RectangularBath
-from .errors import ConfigurationError, NumericsError, checked_scalar
+from .errors import ConfigurationError, NumericsError, checked_count, checked_scalar
 from .model import Grid1D
 from .output import write_csv
 from .packets import GaussianPacketSpec, momentum_amplitude
@@ -101,8 +101,6 @@ def interior_eigenmodes(resonance: float, bath: RectangularBath) -> InteriorEige
     """Diagonalize the interior block of the one spin, resonance omega0
     (rad/s), that fills the half line x > 0."""
     omega0 = checked_scalar("resonance", resonance, "positive")
-    if bath.modes is None:
-        raise ConfigurationError("discrete model needs a bath with a mode ladder")
     freqs = bath.mode_frequencies()
     coups = bath.mode_couplings()
     n = bath.modes
@@ -337,9 +335,9 @@ class ScatteringSynthesis:
         """
         if not (-np.inf < x_min < 0.0 < x_max < np.inf):
             raise ConfigurationError("series window must be finite and straddle 0")
-        if right_points < 3 or right_points % 2 == 0:
-            raise ConfigurationError(f"fewer than 3 Simpson points over [0, x_max], or an "
-                                     f"even count: {right_points}")
+        if checked_count("right_points", right_points, 3) % 2 == 0:
+            raise ConfigurationError(f"right_points must be odd for Simpson's rule, "
+                                     f"got {right_points}")
         x_lo = float(self.units.length_in(x_min))
         x_hi = float(self.units.length_in(x_max))
         c_mat = self.time_phases(times_si)
@@ -454,17 +452,17 @@ def detection_density_discrete(packet: GaussianPacketSpec,
     """P_flip and its time derivative for the discrete model, the spin's
     resonance in rad/s.
 
-    times must be uniform (centered differences assume it). x_min/x_max
-    bound the region that carries all probability over the window; edge
-    leakage beyond 1e-6, and a window longer than twice the recurrence
-    time, raise a UserWarning.
+    times must be uniform and increasing (centered differences assume it).
+    x_min/x_max bound the region that carries all probability over the
+    window; edge leakage beyond 1e-6, and a window longer than twice the
+    recurrence time, raise a UserWarning.
     """
     times = np.asarray(times, dtype=float)
     if len(times) < 5:
         raise ConfigurationError("need at least 5 time samples")
     steps = np.diff(times)
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
-        raise ConfigurationError("time grid must be uniform")
+    if not (steps[0] > 0.0 and np.all(np.abs(steps - steps[0]) <= 1e-9 * steps[0])):
+        raise ConfigurationError("time grid must be uniform and increasing")
     synthesis = ScatteringSynthesis(packet, resonance, bath, k_nodes=k_nodes)
     series = synthesis.no_flip_norm_series(times, x_min=x_min, x_max=x_max,
                                            right_points=right_points)

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the physical-scalar check."""
+"""Exception types shared across the package, and the physical-scalar and
+count checks."""
 
 import math
+import numbers
 
 
 class SpindetectError(Exception):
@@ -24,3 +26,11 @@ def checked_scalar(name: str, value, sign: str = "") -> float:
     if not (math.isfinite(x) and {"": True, "nonnegative": x >= 0.0, "positive": x > 0.0}[sign]):
         raise ConfigurationError(f"{name} must be finite{sign and ' and ' + sign}, got {value}")
     return x
+
+
+def checked_count(name: str, value, least: int) -> int:
+    """value as an int, or a ConfigurationError naming it.  A bool, a value
+    that is not an integer (NaN and 2.0 included) and a count below least fail."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)

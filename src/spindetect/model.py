@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, checked_scalar
+from .errors import ConfigurationError, checked_count, checked_scalar
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,7 @@ class Grid1D:
         if not self.x_max > self.x_min:
             raise ConfigurationError(
                 f"grid needs x_max > x_min, got [{self.x_min}, {self.x_max}]")
-        if self.n_points < 8:
-            raise ConfigurationError(f"grid needs at least 8 points, got {self.n_points}")
+        checked_count("n_points", self.n_points, 8)
 
     @property
     def spacing(self) -> float:
@@ -118,8 +117,7 @@ class SpinRegion3D:
     multiplicity: int = 1
 
     def __post_init__(self):
-        if self.multiplicity < 1:
-            raise ConfigurationError(f"multiplicity must be >= 1, got {self.multiplicity}")
+        checked_count("multiplicity", self.multiplicity, 1)
 
 
 def ball_region(center, radius: float) -> Callable[[np.ndarray], np.ndarray]:

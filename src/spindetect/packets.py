@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, checked_scalar
+from .errors import ConfigurationError, checked_count, checked_scalar
 from .model import Grid1D
 from .units import HBAR
 
@@ -74,8 +74,7 @@ class GaussianPacketSpec:
 
     def quadrature_nodes(self, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
         """Uniform trapezoid nodes and weights over the synthesis window."""
-        if n_nodes < 9:
-            raise ConfigurationError(f"need at least 9 quadrature nodes, got {n_nodes}")
+        checked_count("n_nodes", n_nodes, 9)
         lo, hi = self.wavenumber_window()
         k = np.linspace(lo, hi, n_nodes)
         w = np.full(n_nodes, k[1] - k[0])

@@ -32,7 +32,7 @@ from .conditional import (build_conditional_potential, one_channel_limit_potenti
                           two_channel_vmax, adiabaticity_ratio, norm_balance)
 from .config import get_by_path, grid_steps, resolve_config, set_by_path
 from .discrete import detection_density_discrete
-from .errors import SpindetectError
+from .errors import SpindetectError, checked_count
 from .model import (Grid1D, HalfLineSensitivity, IntervalSensitivity, Sensitivity,
                     TabulatedSensitivity)
 from .output import write_csv, write_json
@@ -97,7 +97,7 @@ def build_scene(cfg: dict) -> Scene:
         rates = RatesResult(ov["decay_per_s"], ov["shift_per_s"], "override")
     elif bath is not None and bath.coupling > 0.0:
         rates = decay_rate_and_shift(bath, resonance)
-        tau_c = markov_summary(bath, resonance).correlation_time
+        tau_c = markov_summary(bath, resonance)
     elif bath is not None:
         rates = RatesResult(0.0, 0.0, "zero_coupling")
 
@@ -434,12 +434,14 @@ _RUNS = {"discrete": _on_scene(_run_discrete), "continuum": _on_scene(_run_conti
 
 def run_config(raw_cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
     """Execute a config and write its artifacts under out_dir.  Returns the
-    manifest dict (also written to out_dir/manifest.json).  Sweep sub-run
-    failures are recorded in the manifest, not raised.  Warnings raised
-    during the run are listed in manifest["warnings"] instead of shown, each
-    UserWarning as often as it is raised."""
+    manifest dict (also written to out_dir/manifest.json).  jobs, at least
+    1, caps a sweep's worker processes.  Sweep sub-run failures are recorded
+    in the manifest, not raised.  Warnings raised during the run are listed
+    in manifest["warnings"] instead of shown, each UserWarning as often as
+    it is raised."""
     started = _time.perf_counter()
     cfg = resolve_config(raw_cfg)
+    jobs = checked_count("jobs", jobs, 1)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     kind = cfg["kind"]

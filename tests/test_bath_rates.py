@@ -24,6 +24,7 @@ from spindetect import (
     ball_region,
     correlation_kernel,
     decay_rate_and_shift,
+    interior_eigenmodes,
     markov_summary,
     modified_frequencies,
     rate_map_3d,
@@ -98,6 +99,8 @@ def test_continuum_bath_has_no_ladder():
         bath.mode_frequencies()
     with pytest.raises(ConfigurationError):
         bath.recurrence_time()
+    with pytest.raises(ConfigurationError, match="no discrete mode ladder"):
+        interior_eigenmodes(RESONANCE, bath)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +185,8 @@ def test_markov_summary_of_a_quadrature_kernel_ends_where_it_resolves():
     general, sharp = _sharp_cutoff_copy()
     quad = markov_summary(general, 1.0)
     closed = markov_summary(sharp, 1.0)
-    assert closed.correlation_time == pytest.approx(43.76, abs=5e-3)
-    assert quad.correlation_time == closed.correlation_time
-    assert quad.ratio_at_50_periods == pytest.approx(closed.ratio_at_50_periods, rel=1e-8)
+    assert closed == pytest.approx(43.76, abs=5e-3)
+    assert quad == closed
 
 
 def test_kernel_series_continuous_at_switch():
@@ -395,7 +397,7 @@ def test_callable_dispersion_density_1d_and_3d():
     geo = _ball_geometry(multiplicity=3, resonance=w0)
     spec = DirectionalSpectrum3D(dispersion=speed, dispersion_derivative=slope,
                                  couplings=(DirectionalCoupling(gamma0, 5.0),))
-    rm = rate_map_3d(geo, spec, np.zeros((1, 3)), include_shift=False)
+    rm = rate_map_3d(geo, spec, np.zeros((1, 3)))
     expected = 3.0 * w0**3 * c0 / speed(w0) ** 4 * gamma0**2 / np.pi
     assert rm.decay_rate[0] == pytest.approx(expected, rel=rtol)
 
@@ -431,8 +433,7 @@ def test_dispersion_with_a_negative_phase_speed_rejected():
     with pytest.raises(ConfigurationError, match="unphysical dispersion"):
         rate_map_3d(_ball_geometry(), spec, np.zeros((1, 3)))
     with pytest.raises(ConfigurationError, match="unphysical dispersion.* omega = 3.5$"):
-        rate_map_3d(_ball_geometry(resonance=3.5), spec, np.zeros((1, 3)),
-                    include_shift=False)
+        rate_map_3d(_ball_geometry(resonance=3.5), spec, np.zeros((1, 3)))
 
 
 @pytest.mark.parametrize("make", [
@@ -487,12 +488,14 @@ def test_directional_coupling_on_the_frequency_direction_grid(amplitude):
 
 
 def test_markov_summary_correlation_time():
-    ms = markov_summary(make_bath(), RESONANCE)
+    bath = make_bath()
+    tau_c = markov_summary(bath, RESONANCE)
     # pinned output of the 1% suffix-envelope scan (regression guard)
-    assert ms.correlation_time == pytest.approx(CORRELATION_TIME_REF, rel=1e-12)
+    assert tau_c == pytest.approx(CORRELATION_TIME_REF, rel=1e-12)
     # physical sanity: tens of resonance periods, envelope well decayed
-    assert 20.0 / RESONANCE < ms.correlation_time < 100.0 / RESONANCE
-    assert 0.0 < ms.ratio_at_50_periods < 0.02
+    assert 20.0 / RESONANCE < tau_c < 100.0 / RESONANCE
+    kappa = np.abs(correlation_kernel(bath, RESONANCE, np.array([0.0, 50.0 / RESONANCE])))
+    assert 0.0 < kappa[1] < 0.02 * kappa[0]
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +528,12 @@ def test_rate_map_isotropic_analytic():
     spec = DirectionalSpectrum3D(dispersion=c,
                                  couplings=(DirectionalCoupling(gamma0, 5.0),))
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [3.0, 0.0, 0.0]])
-    rm = rate_map_3d(geo, spec, pts, include_shift=False)
+    rm = rate_map_3d(geo, spec, pts)
     # stimulated rate omega^3 |Gamma|^2 / (pi c^3) per spin, times multiplicity
     expected = 3.0 * gamma0**2 / (np.pi * c**3)
     assert rm.decay_rate[0] == pytest.approx(expected, rel=1e-12)
     assert rm.decay_rate[1] == pytest.approx(expected, rel=1e-12)
     assert rm.decay_rate[2] == 0.0   # outside the ball, no spontaneous floor
-    np.testing.assert_array_equal(rm.level_shift, 0.0)
 
 
 def test_rate_map_level_shift_analytic():
@@ -539,7 +541,7 @@ def test_rate_map_level_shift_analytic():
     gamma0, c, cutoff, w0 = 0.4, 2.0, 5.0, 1.0
     spec = DirectionalSpectrum3D(dispersion=c,
                                  couplings=(DirectionalCoupling(gamma0, cutoff),))
-    rm = rate_map_3d(geo, spec, np.zeros((1, 3)), include_shift=True)
+    rm = rate_map_3d(geo, spec, np.zeros((1, 3)))
     # -(C/pi) PV int_0^M w^3/(w - w0) dw with C = |Gamma|^2/(pi c^3)
     big_m = cutoff
     pv = (big_m**3 / 3.0 + w0 * big_m**2 / 2.0 + w0**2 * big_m
@@ -569,8 +571,7 @@ def test_rate_map_spontaneous_floor():
         dispersion=1.0,
         couplings=(DirectionalCoupling(1.0, 5.0),),
         spontaneous=(DirectionalCoupling(0.05, 5.0),))
-    rm = rate_map_3d(geo, spec, np.array([[10.0, 0.0, 0.0]]),
-                     include_shift=False)
+    rm = rate_map_3d(geo, spec, np.array([[10.0, 0.0, 0.0]]))
     # outside the ball only the position-independent channel contributes
     expected = 2.0 * 0.05**2 / np.pi
     assert rm.decay_rate[0] == pytest.approx(expected, rel=1e-12)

@@ -382,6 +382,22 @@ def test_detection_series_validation():
                                    x_min=-100 * lu, x_max=100 * lu)
 
 
+@pytest.mark.parametrize("times_t0", [
+    [0.0, 1.0, np.nan, 3.0, 4.0],
+    [np.nan] * 5,
+    [4.0, 3.0, 2.0, 1.0, 0.0],
+], ids=["one-nan", "all-nan", "decreasing"])
+def test_time_grid_must_be_finite_and_increasing(times_t0):
+    """A NaN time, or a uniform grid that runs backwards, fails before any
+    synthesis instead of giving a non-finite or reversed w1."""
+    units = make_units()
+    lu = units.length_unit
+    with pytest.raises(ConfigurationError, match="uniform and increasing"):
+        detection_density_discrete(fig1_packet(), RESONANCE, make_bath(modes=6),
+                                   np.array(times_t0) * units.time_unit,
+                                   x_min=-100 * lu, x_max=100 * lu, k_nodes=51)
+
+
 @pytest.mark.parametrize("bounds_l0", [(-50.0, np.inf), (-np.inf, 50.0)])
 def test_infinite_series_window_is_rejected(bounds_l0):
     """An infinite window end is a configuration error, not an all-NaN

@@ -1,7 +1,7 @@
 """Every module-level import in the package and its tests is used (no linter
 runs here), every import anywhere in the package is a declared dependency,
 starting a run imports nothing it does not need, the package's public names
-resolve, and every config key is read.
+resolve, every config key is read, and the library's options are pinned.
 
 A name counts as used when it is read anywhere in its module (as a name or
 as the root of an attribute chain) or listed in a literal __all__ of the
@@ -11,6 +11,7 @@ package binds none of those names by an import.
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -233,6 +234,35 @@ def test_every_config_key_is_read_by_the_runner():
     sensitivity = CONFIG_SCHEMA["properties"]["detector"]["properties"]["sensitivity"]
     keys = {entry.lstrip("!") for reads in SENSITIVITY_READS.values() for entry in reads}
     assert keys == set(sensitivity["properties"])
+
+
+# every parameter with a default of a public callable, "name.parameter"
+LIBRARY_OPTIONS = {
+    "DetectorGeometry.exchange", "DirectionalSpectrum3D.dispersion_derivative",
+    "DirectionalSpectrum3D.spontaneous", "GaussianPacketSpec.focus_position",
+    "GaussianPacketSpec.focus_time", "GeneralBath.dispersion_derivative",
+    "HalfLineSensitivity.start", "IntervalSensitivity.start",
+    "RatesResult.quadrature_decay_rate", "RatesResult.quadrature_level_shift",
+    "RectangularBath.modes", "ScatteringSynthesis.k_nodes", "SpinRegion3D.multiplicity",
+    "compare_curves.n_resample", "compare_curves.window",
+    "detection_density_discrete.k_nodes", "detection_density_discrete.right_points",
+    "propagate_conditional.reference_frequency", "propagate_conditional.snapshots",
+    "propagate_two_channel.snapshots", "resolve_config.kind", "resolve_config.require_kind",
+    "run_config.jobs", "scaled_ensemble.scaling_exponent",
+}
+
+
+def test_library_options_are_pinned():
+    """The library's option inventory is pinned as the config keys are: a
+    new parameter with a default on a public callable needs a deliberate
+    edit here.  The exception classes take no options and have no signature."""
+    options = set()
+    for name in spindetect.__all__:
+        obj = getattr(spindetect, name)
+        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
+            options |= {f"{name}.{p.name}" for p in inspect.signature(obj).parameters.values()
+                        if p.default is not inspect.Parameter.empty}
+    assert options == LIBRARY_OPTIONS
 
 
 def test_the_runner_dispatches_every_run_kind():

@@ -1,7 +1,8 @@
 """Every physical scalar is checked where it enters the package: NaN and
 +-inf fail at each public entry point, and so does a value of the wrong
 sign where the physics fixes it, with a ConfigurationError whose message
-starts with the argument's name."""
+starts with the argument's name.  Every count is checked the same way:
+NaN, a fraction, a bool and a count below its least value fail."""
 
 import functools
 import re
@@ -25,6 +26,7 @@ from spindetect import (
     adiabaticity_ratio,
     ball_region,
     build_conditional_potential,
+    compare_curves,
     correlation_kernel,
     decay_rate_and_shift,
     free_evolved_packet,
@@ -34,12 +36,14 @@ from spindetect import (
     one_channel_limit_potential,
     propagate_conditional,
     propagate_two_channel,
+    run_config,
     scaled_ensemble,
 )
 from spindetect.conditional import time_step, two_channel_vmax
 from spindetect.errors import ConfigurationError
 
-from helpers import RESONANCE, fig1_packet, internal_grid, make_bath, make_units, slow_packet
+from helpers import (RESONANCE, fig1_packet, internal_grid, make_bath, make_units, slow_packet,
+                     sweep_tradeoff_config)
 
 U = make_units()
 W0, M, T0 = U.reference_frequency, U.mass, U.time_unit
@@ -67,21 +71,26 @@ def _synthesis():
     return ScatteringSynthesis(fig1_packet(), RESONANCE, BATH, k_nodes=51)
 
 
-def _scaled_ensemble(exponent):
+def _scaled_ensemble(exponent=0.5, size=2):
     region = SpinRegion3D(sensitivity=ball_region(np.zeros(3), 1.0))
     geometry = DetectorGeometry(resonances=(1.0,), regions_3d=(region,))
     spectrum = DirectionalSpectrum3D(dispersion=2.0, couplings=(DirectionalCoupling(0.4, 5.0),))
-    return scaled_ensemble(geometry, spectrum, np.zeros((1, 3)), 2, exponent)
+    return scaled_ensemble(geometry, spectrum, np.zeros((1, 3)), size, exponent)
 
 
-def _conditional(span=SPAN, dt=DT, mass=M, reference_frequency=None):
+def _conditional(span=SPAN, dt=DT, mass=M, reference_frequency=None, snapshots=2):
     return propagate_conditional(PSI, POTENTIAL, span, dt, mass=mass,
-                                 reference_frequency=reference_frequency)
+                                 reference_frequency=reference_frequency, snapshots=snapshots)
 
 
-def _two_channel(rabi=0.0, detuning=0.0, linewidth=W0, span=SPAN, dt=DT, mass=M):
+def _two_channel(rabi=0.0, detuning=0.0, linewidth=W0, span=SPAN, dt=DT, mass=M, snapshots=2):
     return propagate_two_channel(PSI, np.zeros_like(PSI), rabi, LIT, detuning, linewidth,
-                                 GRID, span, dt, mass=mass)
+                                 GRID, span, dt, mass=mass, snapshots=snapshots)
+
+
+def _compare(**options):
+    t = np.linspace(0.0, 1.0, 11)
+    return compare_curves(t, t, t, t, **options)
 
 
 # (case label, argument named in the error, sign rule, call with the argument v)
@@ -110,6 +119,8 @@ SCALARS = [
      lambda v: decay_rate_and_shift(BATH, v)),
     ("markov_summary", "resonance", "positive", lambda v: markov_summary(BATH, v)),
     ("scaled_ensemble", "scaling_exponent", "", _scaled_ensemble),
+    ("compare_curves-start", "window", "", lambda v: _compare(window=(v, 1.0))),
+    ("compare_curves-stop", "window", "", lambda v: _compare(window=(0.0, v))),
     ("match_at_origin", "mass", "positive",
      lambda v: match_at_origin(interior_eigenmodes(RESONANCE, BATH), v, 1e7)),
     ("ScatteringSynthesis.state", "t_si", "", lambda v: _synthesis().state(v, GRID)),
@@ -157,3 +168,40 @@ SCALARS = [
 def test_physical_scalar_fails_where_it_enters(arg, call, value):
     with pytest.raises(ConfigurationError, match=rf"^{re.escape(arg)} must be finite"):
         call(value)
+
+
+def _right_points(n):
+    lu = U.length_unit
+    return _synthesis().no_flip_norm_series(np.array([0.0, T0]), x_min=-lu, x_max=lu,
+                                            right_points=n)
+
+
+# (case label, argument named in the error, least count, call with the count v)
+COUNTS = [
+    ("Grid1D", "n_points", 8, lambda v: Grid1D(0.0, 1.0, v)),
+    ("SpinRegion3D", "multiplicity", 1,
+     lambda v: SpinRegion3D(sensitivity=ball_region(np.zeros(3), 1.0), multiplicity=v)),
+    ("RectangularBath", "modes", 1, lambda v: RectangularBath(1.0, 1.0, v)),
+    ("scaled_ensemble", "ensemble_size", 1, lambda v: _scaled_ensemble(size=v)),
+    ("GaussianPacketSpec.quadrature_nodes", "n_nodes", 9,
+     lambda v: fig1_packet().quadrature_nodes(v)),
+    ("ScatteringSynthesis.no_flip_norm_series", "right_points", 3, _right_points),
+    ("compare_curves", "n_resample", 2, lambda v: _compare(n_resample=v)),
+    ("propagate_conditional", "snapshots", 2, lambda v: _conditional(snapshots=v)),
+    ("propagate_two_channel", "snapshots", 2, lambda v: _two_channel(snapshots=v)),
+    ("run_config", "jobs", 1, lambda v: run_config(sweep_tradeoff_config(), "out", jobs=v)),
+]
+
+
+@pytest.mark.parametrize("arg, call, value", [
+    pytest.param(arg, call, value, id=f"{label}-{arg}-{value}")
+    for label, arg, least, call in COUNTS for value in (np.nan, 2.5, True, least - 1)])
+def test_count_fails_where_it_enters(arg, call, value, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)   # a run_config that did not fail writes here
+    with pytest.raises(ConfigurationError, match=rf"^{re.escape(arg)} must be an integer >= "):
+        call(value)
+
+
+def test_an_even_simpson_count_fails():
+    with pytest.raises(ConfigurationError, match="^right_points must be odd"):
+        _right_points(4)
